@@ -35,22 +35,22 @@ func runAblBranch(ctx context.Context, r *Runner) (*Result, error) {
 	through := machine.IdealSuperscalar(deg)
 	through.Name += "-branchthrough"
 	through.TakenBranchEndsGroup = false
+	base := machine.Base()
+
+	jobs := make([]job, 0, 3*len(suite))
+	for _, b := range suite {
+		jobs = append(jobs, job{b.Name, defaultOpts(b), base},
+			job{b.Name, defaultOpts(b), normal}, job{b.Name, defaultOpts(b), through})
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
 
 	var with, without []float64
 	t := &table{header: []string{"benchmark", "parallelism (group breaks)", "parallelism (issue through branches)"}}
-	for _, b := range suite {
-		rb, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), machine.Base())
-		if err != nil {
-			return nil, err
-		}
-		rn, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), normal)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), through)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range suite {
+		rb, rn, rt := res[3*i], res[3*i+1], res[3*i+2]
 		pw := rb.BaseCycles / rn.BaseCycles
 		po := rb.BaseCycles / rt.BaseCycles
 		with = append(with, pw)
@@ -75,28 +75,35 @@ func runAblBranch(ctx context.Context, r *Runner) (*Result, error) {
 // available, which limits the amount of parallelism we can exploit."
 func runAblTemps(ctx context.Context, r *Runner) (*Result, error) {
 	factors := []int{1, 4, 10}
+	budgets := []int{machine.DefaultTemps, machine.WideTemps}
+
+	var jobs []job
+	for _, temps := range budgets {
+		base := machine.Base()
+		wide := machine.IdealSuperscalar(r.Cfg.maxDegree())
+		for _, m := range []*machine.Config{base, wide} {
+			m.IntTemps, m.FPTemps = temps, temps
+			m.IntHomes, m.FPHomes = 10, 10
+		}
+		for _, k := range factors {
+			copts := compiler.Options{Level: compiler.O4, Unroll: k, Careful: true}
+			jobs = append(jobs, job{"linpack", copts, base}, job{"linpack", copts, wide})
+		}
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	// The table walks the (budget, factor) pairs in the order jobs lists them.
 	t := &table{header: []string{"config", "x1", "x4", "x10"}}
 	var series []metrics.Series
-	for _, temps := range []int{machine.DefaultTemps, machine.WideTemps} {
+	for _, temps := range budgets {
 		s := metrics.Series{Name: fmt.Sprintf("linpack.careful.%dtemps", temps)}
 		row := []string{s.Name}
 		for _, k := range factors {
-			base := machine.Base()
-			wide := machine.IdealSuperscalar(r.Cfg.maxDegree())
-			for _, m := range []*machine.Config{base, wide} {
-				m.IntTemps, m.FPTemps = temps, temps
-				m.IntHomes, m.FPHomes = 10, 10
-			}
-			copts := compiler.Options{Level: compiler.O4, Unroll: k, Careful: true}
-			rb, err := r.MeasureCtx(ctx, "linpack", copts, base)
-			if err != nil {
-				return nil, err
-			}
-			rw, err := r.MeasureCtx(ctx, "linpack", copts, wide)
-			if err != nil {
-				return nil, err
-			}
-			par := rb.BaseCycles / rw.BaseCycles
+			par := res[0].BaseCycles / res[1].BaseCycles
+			res = res[2:]
 			s.X = append(s.X, float64(k))
 			s.Y = append(s.Y, par)
 			row = append(row, fmtF(par))
@@ -118,29 +125,25 @@ func runAblSched(ctx context.Context, r *Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	base := machine.Base()
 	wide := machine.IdealSuperscalar(r.Cfg.maxDegree())
-	t := &table{header: []string{"benchmark", "parallelism unscheduled", "parallelism scheduled", "gain"}}
-	var gains []float64
+	jobs := make([]job, 0, 4*len(suite))
 	for _, b := range suite {
 		on := defaultOpts(b)
 		off := defaultOpts(b)
 		off.NoSchedule = true
-		pb, err := r.MeasureCtx(ctx, b.Name, off, machine.Base())
-		if err != nil {
-			return nil, err
-		}
-		pw, err := r.MeasureCtx(ctx, b.Name, off, wide)
-		if err != nil {
-			return nil, err
-		}
-		sb, err := r.MeasureCtx(ctx, b.Name, on, machine.Base())
-		if err != nil {
-			return nil, err
-		}
-		sw, err := r.MeasureCtx(ctx, b.Name, on, wide)
-		if err != nil {
-			return nil, err
-		}
+		jobs = append(jobs, job{b.Name, off, base}, job{b.Name, off, wide},
+			job{b.Name, on, base}, job{b.Name, on, wide})
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	t := &table{header: []string{"benchmark", "parallelism unscheduled", "parallelism scheduled", "gain"}}
+	var gains []float64
+	for i, b := range suite {
+		pb, pw, sb, sw := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
 		pOff := pb.BaseCycles / pw.BaseCycles
 		pOn := sb.BaseCycles / sw.BaseCycles
 		gains = append(gains, pOn/pOff)
@@ -161,29 +164,25 @@ func runAblMemdep(ctx context.Context, r *Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	base := machine.Base()
 	wide := machine.IdealSuperscalar(r.Cfg.maxDegree())
-	t := &table{header: []string{"benchmark", "conservative", "careful disambiguation", "gain"}}
-	var gains []float64
+	jobs := make([]job, 0, 4*len(suite))
 	for _, b := range suite {
 		cons := defaultOpts(b)
 		care := defaultOpts(b)
 		care.Careful = true
-		cb, err := r.MeasureCtx(ctx, b.Name, cons, machine.Base())
-		if err != nil {
-			return nil, err
-		}
-		cw, err := r.MeasureCtx(ctx, b.Name, cons, wide)
-		if err != nil {
-			return nil, err
-		}
-		kb, err := r.MeasureCtx(ctx, b.Name, care, machine.Base())
-		if err != nil {
-			return nil, err
-		}
-		kw, err := r.MeasureCtx(ctx, b.Name, care, wide)
-		if err != nil {
-			return nil, err
-		}
+		jobs = append(jobs, job{b.Name, cons, base}, job{b.Name, cons, wide},
+			job{b.Name, care, base}, job{b.Name, care, wide})
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	t := &table{header: []string{"benchmark", "conservative", "careful disambiguation", "gain"}}
+	var gains []float64
+	for i, b := range suite {
+		cb, cw, kb, kw := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
 		pc := cb.BaseCycles / cw.BaseCycles
 		pk := kb.BaseCycles / kw.BaseCycles
 		gains = append(gains, pk/pc)

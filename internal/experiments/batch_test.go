@@ -9,14 +9,16 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"ilp/internal/compiler"
 	"ilp/internal/machine"
 )
 
-// TestBatchedSweepBitIdentical renders measureMany-driven experiments with a
-// batchable config and with a no-op measure hook installed (which forces the
-// goroutine fan-out) and requires identical text — and that the batched
+// TestBatchedSweepBitIdentical renders every experiment with a batchable
+// config and with a no-op measure hook installed (which forces the goroutine
+// fan-out) and requires identical text — pinning each experiment's
+// job-to-result indexing on both measurement paths — and that the batched
 // runner actually batched.
 func TestBatchedSweepBitIdentical(t *testing.T) {
 	base := Config{MaxDegree: 4, Benchmarks: []string{"whet", "linpack"}}
@@ -29,7 +31,8 @@ func TestBatchedSweepBitIdentical(t *testing.T) {
 	if !rBatch.batchable() || rPlain.batchable() {
 		t.Fatalf("batchable gate wrong: batch=%v plain=%v", rBatch.batchable(), rPlain.batchable())
 	}
-	for _, id := range []string{"fig2", "fig4-1", "tab2-1"} {
+	for _, e := range Experiments() {
+		id := e.ID
 		got, err := rBatch.Run(id)
 		if err != nil {
 			t.Fatalf("%s (batched): %v", id, err)
@@ -66,6 +69,40 @@ func TestBatchedSweepBitIdentical(t *testing.T) {
 	}
 	if bs.Sims != ps.Sims || bs.SimHits != ps.SimHits {
 		t.Errorf("cache traffic diverged: batched %+v vs goroutine %+v", bs, ps)
+	}
+	if bs.BatchedCells != bs.Sims {
+		t.Errorf("batchable sweep simulated %d cells, only %d of them batched", bs.Sims, bs.BatchedCells)
+	}
+}
+
+// TestWarmSweepSkipsWorkerSlot: a sweep whose every cell is cached needs no
+// worker slot, so it returns its cached results even while cold sweeps hold
+// every slot of the pool.
+func TestWarmSweepSkipsWorkerSlot(t *testing.T) {
+	r := NewRunner(Config{Workers: 2})
+	jobs := sweepJobs("whet", 3)
+	want, err := r.measureMany(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap(r.sem); i++ {
+		r.sem <- struct{}{} // every slot held, as by long cold sweeps
+	}
+	defer func() {
+		for i := 0; i < cap(r.sem); i++ {
+			<-r.sem
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	got, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		t.Fatalf("warm sweep with every worker slot taken: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("cell %d: warm sweep did not return the cached result", i)
+		}
 	}
 }
 

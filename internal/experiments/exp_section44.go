@@ -17,10 +17,18 @@ func init() {
 	register("fig4-8", "Figure 4-8: effect of optimization on parallelism", runFig48)
 }
 
-// parallelismOf measures a configuration's available parallelism: its
+// conf is one compiled configuration of a benchmark: what parallelismOf
+// measures on a base and a wide machine.
+type conf struct {
+	bench string
+	copts compiler.Options
+}
+
+// parallelismOf measures each configuration's available parallelism: its
 // base-machine cycles divided by its ideal superscalar MaxDegree cycles,
-// both compiled for the machine they run on.
-func (r *Runner) parallelismOf(ctx context.Context, bench string, copts compiler.Options, wideTemps bool) (float64, error) {
+// both compiled for the machine they run on. Every cell resolves in one
+// measureMany.
+func (r *Runner) parallelismOf(ctx context.Context, confs []conf, wideTemps bool) ([]float64, error) {
 	base := machine.Base()
 	wide := machine.IdealSuperscalar(r.Cfg.maxDegree())
 	if wideTemps {
@@ -29,15 +37,19 @@ func (r *Runner) parallelismOf(ctx context.Context, bench string, copts compiler
 		wide.IntTemps, wide.FPTemps = machine.WideTemps, machine.WideTemps
 		wide.IntHomes, wide.FPHomes = 10, 10
 	}
-	rb, err := r.MeasureCtx(ctx, bench, copts, base)
-	if err != nil {
-		return 0, err
+	jobs := make([]job, 0, 2*len(confs))
+	for _, c := range confs {
+		jobs = append(jobs, job{c.bench, c.copts, base}, job{c.bench, c.copts, wide})
 	}
-	rw, err := r.MeasureCtx(ctx, bench, copts, wide)
+	res, err := r.measureMany(ctx, jobs)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return rb.BaseCycles / rw.BaseCycles, nil
+	par := make([]float64, len(confs))
+	for i := range par {
+		par[i] = res[2*i].BaseCycles / res[2*i+1].BaseCycles
+	}
+	return par, nil
 }
 
 // runFig46 unrolls Linpack and Livermore 1, 2, 4 and 10 times, naively and
@@ -47,11 +59,26 @@ func (r *Runner) parallelismOf(ctx context.Context, bench string, copts compiler
 func runFig46(ctx context.Context, r *Runner) (*Result, error) {
 	factors := []int{1, 2, 4, 10}
 	benches := []string{"linpack", "livermore"}
+	kinds := []bool{false, true} // naive, careful
 
+	var confs []conf
+	for _, bench := range benches {
+		for _, careful := range kinds {
+			for _, k := range factors {
+				confs = append(confs, conf{bench, compiler.Options{Level: compiler.O4, Unroll: k, Careful: careful}})
+			}
+		}
+	}
+	pars, err := r.parallelismOf(ctx, confs, true)
+	if err != nil {
+		return nil, err
+	}
+
+	// The table walks the configurations in the order confs lists them.
 	var series []metrics.Series
 	t := &table{header: []string{"configuration", "x1", "x2", "x4", "x10"}}
 	for _, bench := range benches {
-		for _, careful := range []bool{false, true} {
+		for _, careful := range kinds {
 			kind := "naive"
 			if careful {
 				kind = "careful"
@@ -59,11 +86,8 @@ func runFig46(ctx context.Context, r *Runner) (*Result, error) {
 			s := metrics.Series{Name: fmt.Sprintf("%s.%s", bench, kind)}
 			row := []string{s.Name}
 			for _, k := range factors {
-				copts := compiler.Options{Level: compiler.O4, Unroll: k, Careful: careful}
-				par, err := r.parallelismOf(ctx, bench, copts, true)
-				if err != nil {
-					return nil, err
-				}
+				par := pars[0]
+				pars = pars[1:]
 				s.X = append(s.X, float64(k))
 				s.Y = append(s.Y, par)
 				row = append(row, fmtF(par))
@@ -140,18 +164,25 @@ func runFig48(ctx context.Context, r *Runner) (*Result, error) {
 	}
 	levels := []compiler.Level{compiler.O0, compiler.O1, compiler.O2, compiler.O3, compiler.O4}
 
+	var confs []conf
+	for _, b := range suite {
+		for _, lvl := range levels {
+			confs = append(confs, conf{b.Name, compiler.Options{Level: lvl, Unroll: b.DefaultUnroll}})
+		}
+	}
+	pars, err := r.parallelismOf(ctx, confs, false)
+	if err != nil {
+		return nil, err
+	}
+
 	header := []string{"benchmark", "none", "+sched", "+local", "+global", "+regalloc"}
 	t := &table{header: header}
 	var series []metrics.Series
-	for _, b := range suite {
+	for bi, b := range suite {
 		s := metrics.Series{Name: b.Name}
 		row := []string{b.Name}
-		for i, lvl := range levels {
-			copts := compiler.Options{Level: lvl, Unroll: b.DefaultUnroll}
-			par, err := r.parallelismOf(ctx, b.Name, copts, false)
-			if err != nil {
-				return nil, err
-			}
+		for i := range levels {
+			par := pars[bi*len(levels)+i]
 			s.X = append(s.X, float64(i))
 			s.Y = append(s.Y, par)
 			row = append(row, fmtF(par))

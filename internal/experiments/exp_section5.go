@@ -66,17 +66,19 @@ func runTab51(ctx context.Context, r *Runner) (*Result, error) {
 	withCache.ICache = &cache.Config{Name: "I", Lines: 256, LineWords: 4, MissPenalty: 12}
 	withCache.DCache = &cache.Config{Name: "D", Lines: 256, LineWords: 4, MissPenalty: 12}
 
+	jobs := make([]job, 0, 2*len(suite))
+	for _, bm := range suite {
+		jobs = append(jobs, job{bm.Name, defaultOpts(bm), titan}, job{bm.Name, defaultOpts(bm), withCache})
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
 	var ratios []float64
 	mt := &table{header: []string{"benchmark", "CPI (perfect memory)", "CPI (with caches)", "slowdown", "D-miss rate"}}
-	for _, bm := range suite {
-		r0, err := r.MeasureCtx(ctx, bm.Name, defaultOpts(bm), titan)
-		if err != nil {
-			return nil, err
-		}
-		r1, err := r.MeasureCtx(ctx, bm.Name, defaultOpts(bm), withCache)
-		if err != nil {
-			return nil, err
-		}
+	for i, bm := range suite {
+		r0, r1 := res[2*i], res[2*i+1]
 		slow := r1.BaseCycles / r0.BaseCycles
 		ratios = append(ratios, slow)
 		miss := 0.0
@@ -124,24 +126,23 @@ func runSec51(ctx context.Context, r *Runner) (*Result, error) {
 		m.Name += "-cache"
 		return m
 	}
-	var perfect, cached []float64
+	machines := []*machine.Config{
+		machine.Base(), machine.IdealSuperscalar(deg),
+		cc(machine.Base()), cc(machine.IdealSuperscalar(deg)),
+	}
+	jobs := make([]job, 0, len(machines)*len(suite))
 	for _, bm := range suite {
-		b1, err := r.MeasureCtx(ctx, bm.Name, defaultOpts(bm), machine.Base())
-		if err != nil {
-			return nil, err
+		for _, m := range machines {
+			jobs = append(jobs, job{bm.Name, defaultOpts(bm), m})
 		}
-		w1, err := r.MeasureCtx(ctx, bm.Name, defaultOpts(bm), machine.IdealSuperscalar(deg))
-		if err != nil {
-			return nil, err
-		}
-		b2, err := r.MeasureCtx(ctx, bm.Name, defaultOpts(bm), cc(machine.Base()))
-		if err != nil {
-			return nil, err
-		}
-		w2, err := r.MeasureCtx(ctx, bm.Name, defaultOpts(bm), cc(machine.IdealSuperscalar(deg)))
-		if err != nil {
-			return nil, err
-		}
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+	var perfect, cached []float64
+	for i := range suite {
+		b1, w1, b2, w2 := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
 		perfect = append(perfect, b1.BaseCycles/w1.BaseCycles)
 		cached = append(cached, b2.BaseCycles/w2.BaseCycles)
 	}

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ilp/internal/benchmarks"
@@ -255,12 +256,12 @@ type core struct {
 	stats    RunnerStats
 	sem      chan struct{}
 
-	// batchMu serializes use of batch, the reusable multi-cell simulation
-	// scheduler behind measureManyBatched. TryLock keeps the batched path
-	// strictly opportunistic: a sweep arriving while another holds the batch
-	// falls back to the goroutine fan-out instead of queueing.
-	batchMu sync.Mutex
-	batch   *sim.Batch
+	// batchSlot (capacity one) serializes use of batch, the reusable
+	// multi-cell simulation runner behind measureManyBatched. Only a sweep
+	// with cache misses takes it, for its simulate phase; a sweep that finds
+	// it busy waits, since each batch already runs on all Config.Workers.
+	batchSlot chan struct{}
+	batch     *sim.Batch
 
 	// compileHook and measureHook, when non-nil, run inside the
 	// corresponding singleflight leader just before the real work (after
@@ -317,9 +318,10 @@ func NewRunner(cfg Config) *Runner {
 	r := &Runner{
 		Cfg: cfg,
 		core: &core{
-			compiles: map[string]*compileEntry{},
-			sims:     map[string]*simEntry{},
-			sem:      make(chan struct{}, cfg.workers()),
+			compiles:  map[string]*compileEntry{},
+			sims:      map[string]*simEntry{},
+			sem:       make(chan struct{}, cfg.workers()),
+			batchSlot: make(chan struct{}, 1),
 		},
 	}
 	if cfg.Store != nil {
@@ -924,15 +926,15 @@ type job struct {
 	m     *machine.Config
 }
 
-// measureMany fans the jobs out over the worker pool under a shared
-// cancellable context: the first failure cancels every queued and in-flight
-// sibling (first error wins — it becomes the context's cause), a panicking
-// worker is converted to a structured error instead of crashing the
-// process, and every *distinct* root cause that raced in before the
-// cancellation landed is reported via errors.Join.
+// measureMany resolves a sweep's jobs, batched (measureManyBatched) when the
+// configuration allows it. Otherwise it fans the jobs out over the worker
+// pool under a shared cancellable context: the first failure cancels every
+// queued and in-flight sibling (first error wins — it becomes the context's
+// cause), a panicking worker is converted to a structured error instead of
+// crashing the process, and every *distinct* root cause that raced in
+// before the cancellation landed is reported via errors.Join.
 func (r *Runner) measureMany(pctx context.Context, jobs []job) ([]*sim.Result, error) {
-	if r.batchable() && r.batchMu.TryLock() {
-		defer r.batchMu.Unlock()
+	if r.batchable() {
 		return r.measureManyBatched(pctx, jobs)
 	}
 	ctx, cancel := context.WithCancelCause(pctx)
@@ -1010,103 +1012,54 @@ func (r *Runner) publish(ctx context.Context, skey string, se *simEntry, res *si
 	close(se.ready)
 }
 
-// measureManyBatched is measureMany's single-goroutine fast path: instead of
-// fanning every cell out to its own worker, the sweep claims its sim-cache
-// entries up front and advances all cache-miss cells together through one
-// sim.Batch — an interleaved scheduler whose per-cell engines live in a dense
-// slab, so N cells share one core without goroutine switches. The cache
-// protocol is unchanged: claimed entries are singleflight leaders published
-// exactly as MeasureCtx would publish them, so concurrent MeasureCtx callers
-// (and later sweeps) join them without observing any difference, and timing
-// is bit-identical because the batch scheduler never alters a cell's engine
-// state between slices.
+// batchCell is one cell of a batched sweep: its job index, cache keys and
+// sim-cache entry, and — for a cell the sweep leads — its compile outcome.
+type batchCell struct {
+	idx            int
+	ckey, skey, fp string
+	se             *simEntry
+	prog           *isa.Program
+	code           *sim.Code
+	err            error
+}
+
+// measureManyBatched is measureMany's batched fast path: the sweep claims its
+// sim-cache entries up front and leads every cache-miss cell through
+// runOwned, which compiles them in parallel and simulates them together on
+// the runner's sim.Batch. The cache protocol is unchanged: claimed entries
+// are singleflight leaders published exactly as MeasureCtx would publish
+// them, so concurrent MeasureCtx callers (and later sweeps) join them without
+// observing any difference, and timing is bit-identical because a batched
+// cell runs alone on its engine from reset to halt.
 func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
 
-	type cell struct {
-		idx            int
-		ckey, skey, fp string
-		se             *simEntry
-	}
-	var owned, joined []cell
-	r.mu.Lock()
+	// The keys are hashed before taking the lock every sweep contends on.
+	cells := make([]batchCell, len(jobs))
 	for i, j := range jobs {
 		fp := j.m.Fingerprint()
 		ckey := compileKey(j.bench, j.copts, j.m)
-		skey := ckey + "|" + fp
-		if se, ok := r.sims[skey]; ok {
+		cells[i] = batchCell{idx: i, ckey: ckey, skey: ckey + "|" + fp, fp: fp}
+	}
+	var owned, joined []batchCell
+	r.mu.Lock()
+	for _, c := range cells {
+		if se, ok := r.sims[c.skey]; ok {
 			r.stats.SimHits++
-			joined = append(joined, cell{i, ckey, skey, fp, se})
+			c.se = se
+			joined = append(joined, c)
 			continue
 		}
-		se := &simEntry{ready: make(chan struct{})}
-		r.sims[skey] = se
+		c.se = &simEntry{ready: make(chan struct{})}
+		r.sims[c.skey] = c.se
 		r.stats.Sims++
-		owned = append(owned, cell{i, ckey, skey, fp, se})
+		owned = append(owned, c)
 	}
 	r.mu.Unlock()
 
-	// One worker slot covers the whole batch — the scheduler is a single
-	// goroutine by design. If cancellation wins the slot race, the claimed
-	// entries must still be published (and evicted) so no waiter hangs.
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		err := cause(ctx)
-		for _, c := range owned {
-			r.publish(ctx, c.skey, c.se, nil, err)
-		}
-		return nil, err
-	}
-	defer func() { <-r.sem }()
-
-	// Compile (cached, singleflight) and collect the runnable cells.
-	var runs []sim.BatchRun
-	var ran []cell
-	for _, c := range owned {
-		j := jobs[c.idx]
-		prog, code, err := r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
-		if err != nil {
-			r.publish(ctx, c.skey, c.se, nil, err)
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, nil, err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
-			continue
-		}
-		runs = append(runs, sim.BatchRun{Prog: prog, Opts: sim.Options{Machine: j.m, Code: code}})
-		ran = append(ran, c)
-	}
-
-	if len(runs) > 0 {
-		if r.batch == nil {
-			// The batch shards its cell slab across the runner's configured
-			// worker count (GOMAXPROCS by default): the whole sweep holds one
-			// pool slot — the batched path is opportunistic and singular
-			// (batchMu) — but saturates the cores the pool was sized for.
-			r.batch = sim.NewBatchWorkers(r.Cfg.workers())
-		}
-		bres, berrs := r.batch.Run(ctx, runs)
-		var shared, instrs int64
-		for k, c := range ran {
-			j := jobs[c.idx]
-			res, err := bres[k], berrs[k]
-			if err != nil {
-				err = r.simFailure(ctx, j.bench, j.m, err)
-			} else {
-				shared++ // every batched cell runs on its shared predecode
-				instrs += res.Instructions
-			}
-			r.publish(ctx, c.skey, c.se, res, err)
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, res, err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
-		}
-		r.mu.Lock()
-		r.stats.PredecodeShared += shared
-		r.stats.BatchedCells += int64(len(runs))
-		r.stats.ParallelShards += int64(r.batch.Shards())
-		r.stats.MispathExits += r.batch.Mispaths()
-		r.stats.Instructions += instrs
-		r.mu.Unlock()
+	if len(owned) > 0 {
+		r.runOwned(ctx, jobs, owned, results, errs)
 	}
 
 	// Cells led elsewhere (or duplicated within this sweep) join their
@@ -1132,6 +1085,154 @@ func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Res
 		return nil, cause(ctx)
 	}
 	return results, nil
+}
+
+// runOwned leads a batched sweep's claimed cells and publishes each cell's
+// outcome into results and errs. It holds one worker slot while it works —
+// only a sweep with cache misses takes one, so a warm sweep never queues
+// behind cold ones — and releases it before the caller waits on cells led
+// elsewhere, whose leaders may need it. The cells compile on Cfg.workers()
+// goroutines, each claiming the next cell through the singleflight compile
+// cache, and the compiled ones then run together through the batch.
+func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, results []*sim.Result, errs []error) {
+	// If cancellation wins the slot race, the claimed entries must still be
+	// published (and evicted) so no waiter hangs.
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		err := cause(ctx)
+		for _, c := range owned {
+			r.publish(ctx, c.skey, c.se, nil, err)
+			errs[c.idx] = err
+		}
+		return
+	}
+	defer func() { <-r.sem }()
+
+	fanOut(len(owned), r.Cfg.workers(), func(k int) {
+		c := &owned[k]
+		j := jobs[c.idx]
+		c.prog, c.code, c.err = r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
+	})
+	var runs []sim.BatchRun
+	var ran []batchCell
+	for _, c := range owned {
+		j := jobs[c.idx]
+		if c.err != nil {
+			r.publish(ctx, c.skey, c.se, nil, c.err)
+			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, nil, c.err)
+			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
+			continue
+		}
+		runs = append(runs, sim.BatchRun{Prog: c.prog, Opts: sim.Options{Machine: j.m, Code: c.code}})
+		ran = append(ran, c)
+	}
+	if len(runs) == 0 {
+		return
+	}
+
+	bres, berrs := r.runBatch(ctx, runs)
+	var shared, instrs int64
+	for k, c := range ran {
+		j := jobs[c.idx]
+		res, err := bres[k], berrs[k]
+		if err != nil {
+			err = r.simFailure(ctx, j.bench, j.m, err)
+		} else {
+			shared++ // every batched cell runs on its shared predecode
+			instrs += res.Instructions
+		}
+		r.publish(ctx, c.skey, c.se, res, err)
+		results[c.idx], errs[c.idx] = r.finish(ctx, j.m, res, err)
+		notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
+	}
+	r.mu.Lock()
+	r.stats.PredecodeShared += shared
+	r.stats.Instructions += instrs
+	r.mu.Unlock()
+}
+
+// runBatch runs cells through the runner's batch once the batch slot is
+// free, and counts the run. The batch spans the runner's configured worker
+// count (GOMAXPROCS by default): a sweep holds one pool slot but saturates
+// the cores the pool was sized for. A sweep cancelled while it waits for the
+// slot fails every cell with the cancellation cause.
+func (r *Runner) runBatch(ctx context.Context, runs []sim.BatchRun) ([]*sim.Result, []error) {
+	select {
+	case r.batchSlot <- struct{}{}:
+	case <-ctx.Done():
+		errs := make([]error, len(runs))
+		for k := range errs {
+			errs[k] = cause(ctx)
+		}
+		return make([]*sim.Result, len(runs)), errs
+	}
+	defer func() { <-r.batchSlot }()
+	if r.batch == nil {
+		r.batch = sim.NewBatchWorkers(r.Cfg.workers())
+	}
+	res, errs := r.batch.Run(ctx, runs)
+	r.mu.Lock()
+	r.stats.BatchedCells += int64(len(runs))
+	r.stats.ParallelShards += int64(r.batch.Shards())
+	r.stats.MispathExits += r.batch.Mispaths()
+	r.mu.Unlock()
+	return res, errs
+}
+
+// runCells runs cell(ctx, i) for every job on Cfg.workers() goroutines —
+// per-cell work the measurement cache does not cover — under measureMany's
+// discipline: the first failure cancels the rest (it becomes the context's
+// cause), a panicking cell fails with a structured simulate-phase SimError
+// naming its job, and every distinct root cause is reported.
+func (r *Runner) runCells(ctx context.Context, jobs []job, cell func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(context.Canceled)
+	errs := make([]error, len(jobs))
+	fanOut(len(jobs), r.Cfg.workers(), func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				errs[i] = &SimError{
+					Benchmark: jobs[i].bench, Machine: jobs[i].m.Name,
+					Phase: ilperr.PhaseSimulate, Err: ilperr.PanicError(v, debug.Stack()),
+				}
+				cancel(errs[i])
+			}
+		}()
+		if ctx.Err() != nil {
+			errs[i] = cause(ctx)
+			return
+		}
+		if errs[i] = cell(ctx, i); errs[i] != nil {
+			cancel(errs[i]) // first failure wins; no-op for later ones
+		}
+	})
+	return joinDistinct(context.Cause(ctx), errs)
+}
+
+// fanOut calls fn(i) for every i in [0, n) on min(workers, n) goroutines,
+// each claiming the next index from a shared counter, and returns once every
+// call has.
+func fanOut(n, workers int, fn func(i int)) {
+	w := min(workers, n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // joinDistinct reduces a sweep's per-job errors to its distinct root

@@ -44,40 +44,52 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 		machine.MultiTitan(),
 	}
 
+	jobs := make([]job, 0, len(suite)*len(cfgs))
+	for _, b := range suite {
+		for _, m := range cfgs {
+			jobs = append(jobs, job{b.Name, defaultOpts(b), m})
+		}
+	}
+	ratios := make([]float64, len(jobs))
+	err = r.runCells(ctx, jobs, func(ctx context.Context, i int) error {
+		j := jobs[i]
+		prog, code, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		if err != nil {
+			return err
+		}
+		// Simulated directly (not through the measurement cache): the slack
+		// ratio needs the per-instruction counts, which ordinary
+		// measurements do not carry.
+		res, err := sim.RunCtx(ctx, prog, sim.Options{
+			Machine: j.m, Code: code, CountInstrs: true,
+		})
+		if err != nil {
+			return r.simFailure(ctx, j.bench, j.m, err)
+		}
+		a, err := statictime.Analyze(prog, j.m)
+		if err != nil {
+			return fmt.Errorf("ext-slack: %s on %s: %w", j.bench, j.m.Name, err)
+		}
+		if ds := verify.CheckTiming(a, res.MinorCycles, res.InstrCounts, res.TakenExits, "ext-slack"); len(ds) > 0 {
+			return fmt.Errorf("ext-slack: %s on %s: static timing oracle: %s", j.bench, j.m.Name, ds[0])
+		}
+		ratios[i] = float64(res.MinorCycles) / float64(a.LowerBound(res.InstrCounts, res.TakenExits))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	header := []string{"benchmark"}
 	for _, m := range cfgs {
 		header = append(header, m.Name)
 	}
 	t := &table{header: header}
 	slack := make([][]float64, len(cfgs))
-
-	for _, b := range suite {
+	for bi, b := range suite {
 		row := []string{benchLabel(b)}
-		for mi, m := range cfgs {
-			copts := defaultOpts(b)
-			ckey := compileKey(b.Name, copts, m)
-			prog, code, err := r.compile(ctx, b.Name, copts, m, ckey)
-			if err != nil {
-				return nil, err
-			}
-			// Simulated directly (not through the measurement cache):
-			// the slack ratio needs the per-instruction counts, which
-			// ordinary measurements do not carry.
-			res, err := sim.RunCtx(ctx, prog, sim.Options{
-				Machine: m, Code: code, CountInstrs: true,
-			})
-			if err != nil {
-				return nil, r.simFailure(ctx, b.Name, m, err)
-			}
-			a, err := statictime.Analyze(prog, m)
-			if err != nil {
-				return nil, fmt.Errorf("ext-slack: %s on %s: %w", b.Name, m.Name, err)
-			}
-			if ds := verify.CheckTiming(a, res.MinorCycles, res.InstrCounts, res.TakenExits, "ext-slack"); len(ds) > 0 {
-				return nil, fmt.Errorf("ext-slack: %s on %s: static timing oracle: %s", b.Name, m.Name, ds[0])
-			}
-			lo := a.LowerBound(res.InstrCounts, res.TakenExits)
-			s := float64(res.MinorCycles) / float64(lo)
+		for mi := range cfgs {
+			s := ratios[bi*len(cfgs)+mi]
 			slack[mi] = append(slack[mi], s)
 			row = append(row, fmtF(s))
 		}

@@ -34,21 +34,21 @@ func runExtConflicts(ctx context.Context, r *Runner) (*Result, error) {
 	if deg > 4 {
 		deg = 4
 	}
+	base, mIdeal, mConflict := machine.Base(), machine.IdealSuperscalar(deg), machine.SuperscalarWithConflicts(deg)
+	jobs := make([]job, 0, 3*len(suite))
+	for _, b := range suite {
+		jobs = append(jobs, job{b.Name, defaultOpts(b), base},
+			job{b.Name, defaultOpts(b), mIdeal}, job{b.Name, defaultOpts(b), mConflict})
+	}
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
 	t := &table{header: []string{"benchmark", "ideal (all units duplicated)", "conflicts (single units)", "lost"}}
 	var ideal, conflict []float64
-	for _, b := range suite {
-		rb, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), machine.Base())
-		if err != nil {
-			return nil, err
-		}
-		ri, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), machine.IdealSuperscalar(deg))
-		if err != nil {
-			return nil, err
-		}
-		rc, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), machine.SuperscalarWithConflicts(deg))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range suite {
+		rb, ri, rc := res[3*i], res[3*i+1], res[3*i+2]
 		si := rb.BaseCycles / ri.BaseCycles
 		sc := rb.BaseCycles / rc.BaseCycles
 		ideal = append(ideal, si)
@@ -84,13 +84,20 @@ func runExtVLIW(ctx context.Context, r *Runner) (*Result, error) {
 	if deg > 4 {
 		deg = 4
 	}
+	vliw := machine.VLIW(deg)
+	jobs := make([]job, len(suite))
+	for i, b := range suite {
+		jobs[i] = job{b.Name, defaultOpts(b), vliw}
+	}
+	results, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
 	t := &table{header: []string{"benchmark", "instr words (superscalar)", "op slots (VLIW)", "slot utilization", "density cost"}}
 	var utils []float64
-	for _, b := range suite {
-		res, err := r.MeasureCtx(ctx, b.Name, defaultOpts(b), machine.VLIW(deg))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range suite {
+		res := results[i]
 		vliwWords := machine.VLIWCodeWords(res.IssueGroups, deg)
 		util := float64(res.Instructions) / float64(vliwWords)
 		utils = append(utils, util)
@@ -127,24 +134,35 @@ func runExtICache(ctx context.Context, r *Runner) (*Result, error) {
 		}
 		return m
 	}
+	kinds := []bool{false, true} // perfect, limited instruction cache
+
+	// Per machine: the unrolled-1x reference, then one cell per factor.
+	var jobs []job
+	for _, cached := range kinds {
+		m := mk(cached)
+		jobs = append(jobs, job{"linpack", compiler.Options{Level: compiler.O4, Unroll: 1, Careful: true}, m})
+		for _, k := range factors {
+			jobs = append(jobs, job{"linpack", compiler.Options{Level: compiler.O4, Unroll: k, Careful: true}, m})
+		}
+	}
+	results, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+
 	t := &table{header: []string{"configuration", "x1", "x2", "x4", "x10"}}
 	var series []metrics.Series
-	for _, cached := range []bool{false, true} {
+	for ci, cached := range kinds {
 		name := "linpack.perfect-icache"
 		if cached {
 			name = "linpack.1KB-icache"
 		}
 		s := metrics.Series{Name: name}
 		row := []string{name}
-		base, err := r.MeasureCtx(ctx, "linpack", compiler.Options{Level: compiler.O4, Unroll: 1, Careful: true}, mk(cached))
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range factors {
-			res, err := r.MeasureCtx(ctx, "linpack", compiler.Options{Level: compiler.O4, Unroll: k, Careful: true}, mk(cached))
-			if err != nil {
-				return nil, err
-			}
+		cells := results[ci*(1+len(factors)):]
+		base := cells[0]
+		for ki, k := range factors {
+			res := cells[1+ki]
 			sp := base.BaseCycles / res.BaseCycles
 			s.X = append(s.X, float64(k))
 			s.Y = append(s.Y, sp)

@@ -3,13 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"strings"
-	"sync"
 
-	"ilp/internal/benchmarks"
-	"ilp/internal/compiler"
-	"ilp/internal/ilperr"
 	"ilp/internal/machine"
 	"ilp/internal/metrics"
 	"ilp/internal/trace"
@@ -30,96 +25,52 @@ func runExtLimits(ctx context.Context, r *Runner) (*Result, error) {
 		return nil, err
 	}
 
-	type row struct {
-		name            string
-		compiled        float64
-		blocked, oracle float64
-		truncated       bool
+	// Compiled, machine-level parallelism (the paper's metric).
+	base, wide := machine.Base(), machine.IdealSuperscalar(r.Cfg.maxDegree())
+	jobs := make([]job, 0, 2*len(suite))
+	for _, b := range suite {
+		jobs = append(jobs, job{b.Name, defaultOpts(b), base}, job{b.Name, defaultOpts(b), wide})
 	}
-	// The same discipline as measureMany: a shared cancellable context so
-	// the first failure stops the siblings, panic isolation per worker,
-	// and distinct root causes joined.
-	mctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(context.Canceled)
-	rows := make([]row, len(suite))
-	var wg sync.WaitGroup
-	errs := make([]error, len(suite))
-	for i, b := range suite {
-		wg.Add(1)
-		go func(i int, b benchmarks.Benchmark) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = &SimError{
-						Benchmark: b.Name, Machine: "trace-limits",
-						Phase: ilperr.PhaseSimulate, Err: ilperr.PanicError(v, debug.Stack()),
-					}
-					cancel(errs[i])
-				}
-			}()
-			fail := func(err error) {
-				errs[i] = err
-				cancel(err)
-			}
-			// Compiled, machine-level parallelism (the paper's metric).
-			rb, err := r.MeasureCtx(mctx, b.Name, defaultOpts(b), machine.Base())
-			if err != nil {
-				fail(err)
-				return
-			}
-			rw, err := r.MeasureCtx(mctx, b.Name, defaultOpts(b), machine.IdealSuperscalar(r.Cfg.maxDegree()))
-			if err != nil {
-				fail(err)
-				return
-			}
-			// Trace limits on the same binary. Compile and Analyze cannot
-			// be interrupted mid-flight, so check for cancellation between
-			// the two heavyweight steps.
-			if mctx.Err() != nil {
-				fail(cause(mctx))
-				return
-			}
-			copts := defaultOpts(b)
-			copts.Machine = machine.Base()
-			c, err := compiler.Compile(b.Source, copts)
-			if err != nil {
-				fail(r.compileFailure(mctx, b.Name, copts.Machine, err))
-				return
-			}
-			if mctx.Err() != nil {
-				fail(cause(mctx))
-				return
-			}
-			lim, err := trace.Analyze(c.Prog, trace.Options{MaxTrace: 1_500_000})
-			if err != nil {
-				fail(r.simFailure(mctx, b.Name, copts.Machine, err))
-				return
-			}
-			rows[i] = row{
-				name:      benchLabel(b),
-				compiled:  rb.BaseCycles / rw.BaseCycles,
-				blocked:   lim.BlockedParallelism(),
-				oracle:    lim.OracleParallelism(),
-				truncated: lim.Truncated,
-			}
-		}(i, b)
+	res, err := r.measureMany(ctx, jobs)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if err := joinDistinct(context.Cause(mctx), errs); err != nil {
+
+	// Trace limits on the same base-machine binaries, whose compilations
+	// the measurement just cached.
+	cells := make([]job, len(suite))
+	for i := range cells {
+		cells[i] = jobs[2*i]
+	}
+	lims := make([]*trace.Limits, len(suite))
+	err = r.runCells(ctx, cells, func(ctx context.Context, i int) error {
+		j := cells[i]
+		prog, _, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		if err != nil {
+			return err
+		}
+		if lims[i], err = trace.Analyze(prog, trace.Options{MaxTrace: 1_500_000}); err != nil {
+			return r.simFailure(ctx, j.bench, j.m, err)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	t := &table{header: []string{"benchmark", "compiled (this paper)", "blocked limit [14]", "oracle limit [14,15]"}}
 	var compiled, blocked, oracle []float64
-	for _, row := range rows {
+	for i, b := range suite {
 		note := ""
-		if row.truncated {
+		if lims[i].Truncated {
 			note = "*"
 		}
-		t.add(row.name+note, fmtF(row.compiled), fmtF(row.blocked), fmtF(row.oracle))
-		compiled = append(compiled, row.compiled)
-		blocked = append(blocked, row.blocked)
-		oracle = append(oracle, row.oracle)
+		c := res[2*i].BaseCycles / res[2*i+1].BaseCycles
+		bl, or := lims[i].BlockedParallelism(), lims[i].OracleParallelism()
+		t.add(benchLabel(b)+note, fmtF(c), fmtF(bl), fmtF(or))
+		compiled = append(compiled, c)
+		blocked = append(blocked, bl)
+		oracle = append(oracle, or)
 	}
 	var b strings.Builder
 	b.WriteString("Three parallelism measures of the same binaries (* = trace truncated at 1.5M):\n\n")

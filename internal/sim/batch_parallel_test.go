@@ -1,12 +1,11 @@
 package sim
 
-// Tests for the sharded (multi-worker) batch scheduler. Sharding is pure
+// Tests for the multi-worker batch. Which worker claims which cell is pure
 // scheduling: a Batch run across N workers must produce results DeepEqual
-// to the serial batch (itself bit-identical to individual runs), isolate
-// per-cell errors to their cell, and honor cancellation and instruction
-// limits with the serial semantics. The whole package runs under -race in
-// `make check` (race-concurrency), so these also prove the sub-slabs share
-// no mutable state.
+// to individual runs, hold one engine per worker, isolate per-cell errors to
+// their cell, and honor cancellation and instruction limits per cell. The
+// whole package runs under -race in `make check` (race-concurrency), so
+// these also prove the workers share no mutable state.
 
 import (
 	"context"
@@ -19,34 +18,68 @@ import (
 	"ilp/internal/machine"
 )
 
-// TestBatchParallelMatchesSerial pins the sharded scheduler to the serial
-// one: same cells, DeepEqual results, across worker counts that divide the
-// slab evenly and unevenly (more workers than cells included).
+// TestBatchParallelMatchesSerial pins the batch to individual runs: same
+// cells, DeepEqual results, at worker counts that divide the cells evenly
+// and unevenly. The long cell placed last is claimed after every other
+// cell, so one worker finishes it alone while the rest have run dry.
 func TestBatchParallelMatchesSerial(t *testing.T) {
-	runs := batchCells(t)
-	want, wantErrs := NewBatchWorkers(1).Run(context.Background(), runs)
-	for _, workers := range []int{2, 3, 4, len(runs) + 5} {
+	runs := append(batchCells(t), BatchRun{
+		Prog: tightLoop(3_000_000),
+		Opts: Options{Machine: machine.IdealSuperscalar(4), CountInstrs: true},
+	})
+	want := make([]*Result, len(runs))
+	for i, r := range runs {
+		res, err := Run(r.Prog, r.Opts)
+		if err != nil {
+			t.Fatalf("cell %d: individual run failed: %v", i, err)
+		}
+		want[i] = res
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
 		b := NewBatchWorkers(workers)
 		got, errs := b.Run(context.Background(), runs)
 		if s := b.Shards(); s != min(workers, len(runs)) {
-			t.Errorf("workers=%d: used %d shards, want %d", workers, s, min(workers, len(runs)))
+			t.Errorf("workers=%d: used %d workers, want %d", workers, s, min(workers, len(runs)))
 		}
 		for i := range runs {
-			if (errs[i] == nil) != (wantErrs[i] == nil) {
-				t.Errorf("workers=%d cell %d: error mismatch: %v vs %v", workers, i, errs[i], wantErrs[i])
+			if errs[i] != nil {
+				t.Errorf("workers=%d cell %d: unexpected error: %v", workers, i, errs[i])
 				continue
 			}
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("workers=%d cell %d (%s): sharded result diverged from serial",
+				t.Errorf("workers=%d cell %d (%s): batched result diverged from the individual run",
 					workers, i, runs[i].Opts.Machine.Name)
 			}
 		}
 	}
 }
 
-// TestBatchParallelCellError pins per-cell error isolation across shards: a
+// TestBatchFootprint pins the slab to one engine per worker: after a Run
+// over 64 cells, a batch holds exactly min(workers, 64) engines (and memory
+// arenas), not one per cell.
+func TestBatchFootprint(t *testing.T) {
+	const cells = 64
+	runs := make([]BatchRun, cells)
+	for i := range runs {
+		runs[i] = BatchRun{Prog: tightLoop(600), Opts: Options{Machine: machine.Base(), MemWords: 1 << 12}}
+	}
+	for _, workers := range []int{1, 2, 4, 7, 100} {
+		b := NewBatchWorkers(workers)
+		_, errs := b.Run(context.Background(), runs)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d cell %d: %v", workers, i, err)
+			}
+		}
+		if got, want := len(b.engines), min(workers, cells); got != want {
+			t.Errorf("workers=%d: slab holds %d engines after a %d-cell run, want %d", workers, got, cells, want)
+		}
+	}
+}
+
+// TestBatchParallelCellError pins per-cell error isolation across workers: a
 // faulting cell reports the same error an individual run would, and every
-// sibling — in its own shard and in others — completes unharmed.
+// sibling — on its worker's engine and on the others — completes unharmed.
 func TestBatchParallelCellError(t *testing.T) {
 	bld := isa.NewBuilder()
 	bld.Li(isa.R(1), 8)
@@ -85,8 +118,8 @@ func TestBatchParallelCellError(t *testing.T) {
 }
 
 // TestBatchParallelLimitOneCell gives exactly one cell an instruction
-// budget it must exceed: the trip lands in that cell alone — its shard
-// keeps running its other cells, and no other shard is disturbed.
+// budget it must exceed: the trip lands in that cell alone — its worker
+// goes on to claim further cells, and no other worker is disturbed.
 func TestBatchParallelLimitOneCell(t *testing.T) {
 	runs := []BatchRun{
 		{Prog: tightLoop(200_000), Opts: Options{Machine: machine.Base()}},
@@ -110,11 +143,11 @@ func TestBatchParallelLimitOneCell(t *testing.T) {
 	}
 }
 
-// TestBatchParallelCancelMidShard cancels while every shard is mid-flight:
-// long cells split across workers, cancel fired from outside after the
-// batch is underway. Every cell must settle exactly one way — a completed
-// result or a cancellation error — and a rerun of the same batch must
-// complete clean (the slab recovers from an abandoned run).
+// TestBatchParallelCancelMidShard cancels while every worker is mid-cell:
+// long cells, one per worker, cancel fired from outside after the batch is
+// underway. Every cell must settle exactly one way — a completed result or
+// a cancellation error — and a rerun of the same batch must complete clean
+// (the slab recovers from an abandoned run).
 func TestBatchParallelCancelMidShard(t *testing.T) {
 	runs := []BatchRun{
 		{Prog: tightLoop(80_000_000), Opts: Options{Machine: machine.Base()}},

@@ -1,8 +1,8 @@
 package sim
 
-// Tests for the batched multi-cell scheduler: a Batch must produce results
-// bit-identical to running every cell alone — the interleave (runFast's
-// stopAt slicing) is pure scheduling, never timing.
+// Tests for the batched multi-cell runner: a Batch must produce results
+// bit-identical to running every cell alone — which engine runs a cell, and
+// after which other cell, is pure scheduling, never timing.
 
 import (
 	"context"
@@ -22,7 +22,7 @@ func batchCells(t *testing.T) []BatchRun {
 	rng := rand.New(rand.NewSource(7))
 	progs := []*isa.Program{
 		tightLoop(600),
-		tightLoop(200_000), // > batchQuantum dynamic instructions: forces several slices
+		tightLoop(200_000), // > cancelCheckInterval dynamic instructions: several ctx polls
 		randomCFGProgram(rng),
 		randomCFGProgram(rng),
 	}

@@ -224,7 +224,7 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	e.stalls = StallBreakdown{}
 	// The program entry opens the first contiguous execution run. Counted
 	// here (not at the top of the timing loop) so a run advanced in several
-	// runFast slices — the batch scheduler's round-robin — counts it once.
+	// runFast slices — a caller resuming past a stopAt — counts it once.
 	e.enter[p.Entry]++
 	return nil
 }
@@ -333,8 +333,9 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // stopAt makes the loop resumable: once instrs reaches it (checked at the
 // same control-transfer points as the instruction limit), the loop writes
 // all state back and returns with halted still false, and a later call picks
-// up exactly where it left off. Whole runs pass stopAt == maxInstrs; the
-// batch scheduler (Batch) uses finite slices to interleave many engines.
+// up exactly where it left off. Whole runs pass stopAt == maxInstrs;
+// ProfileRun passes its instruction budget, so a budgeted pre-run yields
+// its state instead of failing at a limit.
 func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup
