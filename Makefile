@@ -25,13 +25,16 @@ race:
 # The concurrency-heavy packages — the runner's singleflight/cancellation
 # fan-out and the simulator's polled timing loops — always re-run under the
 # race detector, bypassing the test cache. The directed parallel-batch and
-# cond-trace side-exit tests, and the runner's batched sweeps with their
-# parallel compile, additionally run at -cpu 4 so the worker goroutines are
-# genuinely concurrent even on a single-core host.
+# cond-trace side-exit tests, the runner's batched sweeps with their
+# parallel compile, and one lowered program scheduled from several
+# goroutines with the front cache shared across them, additionally run at
+# -cpu 4 so the goroutines are genuinely concurrent even on a single-core
+# host.
 race-concurrency:
 	$(GO) test -race -count=1 ./internal/experiments/ ./internal/sim/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestBatchParallel|TestCondTrace' ./internal/sim/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestBatched|TestWarm' ./internal/experiments/
+	$(GO) test -race -count=1 -cpu 4 -run 'TestLower|TestFront' ./internal/compiler/ ./internal/experiments/
 
 # A quick pass of the randomized differential harness (with the static
 # verifier enabled in-pipeline) as a smoke test, plus a short burst of the

@@ -41,6 +41,9 @@ func TestCleanSweepExitsZero(t *testing.T) {
 	if !strings.Contains(errOut, "cache stats:") || !strings.Contains(errOut, "run stats:") {
 		t.Fatalf("-stats varying breakdown missing from stderr:\n%s", errOut)
 	}
+	if !strings.Contains(errOut, " lowerings, ") {
+		t.Fatalf("-stats cache line does not count lowerings:\n%s", errOut)
+	}
 }
 
 // TestDegradedSweepExitsNonzero drives the CLI through the fault injector:

@@ -172,8 +172,8 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 			// live/resumed breakdown is not, so it goes to stderr.
 			fmt.Fprintf(stdout, "cells: %d committed, %d degraded\n", rep.Cells, rep.Degraded)
 			st := runner.Stats()
-			fmt.Fprintf(stderr, "cache stats: %d compiles (%d hits), %d simulations (%d hits)\n",
-				st.Compiles, st.CompileHits, st.Sims, st.SimHits)
+			fmt.Fprintf(stderr, "cache stats: %d lowerings, %d compiles (%d hits), %d simulations (%d hits)\n",
+				st.Lowers, st.Compiles, st.CompileHits, st.Sims, st.SimHits)
 			fmt.Fprintf(stderr, "run stats: %d live simulations, %d resumed from store, %d retry waits\n",
 				rep.Live, rep.Resumed, rep.Retried)
 			fmt.Fprintf(stderr, "predecode stats: %d artifacts built, %d simulations on shared predecode\n",

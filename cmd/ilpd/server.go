@@ -138,11 +138,13 @@ const (
 // state is guarded by mu; changed is closed-and-replaced on every append so
 // streamers can wait without polling.
 type sweep struct {
-	id      string
-	req     SweepRequest
-	ids     []string
-	budget  int64
-	timeout time.Duration
+	id     string
+	req    SweepRequest
+	ids    []string
+	budget int64
+	// cancel stops the sweep with a cause. It exists before the sweep is
+	// published, so a DELETE can never find the sweep without it.
+	cancel context.CancelCauseFunc
 
 	mu           sync.Mutex
 	changed      chan struct{}
@@ -156,7 +158,6 @@ type sweep struct {
 	cached       int
 	degraded     int
 	instructions int64
-	cancel       context.CancelCauseFunc
 }
 
 func (sw *sweep) appendLocked(ev Event) {
@@ -451,11 +452,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
+	// The sweep's context exists before the 202 goes out, so a DELETE that
+	// follows the reply always finds the sweep's cancel function.
+	ctx, cancelTimeout := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithCancelCause(ctx)
 	sw := &sweep{
 		id:  fmt.Sprintf("s-%06d", s.nextID),
-		req: req, ids: ids, budget: budget, timeout: timeout,
+		req: req, ids: ids, budget: budget,
 		changed: make(chan struct{}),
 		state:   stateRunning,
+		cancel:  cancel,
 	}
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
@@ -464,7 +470,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.runSweep(sw)
+	go s.runSweep(ctx, sw, cancelTimeout)
 	w.Header().Set("Location", "/v1/sweeps/"+sw.id)
 	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id":     sw.id,
@@ -485,17 +491,12 @@ func (s *Server) countInvalid() {
 // failures are recorded and the sweep moves on (exactly like the ilpbench
 // CLI); a cancellation — deadline, budget trip, client cancel, drain —
 // stops it.
-func (s *Server) runSweep(sw *sweep) {
+func (s *Server) runSweep(ctx context.Context, sw *sweep, cancelTimeout context.CancelFunc) {
 	defer s.wg.Done()
-	ctx, cancelT := context.WithTimeout(s.baseCtx, sw.timeout)
-	defer cancelT()
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(context.Canceled)
-	sw.mu.Lock()
-	sw.cancel = cancel
-	sw.mu.Unlock()
+	defer cancelTimeout()
+	defer sw.cancel(context.Canceled)
 
-	runCtx := experiments.WithObserver(cctx, sw.onCell)
+	runCtx := experiments.WithObserver(ctx, sw.onCell)
 	if sw.budget > 0 {
 		var stop context.CancelFunc
 		runCtx, stop = experiments.WithInstructionBudget(runCtx, sw.budget)
@@ -566,12 +567,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
 		return
 	}
-	sw.mu.Lock()
-	cancel := sw.cancel
-	sw.mu.Unlock()
-	if cancel != nil {
-		cancel(fmt.Errorf("sweep %s cancelled by client", sw.id))
-	}
+	sw.cancel(fmt.Errorf("sweep %s cancelled by client", sw.id))
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": sw.id, "state": "cancelling"})
 }
 
@@ -659,12 +655,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		for _, sw := range s.sweeps {
-			sw.mu.Lock()
-			cancel := sw.cancel
-			sw.mu.Unlock()
-			if cancel != nil {
-				cancel(errDraining)
-			}
+			sw.cancel(errDraining)
 		}
 		s.mu.Unlock()
 		<-done

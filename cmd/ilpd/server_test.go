@@ -476,6 +476,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Runner.Sims == 0 {
 		t.Error("runner sims missing from stats")
 	}
+	if st.Runner.Lowers == 0 || st.Runner.Lowers > st.Runner.Compiles {
+		t.Errorf("runner lowerings missing from stats: %d lowerings for %d compiles", st.Runner.Lowers, st.Runner.Compiles)
+	}
 	if st.Report.Cells == 0 {
 		t.Error("sweep report missing from stats")
 	}

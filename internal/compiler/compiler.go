@@ -2,10 +2,21 @@
 // paper's §3 pipeline: parse, analyze, (optionally unroll), generate IR,
 // optimize at one of the five Figure 4-8 levels, allocate registers, emit
 // machine code, and schedule it for a particular machine description.
+//
+// The machine description reaches the pipeline in only two places (§3):
+// the register allocator reads its temporary/home split, and the pipeline
+// scheduler reads its latencies and functional units. The driver is split
+// at the scheduler accordingly. Lower runs everything before it and yields
+// a Lowered program that depends on the machine only through the register
+// split; (*Lowered).Schedule copies that program and schedules the copy for
+// one machine with the same split. One Lowered thus serves a whole sweep of
+// machines that differ in latencies, units or issue width. Compile is Lower
+// followed by Schedule.
 package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"ilp/internal/compiler/codegen"
 	"ilp/internal/compiler/irgen"
@@ -112,8 +123,39 @@ type Compiled struct {
 	UnrolledLoops int
 }
 
-// Compile runs the full pipeline on TL source text.
+// Compile runs the full pipeline on TL source text: Lower, then Schedule
+// for opts.Machine.
 func Compile(src string, opts Options) (*Compiled, error) {
+	l, err := Lower(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Compile is the lowered program's only user, so it schedules that
+	// program in place instead of a copy.
+	if err := l.schedule(&l.c, l.opts.Machine, opts.NoSchedule); err != nil {
+		return nil, err
+	}
+	return &l.c, nil
+}
+
+// Lowered is a program compiled up to the pipeline scheduler: parsed,
+// analyzed, unrolled, optimized, register-allocated and emitted, but not
+// yet scheduled. It depends on the machine it was lowered for only through
+// that machine's temporary/home register split. A Lowered is never
+// modified after Lower returns, so any number of goroutines may Schedule
+// it at once.
+type Lowered struct {
+	// opts are the lowering options, Machine resolved to the description
+	// whose register split the program was allocated for.
+	opts Options
+	// c is the unscheduled program; Schedule hands out scheduled copies.
+	c Compiled
+}
+
+// Lower runs every pass before the scheduler. Of opts.Machine it reads
+// only the register split (regalloc.PromoteHomes and regalloc.Allocate);
+// opts.NoSchedule is ignored, since it applies at Schedule.
+func Lower(src string, opts Options) (*Lowered, error) {
 	cfg := opts.Machine
 	if cfg == nil {
 		cfg = machine.Base()
@@ -121,6 +163,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
+	opts.Machine = cfg
 
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -167,37 +210,80 @@ func Compile(src string, opts Options) (*Compiled, error) {
 		}
 	}
 
-	if opts.Level >= O1 && !opts.NoSchedule {
-		var preInstrs []isa.Instr
-		var preMem []ir.MemRef
-		if opts.Verify {
-			preInstrs = append([]isa.Instr(nil), res.Prog.Instrs...)
-			preMem = append([]ir.MemRef(nil), res.Mem...)
-		}
-		sched.Schedule(res.Prog, res.Mem, res.BlockStarts, cfg, sched.Options{Careful: opts.Careful})
-		if testHook != nil {
-			testHook("sched", res.Prog, res.Mem)
-		}
-		if opts.Verify {
-			diags := verify.CheckSchedule(preInstrs, res.Prog.Instrs, preMem, res.Mem,
-				res.BlockStarts, opts.Careful, "sched")
-			diags = append(diags, verify.Check(res.Prog, verify.Options{
-				Machine: cfg, Mem: res.Mem, Pass: "sched",
-			})...)
-			if err := verify.AsError(diags); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	return &Compiled{
+	return &Lowered{opts: opts, c: Compiled{
 		Prog:          res.Prog,
 		Mem:           res.Mem,
 		BlockStarts:   res.BlockStarts,
 		Info:          info,
 		IR:            irProg,
 		UnrolledLoops: unrolled,
-	}, nil
+	}}, nil
+}
+
+// Schedule finishes the compile for machine m (nil means machine.Base()):
+// it copies the lowered instructions and memory annotations and, unless
+// the level is O0 or noSchedule is set, schedules the copy for m's
+// latencies and units. The returned program shares its data segment,
+// symbols, block leaders, semantic info and IR with l; treat them as
+// read-only. It is an error for m to split its registers differently from
+// the machine l was lowered for.
+func (l *Lowered) Schedule(m *machine.Config, noSchedule bool) (*Compiled, error) {
+	c := l.c
+	prog := *c.Prog
+	prog.Instrs = slices.Clone(prog.Instrs)
+	c.Prog, c.Mem = &prog, slices.Clone(c.Mem)
+	if err := l.schedule(&c, m, noSchedule); err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// schedule schedules c for m in place: a copy of l's program, or — for
+// Compile — l's own. Verify checks the schedule against l's unscheduled
+// program, so scheduling l's own program under Verify keeps a copy first.
+func (l *Lowered) schedule(c *Compiled, m *machine.Config, noSchedule bool) error {
+	if m == nil {
+		m = machine.Base()
+	}
+	if err := m.Validate(); err != nil {
+		return fmt.Errorf("compiler: %w", err)
+	}
+	if lm := l.opts.Machine; !sameRegSplit(m, lm) {
+		return fmt.Errorf("compiler: machine %q divides its registers %d/%d int, %d/%d fp (temps/homes), but the program was lowered for %q's %d/%d int, %d/%d fp",
+			m.Name, m.IntTemps, m.IntHomes, m.FPTemps, m.FPHomes,
+			lm.Name, lm.IntTemps, lm.IntHomes, lm.FPTemps, lm.FPHomes)
+	}
+	if l.opts.Level < O1 || noSchedule {
+		return nil
+	}
+
+	preInstrs, preMem := l.c.Prog.Instrs, l.c.Mem
+	if l.opts.Verify && c == &l.c {
+		preInstrs, preMem = slices.Clone(preInstrs), slices.Clone(preMem)
+	}
+	sched.Schedule(c.Prog, c.Mem, c.BlockStarts, m, sched.Options{Careful: l.opts.Careful})
+	if testHook != nil {
+		testHook("sched", c.Prog, c.Mem)
+	}
+	if l.opts.Verify {
+		diags := verify.CheckSchedule(preInstrs, c.Prog.Instrs, preMem, c.Mem,
+			c.BlockStarts, l.opts.Careful, "sched")
+		diags = append(diags, verify.Check(c.Prog, verify.Options{
+			Machine: m, Mem: c.Mem, Pass: "sched",
+		})...)
+		if err := verify.AsError(diags); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameRegSplit reports whether a and b divide their register files into
+// the same numbers of temporaries and homes: the only machine facts Lower
+// reads.
+func sameRegSplit(a, b *machine.Config) bool {
+	return a.IntTemps == b.IntTemps && a.IntHomes == b.IntHomes &&
+		a.FPTemps == b.FPTemps && a.FPHomes == b.FPHomes
 }
 
 // verifyIR validates the IR after the named pass when opts.Verify is set,

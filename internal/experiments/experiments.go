@@ -30,6 +30,7 @@ import (
 	"ilp/internal/machine"
 	"ilp/internal/metrics"
 	"ilp/internal/sim"
+	"ilp/internal/statictime"
 	"ilp/internal/store"
 )
 
@@ -219,9 +220,14 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// Runner caches compilations and simulations across experiments with two
-// fingerprint-keyed levels:
+// Runner caches compilations and simulations across experiments with three
+// levels, each keyed by exactly what its work depends on:
 //
+//   - The front cache is keyed by (benchmark, level, unroll factor,
+//     careful, register split) — everything compiler.Lower reads. It holds
+//     the lowered program and the branch profile its leader recorded, so a
+//     sweep over latencies and issue widths lowers and profiles each
+//     program once.
 //   - The compile cache is keyed by (benchmark, compiler options,
 //     machine.ScheduleFingerprint) — everything the compiler can observe.
 //     Machine variants that differ only in name or cache geometry (the §5
@@ -231,7 +237,7 @@ func ByID(id string) (Experiment, error) {
 //     two configurations can never collide unless every simulated detail
 //     is identical.
 //
-// Both levels are singleflight: the first goroutine to request a key
+// Every level is singleflight: the first goroutine to request a key
 // becomes its leader and concurrent requesters block on the entry's ready
 // channel instead of duplicating the work.
 type Runner struct {
@@ -251,8 +257,9 @@ type Runner struct {
 // as r.mu, r.sims, r.measureHook, … unchanged.
 type core struct {
 	mu       sync.Mutex
-	compiles map[string]*compileEntry
-	sims     map[string]*simEntry
+	fronts   map[string]*flight[*front]
+	compiles map[string]*flight[compiled]
+	sims     map[string]*flight[*sim.Result]
 	stats    RunnerStats
 	sem      chan struct{}
 
@@ -272,27 +279,40 @@ type core struct {
 	measureHook func(ctx context.Context, bench string, m *machine.Config) error
 }
 
-type compileEntry struct {
-	ready chan struct{} // closed when prog/code/err are set
-	prog  *isa.Program
-	// code is the shared immutable predecode of prog, built once by the
-	// compile leader and reused read-only by every simulation of this
-	// compile key (the sim key only adds cache geometry, which predecode
-	// does not depend on).
-	code *sim.Code
-	err  error
+// flight is one singleflight cache entry: ready is closed once val and err
+// are set. evicted marks an entry its leader removed from the cache because
+// the leader's context ended before the work did.
+type flight[T any] struct {
+	ready   chan struct{}
+	val     T
+	err     error
+	evicted bool
 }
 
-type simEntry struct {
-	ready chan struct{} // closed when res/err are set
-	res   *sim.Result
-	err   error
+func newFlight[T any]() *flight[T] { return &flight[T]{ready: make(chan struct{})} }
+
+// front is a front-cache value: a benchmark lowered for one register split,
+// and the branch profile its leader recorded (nil when the profiling
+// pre-run failed; specialization is best-effort).
+type front struct {
+	low  *compiler.Lowered
+	prof *statictime.Profile
+}
+
+// compiled is a compile-cache value: the scheduled program and its shared
+// immutable predecode, built once by the compile leader and reused
+// read-only by every simulation of the compile key (the sim key only adds
+// cache geometry, which predecode does not depend on).
+type compiled struct {
+	prog *isa.Program
+	code *sim.Code
 }
 
 // RunnerStats counts cache traffic and fault-tolerance events, so tooling
-// (ilpbench -stats) can show how much work the two-level cache eliminated
+// (ilpbench -stats) can show how much work the three-level cache eliminated
 // and how the sweep weathered failures.
 type RunnerStats struct {
+	Lowers          int64 // front ends lowered and profiled (once per front key)
 	Compiles        int64 // compilations actually performed
 	CompileHits     int64 // compile requests served from (or joined onto) the cache
 	Sims            int64 // simulations actually performed
@@ -318,8 +338,9 @@ func NewRunner(cfg Config) *Runner {
 	r := &Runner{
 		Cfg: cfg,
 		core: &core{
-			compiles:  map[string]*compileEntry{},
-			sims:      map[string]*simEntry{},
+			fronts:    map[string]*flight[*front]{},
+			compiles:  map[string]*flight[compiled]{},
+			sims:      map[string]*flight[*sim.Result]{},
 			sem:       make(chan struct{}, cfg.workers()),
 			batchSlot: make(chan struct{}, 1),
 		},
@@ -330,9 +351,10 @@ func NewRunner(cfg Config) *Runner {
 			if err := json.Unmarshal(rec.Payload, res); err != nil {
 				continue // unreadable payload: recompute the cell
 			}
-			ready := make(chan struct{})
-			close(ready)
-			r.sims[rec.Key] = &simEntry{ready: ready, res: res}
+			se := newFlight[*sim.Result]()
+			se.val = res
+			close(se.ready)
+			r.sims[rec.Key] = se
 			r.stats.Resumed++
 		}
 	}
@@ -452,7 +474,7 @@ func (r *Runner) Report() SweepReport {
 	for _, se := range r.sims {
 		select {
 		case <-se.ready:
-			if se.err == nil && se.res != nil {
+			if se.err == nil && se.val != nil {
 				rep.Cells++
 			}
 		default: // still in flight; not committed
@@ -503,6 +525,76 @@ func compileKey(bench string, copts compiler.Options, m *machine.Config) string 
 	return fmt.Sprintf("%s|L%d|u%d|c%v|ns%v|%s",
 		bench, copts.Level, copts.Unroll, copts.Careful, copts.NoSchedule,
 		m.ScheduleFingerprint())
+}
+
+// frontKey builds the front-cache key: the benchmark, the compiler options
+// compiler.Lower reads, and the machine's register split. NoSchedule and
+// the latencies, units and widths stay out — they act only at Schedule.
+func frontKey(bench string, copts compiler.Options, m *machine.Config) string {
+	return fmt.Sprintf("%s|L%d|u%d|c%v|r%d.%d.%d.%d",
+		bench, copts.Level, copts.Unroll, copts.Careful,
+		m.IntTemps, m.IntHomes, m.FPTemps, m.FPHomes)
+}
+
+// once resolves key in cache by running do at most once at a time. The
+// first caller leads: it runs do and settles the outcome on the key's
+// entry, counting a miss. Every other caller counts a hit (hits may be nil)
+// and waits for the leader's outcome or for its own ctx. A panic in do is
+// settled as an error matching ErrPanic, so no waiter hangs. A waiter whose
+// leader's cancellation evicted the entry looks the key up again if its
+// own ctx is live, leading the work itself if no one else has.
+func once[T any](ctx context.Context, r *Runner, cache map[string]*flight[T], key string, hits, misses *int64, do func() (T, error)) (val T, err error) {
+	r.mu.Lock()
+	if f, ok := cache[key]; ok {
+		if hits != nil {
+			*hits++
+		}
+		r.mu.Unlock()
+		select {
+		case <-f.ready:
+			if f.evicted && ctx.Err() == nil {
+				return once(ctx, r, cache, key, hits, misses, do)
+			}
+			return f.val, f.err
+		case <-ctx.Done():
+			return val, cause(ctx)
+		}
+	}
+	f := newFlight[T]()
+	cache[key] = f
+	*misses++
+	r.mu.Unlock()
+
+	defer func() {
+		if v := recover(); v != nil {
+			var zero T
+			val, err = zero, ilperr.PanicError(v, debug.Stack())
+		}
+		settle(ctx, r, cache, key, f, val, err)
+		val, err = f.val, f.err
+	}()
+	return do()
+}
+
+// settle publishes a leader's outcome on its entry f and wakes every
+// waiter. A transient failure is published as permanent: the leader's
+// retries are exhausted, and no layer above may retry a verdict the cache
+// keeps serving. A failure while ctx is done evicts the entry first, so the
+// key is redone by a later call instead of cached as failed.
+func settle[T any](ctx context.Context, r *Runner, cache map[string]*flight[T], key string, f *flight[T], val T, err error) {
+	if err != nil && ilperr.IsTransient(err) {
+		err = ilperr.MarkPermanent(err)
+	}
+	f.val, f.err = val, err
+	if err != nil && ctx.Err() != nil {
+		r.mu.Lock()
+		if cache[key] == f {
+			delete(cache, key)
+		}
+		r.mu.Unlock()
+		f.evicted = true
+	}
+	close(f.ready)
 }
 
 // cause is the error a cancelled measurement surfaces: the recorded
@@ -563,41 +655,21 @@ func (r *Runner) MeasureCtx(ctx context.Context, bench string, copts compiler.Op
 		r.mu.Unlock()
 		select {
 		case <-se.ready:
-			res, err := r.finish(ctx, m, se.res, se.err)
+			res, err := r.finish(ctx, m, se.val, se.err)
 			notify(ctx, bench, m, fp, res, err, true)
 			return res, err
 		case <-ctx.Done():
 			return nil, cause(ctx)
 		}
 	}
-	se := &simEntry{ready: make(chan struct{})}
+	se := newFlight[*sim.Result]()
 	r.sims[skey] = se
 	r.stats.Sims++
 	r.mu.Unlock()
 
-	se.res, se.err = r.measure(ctx, bench, copts, m, ckey, skey)
-	if se.err != nil && ilperr.IsTransient(se.err) {
-		// Retries exhausted: publish as permanent so no later policy layer
-		// retries a verdict the cache will keep serving.
-		se.err = ilperr.MarkPermanent(se.err)
-	}
-	if se.err != nil && ctx.Err() != nil {
-		// Cancellation-induced failure: evict the entry (before waking
-		// waiters) so the key is retried rather than cached as failed.
-		r.mu.Lock()
-		if r.sims[skey] == se {
-			delete(r.sims, skey)
-		}
-		r.mu.Unlock()
-	} else if se.err != nil && r.Cfg.Degrade && !isCancellation(ctx, se.err) {
-		// The cell permanently failed and will degrade for every caller;
-		// count it once, at the leader.
-		r.mu.Lock()
-		r.stats.Degraded++
-		r.mu.Unlock()
-	}
-	close(se.ready)
-	res, err := r.finish(ctx, m, se.res, se.err)
+	res, err := r.measure(ctx, bench, copts, m, ckey, skey)
+	r.publish(ctx, skey, se, res, err)
+	res, err = r.finish(ctx, m, se.val, se.err)
 	notify(ctx, bench, m, fp, res, err, false)
 	return res, err
 }
@@ -661,7 +733,7 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 	if ctx.Err() != nil {
 		return nil, cause(ctx)
 	}
-	prog, code, err := r.compile(ctx, bench, copts, m, ckey)
+	c, err := r.compile(ctx, bench, copts, m, ckey)
 	if err != nil {
 		return nil, err
 	}
@@ -680,12 +752,12 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 			return nil, r.simFailure(ctx, bench, m, err)
 		}
 	}
-	res, err = sim.RunCtx(ctx, prog, sim.Options{Machine: m, Code: code})
+	res, err = sim.RunCtx(ctx, c.prog, sim.Options{Machine: m, Code: c.code})
 	if err != nil {
 		return nil, r.simFailure(ctx, bench, m, err)
 	}
 	r.mu.Lock()
-	if code != nil {
+	if c.code != nil {
 		r.stats.PredecodeShared++
 	}
 	r.stats.Instructions += res.Instructions
@@ -787,125 +859,145 @@ func (r *Runner) simFailure(ctx context.Context, bench string, m *machine.Config
 
 // compile returns the compiled program for the key, compiling at most once.
 // The leader already holds a worker slot, so waiters (who hold their own
-// slots) can never starve it.
-func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (*isa.Program, *sim.Code, error) {
-	r.mu.Lock()
-	if ce, ok := r.compiles[ckey]; ok {
-		r.stats.CompileHits++
-		r.mu.Unlock()
-		select {
-		case <-ce.ready:
-			return ce.prog, ce.code, ce.err
-		case <-ctx.Done():
-			return nil, nil, cause(ctx)
-		}
+// slots) can never starve it. A machine that fails validation fails here,
+// before it could lead — and fail — a compile entry or front it would share
+// with valid machines: neither key covers all of a description.
+func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
+	if err := m.Validate(); err != nil {
+		return compiled{}, r.compileFailure(ctx, bench, m, err)
 	}
-	ce := &compileEntry{ready: make(chan struct{})}
-	r.compiles[ckey] = ce
-	r.stats.Compiles++
-	r.mu.Unlock()
-
-	ce.prog, ce.code, ce.err = r.doCompile(ctx, bench, copts, m, ckey)
-	if ce.err != nil && ilperr.IsTransient(ce.err) {
-		// Retries exhausted: publish permanent, so a sim-level retry that
-		// hits this cached verdict does not spin on it.
-		ce.err = ilperr.MarkPermanent(ce.err)
-	}
-	if ce.err != nil && ctx.Err() != nil {
-		// Same eviction rule as the sim cache: do not poison the key with
-		// a cancellation-induced failure.
-		r.mu.Lock()
-		if r.compiles[ckey] == ce {
-			delete(r.compiles, ckey)
-		}
-		r.mu.Unlock()
-	}
-	close(ce.ready)
-	return ce.prog, ce.code, ce.err
+	return once(ctx, r, r.compiles, ckey, &r.stats.CompileHits, &r.stats.Compiles, func() (compiled, error) {
+		return r.doCompile(ctx, bench, copts, m, ckey)
+	})
 }
 
 // doCompile is the compile-cache miss path: it runs compileAttempt under
 // the same transient-failure retry policy as measure.
-func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (*isa.Program, *sim.Code, error) {
+func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
 	var (
-		prog *isa.Program
-		code *sim.Code
-		err  error
+		c   compiled
+		err error
 	)
 	for attempt := 0; ; attempt++ {
-		prog, code, err = r.compileAttempt(ctx, bench, copts, m, ckey, attempt)
+		c, err = r.compileAttempt(ctx, bench, copts, m, ckey, attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
 			break
 		}
 		r.noteRetry()
 		if werr := r.sleepBackoff(ctx, ckey, attempt); werr != nil {
-			prog, code, err = nil, nil, werr
+			c, err = compiled{}, werr
 			break
 		}
 	}
-	return prog, code, err
+	return c, err
 }
 
 // compileAttempt is one try at a compilation, carrying the panic isolation
 // and error wrapping for the compile phase (and the SiteCompile fault
-// hook).
-func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (prog *isa.Program, code *sim.Code, err error) {
+// hook). It takes the benchmark's front from the front cache, schedules it
+// for m, predecodes the result and specializes it from the front's branch
+// profile.
+func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (c compiled, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			prog, code, err = nil, nil, &CompileError{
+			c, err = compiled{}, &CompileError{
 				Benchmark: bench, Machine: m.Name, Fingerprint: m.ScheduleFingerprint(),
 				Phase: ilperr.PhaseCompile, Err: ilperr.PanicError(v, debug.Stack()),
 			}
 		}
 	}()
 	if ctx.Err() != nil {
-		return nil, nil, cause(ctx)
+		return compiled{}, cause(ctx)
 	}
 	b, err := benchmarks.ByName(bench)
 	if err != nil {
-		return nil, nil, err
+		return compiled{}, err
 	}
 	if ferr := r.Cfg.Faults.Fail(faultinject.SiteCompile, ckey, attempt); ferr != nil {
-		return nil, nil, r.compileFailure(ctx, bench, m, ferr)
+		return compiled{}, r.compileFailure(ctx, bench, m, ferr)
 	}
 	if h := r.compileHook; h != nil {
 		if err := h(ctx, bench, m); err != nil {
-			return nil, nil, r.compileFailure(ctx, bench, m, err)
+			return compiled{}, r.compileFailure(ctx, bench, m, err)
 		}
 	}
 	copts.Machine = m
-	c, err := compiler.Compile(b.Source, copts)
+	// The front's leader has already scheduled and predecoded for m (to
+	// profile the front); its compile reuses that work.
+	var own compiled
+	fr, err := once(ctx, r, r.fronts, frontKey(bench, copts, m), nil, &r.stats.Lowers, func() (*front, error) {
+		fr, c, err := r.lower(ctx, b.Source, copts)
+		own = c
+		return fr, err
+	})
 	if err != nil {
-		return nil, nil, r.compileFailure(ctx, bench, m, err)
+		return compiled{}, r.compileFailure(ctx, bench, m, err)
 	}
-	// Predecode once per compile key: the artifact is immutable, so every
-	// simulation of this program — across all cache geometries and all
-	// sweep workers — shares it read-only instead of re-translating.
-	code, err = sim.Predecode(c.Prog, m)
-	if err != nil {
-		return nil, nil, r.compileFailure(ctx, bench, m, err)
-	}
-	// Profile-guided trace specialization: a short budgeted pre-run folds
-	// the engine's block counters into a branch profile, and traces are
-	// rebuilt to continue past likely-taken conditionals behind mispath
-	// guards. Strictly best-effort — a pre-run that errors (a program that
-	// faults, a cancelled ctx) or a profile that specializes nothing keeps
-	// the plain predecode; either way timing is bit-identical by
-	// construction, so the cache key needs no profile component.
-	cond := 0
-	if prof, perr := sim.ProfileRun(ctx, code, 0, 0); perr == nil {
-		if spec := code.Specialize(prof); spec.CondTraces() > 0 {
-			code, cond = spec, spec.CondTraces()
+	if c = own; c.code == nil {
+		sc, err := fr.low.Schedule(m, copts.NoSchedule)
+		if err != nil {
+			return compiled{}, r.compileFailure(ctx, bench, m, err)
 		}
-	} else if isCancellation(ctx, perr) {
-		return nil, nil, perr
+		// Predecode once per compile key: the artifact is immutable, so
+		// every simulation of this program — across all cache geometries
+		// and all sweep workers — shares it read-only instead of
+		// re-translating.
+		c.prog = sc.Prog
+		if c.code, err = sim.Predecode(c.prog, m); err != nil {
+			return compiled{}, r.compileFailure(ctx, bench, m, err)
+		}
+	}
+	// Profile-guided trace specialization: traces are rebuilt to continue
+	// past likely-taken conditionals behind mispath guards. Timing is
+	// bit-identical whatever the profile says, so the cache keys need no
+	// profile component; a profile that specializes nothing keeps the
+	// plain predecode.
+	cond := 0
+	if fr.prof != nil {
+		if spec := c.code.Specialize(fr.prof); spec.CondTraces() > 0 {
+			c.code, cond = spec, spec.CondTraces()
+		}
 	}
 	r.mu.Lock()
 	r.stats.Predecodes++
-	r.stats.Superblocks += int64(code.Superblocks())
+	r.stats.Superblocks += int64(c.code.Superblocks())
 	r.stats.CondTraces += int64(cond)
 	r.mu.Unlock()
-	return c.Prog, code, nil
+	return c, nil
+}
+
+// lower is the front-cache miss path. It lowers src for the register split
+// of copts.Machine, schedules and predecodes the result for that machine,
+// and records the front's branch profile with a short budgeted pre-run of
+// that code; the scheduled program and its predecode are returned for the
+// leader's own compile. One profile serves every machine sharing the
+// front: the scheduler permutes instructions only within regions bounded
+// by block leaders and control transfers, so every branch keeps its pc,
+// and the counts are architectural. Profiling is best-effort — a pre-run
+// that errors leaves the profile nil, and a wrong profile could cost speed,
+// never timing — but a cancelled pre-run fails the front, so a truncated
+// profile is never published.
+func (r *Runner) lower(ctx context.Context, src string, copts compiler.Options) (*front, compiled, error) {
+	low, err := compiler.Lower(src, copts)
+	if err != nil {
+		return nil, compiled{}, err
+	}
+	sc, err := low.Schedule(copts.Machine, copts.NoSchedule)
+	if err != nil {
+		return nil, compiled{}, err
+	}
+	code, err := sim.Predecode(sc.Prog, copts.Machine)
+	if err != nil {
+		return nil, compiled{}, err
+	}
+	fr := &front{low: low}
+	prof, err := sim.ProfileRun(ctx, code, 0, 0)
+	if err == nil {
+		fr.prof = prof
+	} else if isCancellation(ctx, err) {
+		return nil, compiled{}, err
+	}
+	return fr, compiled{prog: sc.Prog, code: code}, nil
 }
 
 // compileFailure is simFailure's compile-phase twin.
@@ -989,27 +1081,17 @@ func (r *Runner) batchable() bool {
 	return r.Cfg.Faults == nil && r.Cfg.Store == nil && r.measureHook == nil
 }
 
-// publish installs a leader's outcome on its sim-cache entry with the same
-// tail policy as MeasureCtx: exhausted-transient failures become permanent,
-// cancellation-induced failures evict the entry instead of poisoning it, and
-// genuine failures under Degrade are counted once, at the leader.
-func (r *Runner) publish(ctx context.Context, skey string, se *simEntry, res *sim.Result, err error) {
-	if err != nil && ilperr.IsTransient(err) {
-		err = ilperr.MarkPermanent(err)
-	}
-	se.res, se.err = res, err
-	if err != nil && ctx.Err() != nil {
-		r.mu.Lock()
-		if r.sims[skey] == se {
-			delete(r.sims, skey)
-		}
-		r.mu.Unlock()
-	} else if err != nil && r.Cfg.Degrade && !isCancellation(ctx, err) {
+// publish settles a leader's outcome on its sim-cache entry: exhausted-
+// transient failures become permanent, cancellation-induced failures evict
+// the entry instead of poisoning it, and a genuine failure under Degrade —
+// which will degrade for every caller — is counted once, at the leader.
+func (r *Runner) publish(ctx context.Context, skey string, se *flight[*sim.Result], res *sim.Result, err error) {
+	if err != nil && ctx.Err() == nil && r.Cfg.Degrade && !isCancellation(ctx, err) {
 		r.mu.Lock()
 		r.stats.Degraded++
 		r.mu.Unlock()
 	}
-	close(se.ready)
+	settle(ctx, r, r.sims, skey, se, res, err)
 }
 
 // batchCell is one cell of a batched sweep: its job index, cache keys and
@@ -1017,9 +1099,8 @@ func (r *Runner) publish(ctx context.Context, skey string, se *simEntry, res *si
 type batchCell struct {
 	idx            int
 	ckey, skey, fp string
-	se             *simEntry
-	prog           *isa.Program
-	code           *sim.Code
+	se             *flight[*sim.Result]
+	c              compiled
 	err            error
 }
 
@@ -1051,7 +1132,7 @@ func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Res
 			joined = append(joined, c)
 			continue
 		}
-		c.se = &simEntry{ready: make(chan struct{})}
+		c.se = newFlight[*sim.Result]()
 		r.sims[c.skey] = c.se
 		r.stats.Sims++
 		owned = append(owned, c)
@@ -1068,7 +1149,7 @@ func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Res
 		j := jobs[c.idx]
 		select {
 		case <-c.se.ready:
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, c.se.res, c.se.err)
+			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, c.se.val, c.se.err)
 			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], true)
 		case <-ctx.Done():
 			results[c.idx], errs[c.idx] = nil, cause(ctx)
@@ -1112,7 +1193,7 @@ func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, re
 	fanOut(len(owned), r.Cfg.workers(), func(k int) {
 		c := &owned[k]
 		j := jobs[c.idx]
-		c.prog, c.code, c.err = r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
+		c.c, c.err = r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
 	})
 	var runs []sim.BatchRun
 	var ran []batchCell
@@ -1124,7 +1205,7 @@ func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, re
 			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
 			continue
 		}
-		runs = append(runs, sim.BatchRun{Prog: c.prog, Opts: sim.Options{Machine: j.m, Code: c.code}})
+		runs = append(runs, sim.BatchRun{Prog: c.c.prog, Opts: sim.Options{Machine: j.m, Code: c.c.code}})
 		ran = append(ran, c)
 	}
 	if len(runs) == 0 {

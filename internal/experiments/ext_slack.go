@@ -53,20 +53,20 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 	ratios := make([]float64, len(jobs))
 	err = r.runCells(ctx, jobs, func(ctx context.Context, i int) error {
 		j := jobs[i]
-		prog, code, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}
 		// Simulated directly (not through the measurement cache): the slack
 		// ratio needs the per-instruction counts, which ordinary
 		// measurements do not carry.
-		res, err := sim.RunCtx(ctx, prog, sim.Options{
-			Machine: j.m, Code: code, CountInstrs: true,
+		res, err := sim.RunCtx(ctx, c.prog, sim.Options{
+			Machine: j.m, Code: c.code, CountInstrs: true,
 		})
 		if err != nil {
 			return r.simFailure(ctx, j.bench, j.m, err)
 		}
-		a, err := statictime.Analyze(prog, j.m)
+		a, err := statictime.Analyze(c.prog, j.m)
 		if err != nil {
 			return fmt.Errorf("ext-slack: %s on %s: %w", j.bench, j.m.Name, err)
 		}

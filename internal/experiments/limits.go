@@ -45,11 +45,11 @@ func runExtLimits(ctx context.Context, r *Runner) (*Result, error) {
 	lims := make([]*trace.Limits, len(suite))
 	err = r.runCells(ctx, cells, func(ctx context.Context, i int) error {
 		j := cells[i]
-		prog, _, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}
-		if lims[i], err = trace.Analyze(prog, trace.Options{MaxTrace: 1_500_000}); err != nil {
+		if lims[i], err = trace.Analyze(c.prog, trace.Options{MaxTrace: 1_500_000}); err != nil {
 			return r.simFailure(ctx, j.bench, j.m, err)
 		}
 		return nil

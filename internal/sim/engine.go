@@ -71,8 +71,12 @@ type Engine struct {
 	regs [256]int64
 	mem  []int64
 	// dataLen and dirtyLo/dirtyHi record which words of mem the current
-	// run has made nonzero: the loaded data segment plus the store range.
-	// The next Reset zeroes only those, not the whole arena.
+	// run has made nonzero: the loaded data segment plus the range of
+	// stores above it. The next Reset zeroes only those, not the whole
+	// arena. A store into the data segment leaves dirtyLo alone: Reset
+	// clears the segment anyway, and letting such a store pull dirtyLo
+	// down to the bottom of memory would stretch the range over the empty
+	// gap up to the stack at the top.
 	dataLen          int
 	dirtyLo, dirtyHi int
 
@@ -529,7 +533,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			e.setReg(d.dst, mem[memAddr])
 		case isa.OpSw, isa.OpSf:
 			mem[memAddr] = regs[d.src2]
-			if a := int(memAddr); a < e.dirtyLo {
+			if a := int(memAddr); a < e.dirtyLo && a >= e.dataLen {
 				e.dirtyLo = a
 			}
 			if a := int(memAddr); a > e.dirtyHi {
@@ -1409,7 +1413,7 @@ func (e *Engine) exec(idx int, d *decoded, memAddr int64) (taken bool, err error
 		e.setReg(d.dst, e.mem[memAddr])
 	case isa.OpSw, isa.OpSf:
 		e.mem[memAddr] = regs[d.src2]
-		if a := int(memAddr); a < e.dirtyLo {
+		if a := int(memAddr); a < e.dirtyLo && a >= e.dataLen {
 			e.dirtyLo = a
 		}
 		if a := int(memAddr); a > e.dirtyHi {

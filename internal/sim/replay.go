@@ -411,7 +411,7 @@ func (e *Engine) traceExecU(uops []uop) (int, error) {
 				return 0, fmt.Errorf("sim: pc %d (%s): address %d out of range", u.aux, &e.prog.Instrs[u.aux], memAddr)
 			}
 			mem[memAddr] = regs[u.s2]
-			if a := int(memAddr); a < e.dirtyLo {
+			if a := int(memAddr); a < e.dirtyLo && a >= e.dataLen {
 				e.dirtyLo = a
 			}
 			if a := int(memAddr); a > e.dirtyHi {
