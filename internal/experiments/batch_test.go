@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,5 +161,54 @@ func TestBatchedMatchesMeasureCtx(t *testing.T) {
 		if !reflect.DeepEqual(res[i], want) {
 			t.Errorf("degree %d: batched cell diverged from MeasureCtx:\n got %+v\nwant %+v", i+1, res[i], want)
 		}
+	}
+}
+
+// TestLeadersFirstOrder pins the compile claim order of a batched sweep's
+// owned cells: every front's first cell in job order, then every other
+// cell in job order. A sweep with a single front, or with no repeated
+// front, keeps job order.
+func TestLeadersFirstOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fronts []string
+		want   []int
+	}{
+		{"paired", []string{"a", "a", "b", "b", "c", "c"}, []int{0, 2, 4, 1, 3, 5}},
+		{"interleaved", []string{"a", "b", "a", "c", "b", "a"}, []int{0, 1, 3, 2, 4, 5}},
+		{"single-front", []string{"a", "a", "a"}, []int{0, 1, 2}},
+		{"no-repeats", []string{"a", "b", "c"}, []int{0, 1, 2}},
+		{"empty", nil, nil},
+	} {
+		if got := leadersFirst(tc.fronts); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: leadersFirst(%q) = %v, want %v", tc.name, tc.fronts, got, tc.want)
+		}
+	}
+}
+
+// TestLeadersFirstSweep: the claim order is pure scheduling. On a reduced
+// fig4-6, whose jobs pair each configuration's base and wide machines on
+// one front, a two-worker runner (whose workers claim leaders first and
+// so lower fronts side by side) returns exactly a one-worker runner's
+// results, and lowers the same fronts.
+func TestLeadersFirstSweep(t *testing.T) {
+	var res [2]*Result
+	var stats [2]RunnerStats
+	for i, workers := range []int{1, 2} {
+		r := NewRunner(Config{MaxDegree: 2, Workers: workers})
+		var err error
+		if res[i], err = r.Run("fig4-6"); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		stats[i] = r.Stats()
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Errorf("two-worker result diverged:\n got:\n%s\nwant:\n%s", res[1].Text, res[0].Text)
+	}
+	if stats[0].Lowers != stats[1].Lowers {
+		t.Errorf("lowers: %d with two workers, %d with one", stats[1].Lowers, stats[0].Lowers)
+	}
+	if stats[1].BatchedCells == 0 {
+		t.Errorf("two-worker sweep batched no cells: %+v", stats[1])
 	}
 }

@@ -895,8 +895,8 @@ func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Opt
 // compileAttempt is one try at a compilation, carrying the panic isolation
 // and error wrapping for the compile phase (and the SiteCompile fault
 // hook). It takes the benchmark's front from the front cache, schedules it
-// for m, predecodes the result and specializes it from the front's branch
-// profile.
+// for m, and predecodes the result with its traces specialized from the
+// front's branch profile.
 func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (c compiled, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -933,35 +933,35 @@ func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compile
 	if err != nil {
 		return compiled{}, r.compileFailure(ctx, bench, m, err)
 	}
+	// Profile-guided trace specialization: traces continue past
+	// likely-taken conditionals behind mispath guards. Timing is
+	// bit-identical whatever the profile says, so the cache keys need no
+	// profile component.
 	if c = own; c.code == nil {
 		sc, err := fr.low.Schedule(m, copts.NoSchedule)
 		if err != nil {
 			return compiled{}, r.compileFailure(ctx, bench, m, err)
 		}
-		// Predecode once per compile key: the artifact is immutable, so
+		// Predecode once per compile key, building the traces under the
+		// front's profile in the same pass: the artifact is immutable, so
 		// every simulation of this program — across all cache geometries
 		// and all sweep workers — shares it read-only instead of
 		// re-translating.
 		c.prog = sc.Prog
-		if c.code, err = sim.Predecode(c.prog, m); err != nil {
+		if c.code, err = sim.PredecodeProfiled(c.prog, m, fr.prof); err != nil {
 			return compiled{}, r.compileFailure(ctx, bench, m, err)
 		}
-	}
-	// Profile-guided trace specialization: traces are rebuilt to continue
-	// past likely-taken conditionals behind mispath guards. Timing is
-	// bit-identical whatever the profile says, so the cache keys need no
-	// profile component; a profile that specializes nothing keeps the
-	// plain predecode.
-	cond := 0
-	if fr.prof != nil {
+	} else if fr.prof != nil {
+		// The front's leader profiled on unprofiled traces, so its traces
+		// are rebuilt now; a profile that specializes nothing keeps them.
 		if spec := c.code.Specialize(fr.prof); spec.CondTraces() > 0 {
-			c.code, cond = spec, spec.CondTraces()
+			c.code = spec
 		}
 	}
 	r.mu.Lock()
 	r.stats.Predecodes++
 	r.stats.Superblocks += int64(c.code.Superblocks())
-	r.stats.CondTraces += int64(cond)
+	r.stats.CondTraces += int64(c.code.CondTraces())
 	r.mu.Unlock()
 	return c, nil
 }
@@ -1173,8 +1173,9 @@ func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Res
 // only a sweep with cache misses takes one, so a warm sweep never queues
 // behind cold ones — and releases it before the caller waits on cells led
 // elsewhere, whose leaders may need it. The cells compile on Cfg.workers()
-// goroutines, each claiming the next cell through the singleflight compile
-// cache, and the compiled ones then run together through the batch.
+// goroutines, each claiming the next cell in leadersFirst order through the
+// singleflight compile cache, and the compiled ones then run together
+// through the batch.
 func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, results []*sim.Result, errs []error) {
 	// If cancellation wins the slot race, the claimed entries must still be
 	// published (and evicted) so no waiter hangs.
@@ -1190,8 +1191,14 @@ func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, re
 	}
 	defer func() { <-r.sem }()
 
-	fanOut(len(owned), r.Cfg.workers(), func(k int) {
-		c := &owned[k]
+	fronts := make([]string, len(owned))
+	for k, c := range owned {
+		j := jobs[c.idx]
+		fronts[k] = frontKey(j.bench, j.copts, j.m)
+	}
+	order := leadersFirst(fronts)
+	fanOut(len(owned), r.Cfg.workers(), func(i int) {
+		c := &owned[order[i]]
 		j := jobs[c.idx]
 		c.c, c.err = r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
 	})
@@ -1231,6 +1238,27 @@ func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, re
 	r.stats.PredecodeShared += shared
 	r.stats.Instructions += instrs
 	r.mu.Unlock()
+}
+
+// leadersFirst returns the order in which a batched sweep's compile workers
+// claim its cells, given each cell's front key in job order: every front's
+// first cell in job order, then every other cell in job order. Experiments
+// list a front's cells side by side, so in plain job order a second worker
+// would claim a front's second cell and then block while the first lowers
+// the front and runs its profiling pre-run.
+func leadersFirst(fronts []string) []int {
+	order := make([]int, 0, len(fronts))
+	var rest []int
+	seen := make(map[string]bool, len(fronts))
+	for i, f := range fronts {
+		if seen[f] {
+			rest = append(rest, i)
+			continue
+		}
+		seen[f] = true
+		order = append(order, i)
+	}
+	return append(order, rest...)
 }
 
 // runBatch runs cells through the runner's batch once the batch slot is

@@ -11,8 +11,11 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"ilp/internal/benchmarks"
+	"ilp/internal/compiler"
 	"ilp/internal/isa"
 	"ilp/internal/machine"
 	"ilp/internal/statictime"
@@ -210,4 +213,90 @@ func TestCondTraceSpecializedStableSpin(t *testing.T) {
 	b.Print(isa.R(11))
 	b.Halt()
 	checkSpecialized(t, b.MustFinish(), nil, 1, 1)
+}
+
+// TestPredecodeProfiledMatchesSpecialize pins the one-pass build the
+// experiments runner uses for every compile but a front's first:
+// PredecodeProfiled(p, cfg, prof) must equal Predecode(p, cfg) followed by
+// Specialize(prof) — the decoded array and the trace schedules alike —
+// under each program's own profile and under none.
+func TestPredecodeProfiledMatchesSpecialize(t *testing.T) {
+	cfgs := []*machine.Config{
+		machine.Base(),
+		machine.IdealSuperscalar(8),
+		machine.Superpipelined(4),
+		machine.CRAY1(),
+	}
+	specialized := 0
+	for _, b := range benchmarks.All() {
+		for _, cfg := range cfgs {
+			t.Run(b.Name+"/"+cfg.Name, func(t *testing.T) {
+				c, err := compiler.Compile(b.Source, compiler.Options{
+					Machine: cfg, Level: compiler.O4, Unroll: b.DefaultUnroll,
+				})
+				if err != nil {
+					t.Fatalf("compile: %v", err)
+				}
+				code, err := Predecode(c.Prog, cfg)
+				if err != nil {
+					t.Fatalf("predecode: %v", err)
+				}
+				prof, err := ProfileRun(context.Background(), code, 0, 0)
+				if err != nil {
+					t.Fatalf("profile run: %v", err)
+				}
+				for _, pr := range []*statictime.Profile{prof, nil} {
+					want := code.Specialize(pr)
+					got, err := PredecodeProfiled(c.Prog, cfg, pr)
+					if err != nil {
+						t.Fatalf("profiled predecode: %v", err)
+					}
+					if !reflect.DeepEqual(got.dec, want.dec) {
+						t.Errorf("profile %v: decoded arrays differ", pr != nil)
+					}
+					if !reflect.DeepEqual(got.scheds, want.scheds) {
+						t.Errorf("profile %v: trace schedules differ", pr != nil)
+					}
+					if pr != nil && got.CondTraces() > 0 {
+						specialized++
+					}
+				}
+			})
+		}
+	}
+	if specialized == 0 {
+		t.Error("no program specialized a trace under its profile; the comparison is vacuous")
+	}
+}
+
+// TestProfileRunIgnoresCaches pins that the profiling pre-run is
+// architectural: on a cache machine's Code it returns the same profile as
+// on the same program's Code without caches (the pre-run drops the caches
+// and keeps the traces, so even its budget cut lands at the same point).
+func TestProfileRunIgnoresCaches(t *testing.T) {
+	cached := ss4Caches()
+	plain := machine.IdealSuperscalar(4)
+	for _, b := range benchmarks.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			c, err := compiler.Compile(b.Source, compiler.Options{
+				Machine: cached, Level: compiler.O4, Unroll: b.DefaultUnroll,
+			})
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			var profs [2]*statictime.Profile
+			for i, cfg := range []*machine.Config{plain, cached} {
+				code, err := Predecode(c.Prog, cfg)
+				if err != nil {
+					t.Fatalf("%s: predecode: %v", cfg.Name, err)
+				}
+				if profs[i], err = ProfileRun(context.Background(), code, 0, 0); err != nil {
+					t.Fatalf("%s: profile run: %v", cfg.Name, err)
+				}
+			}
+			if !reflect.DeepEqual(profs[0], profs[1]) {
+				t.Error("profile on the cache machine differs from the profile without caches")
+			}
+		})
+	}
 }

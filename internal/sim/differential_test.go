@@ -5,9 +5,12 @@ package sim
 // engine (reference_test.go), the predecoded fast path, and the instrumented
 // path (forced by installing a no-op OnIssue hook) — and all observable
 // results must be bit-identical. This is the proof that the performance
-// rewrite changed no semantics and no timing.
+// rewrite changed no semantics and no timing. Every run of the matrix uses
+// a dedicated engine, so the suite also checks the scoreboard invariant the
+// trace entry relies on (checkReadyBound) after each one.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -23,13 +26,24 @@ import (
 
 // diffMachines is the machine matrix: scalar base, ideal superscalar at
 // three widths (unit multiplicity and width bookkeeping), a superpipeline
-// (latency scaling and branch barriers), and MultiTitan with both caches
-// (the fully instrumented path with fetch and data-miss modeling).
+// (latency scaling and branch barriers), and four cache machines, which the
+// fast path runs with fetch and data-miss modeling and without trace
+// replay: MultiTitan with both caches, ext-icache's I-cache alone on an
+// 8-wide superscalar, a D-cache alone on the base machine, and sec5-1's
+// caches on a 4-wide ideal superscalar, whose Code carries traces and
+// fused pairs (so its runs show the traces skipped and both halves of
+// each fused pair fetched).
 func diffMachines() []*machine.Config {
 	titan := machine.MultiTitan()
 	titan.Name = "titan-cached"
 	titan.ICache = &cache.Config{Name: "diff-i", Lines: 256, LineWords: 4, MissPenalty: 12}
 	titan.DCache = &cache.Config{Name: "diff-d", Lines: 128, LineWords: 4, MissPenalty: 20}
+	ss8i := machine.IdealSuperscalar(8)
+	ss8i.Name += "-icache"
+	ss8i.ICache = &cache.Config{Name: "I", Lines: 64, LineWords: 4, MissPenalty: 16}
+	based := machine.Base()
+	based.Name += "-dcache"
+	based.DCache = &cache.Config{Name: "D", Lines: 64, LineWords: 4, MissPenalty: 10}
 	return []*machine.Config{
 		machine.Base(),
 		machine.IdealSuperscalar(2),
@@ -37,6 +51,47 @@ func diffMachines() []*machine.Config {
 		machine.IdealSuperscalar(8),
 		machine.Superpipelined(4),
 		titan,
+		ss8i,
+		based,
+		ss4Caches(),
+	}
+}
+
+// ss4Caches is sec5-1's cache machine: a 4-wide ideal superscalar with
+// 128-line I- and D-caches of 4-word lines and a 20-cycle miss penalty.
+func ss4Caches() *machine.Config {
+	m := machine.IdealSuperscalar(4)
+	m.Name += "-cache"
+	m.ICache = &cache.Config{Name: "I", Lines: 128, LineWords: 4, MissPenalty: 20}
+	m.DCache = &cache.Config{Name: "D", Lines: 128, LineWords: 4, MissPenalty: 20}
+	return m
+}
+
+// hasCache reports whether the machine models an instruction or data cache.
+func hasCache(cfg *machine.Config) bool { return cfg.ICache != nil || cfg.DCache != nil }
+
+// runChecked runs p on the dedicated engine e, failing the test (labelled
+// by path) on an error, and checks checkReadyBound on the engine's final
+// state.
+func runChecked(t *testing.T, e *Engine, path string, p *isa.Program, opts Options) *Result {
+	t.Helper()
+	res := new(Result)
+	if err := e.RunInto(p, opts, res); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	checkReadyBound(t, path, e)
+	return res
+}
+
+// checkReadyBound asserts the invariant that lets trace entry skip its
+// register scan: no register's scoreboard time exceeds lastComplete.
+func checkReadyBound(t *testing.T, path string, e *Engine) {
+	t.Helper()
+	for r, at := range e.ready {
+		if at > e.lastComplete {
+			t.Errorf("%s: ready[%d] = %d exceeds lastComplete %d", path, r, at, e.lastComplete)
+			return
+		}
 	}
 }
 
@@ -239,6 +294,7 @@ func TestDifferentialRandomCFG(t *testing.T) {
 		seeds = 4
 	}
 	cfgs := fuzzMachines()
+	e := NewEngine() // one dedicated engine, re-armed by every run's Reset
 	for seed := 0; seed < seeds; seed++ {
 		p := randomCFGProgram(rand.New(rand.NewSource(int64(seed))))
 		for _, cfg := range cfgs {
@@ -249,10 +305,7 @@ func TestDifferentialRandomCFG(t *testing.T) {
 					t.Fatalf("reference engine: %v", err)
 				}
 
-				got, err := Run(p, opts)
-				if err != nil {
-					t.Fatalf("fast path: %v", err)
-				}
+				got := runChecked(t, e, "fast", p, opts)
 				compareResults(t, "fast", want, got)
 
 				code, err := Predecode(p, cfg)
@@ -261,34 +314,22 @@ func TestDifferentialRandomCFG(t *testing.T) {
 				}
 				copts := opts
 				copts.Code = code
-				got, err = Run(p, copts)
-				if err != nil {
-					t.Fatalf("shared-code path: %v", err)
-				}
+				got = runChecked(t, e, "shared-code", p, copts)
 				compareResults(t, "shared-code", want, got)
 
 				iopts := opts
 				iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
-				got, err = Run(p, iopts)
-				if err != nil {
-					t.Fatalf("instrumented path: %v", err)
-				}
+				got = runChecked(t, e, "instrumented", p, iopts)
 				compareResults(t, "instrumented", want, got)
 
 				// Counted runs: CountInstrs must not perturb timing, the
 				// two paths' counters must agree, and the static bounds
 				// oracle must hold for the measured cycle count.
 				copts.CountInstrs = true
-				fastC, err := Run(p, copts)
-				if err != nil {
-					t.Fatalf("counted fast path: %v", err)
-				}
+				fastC := runChecked(t, e, "counted-fast", p, copts)
 				compareResults(t, "counted-fast", want, fastC)
 				iopts.CountInstrs = true
-				instC, err := Run(p, iopts)
-				if err != nil {
-					t.Fatalf("counted instrumented path: %v", err)
-				}
+				instC := runChecked(t, e, "counted-instrumented", p, iopts)
 				compareResults(t, "counted-instrumented", want, instC)
 				compareCounts(t, "counted", fastC, instC)
 				checkStaticBounds(t, p, cfg, fastC)
@@ -348,6 +389,7 @@ func TestDifferentialEngines(t *testing.T) {
 	if testing.Short() {
 		cfgs = []*machine.Config{cfgs[0], cfgs[len(cfgs)-1]}
 	}
+	e := NewEngine() // one dedicated engine, re-armed by every run's Reset
 	for _, b := range suite {
 		for _, cfg := range cfgs {
 			t.Run(b.Name+"/"+cfg.Name, func(t *testing.T) {
@@ -363,33 +405,64 @@ func TestDifferentialEngines(t *testing.T) {
 					t.Fatalf("reference engine: %v", err)
 				}
 
-				// Fast path (no caches configured means Run picks it;
-				// with caches the engine is instrumented regardless).
-				got, err := Run(c.Prog, opts)
-				if err != nil {
-					t.Fatalf("fast path: %v", err)
-				}
+				// Fast path: Run picks it whenever no hook is set, caches
+				// or not.
+				got := runChecked(t, e, "fast", c.Prog, opts)
 				compareResults(t, "fast", want, got)
+
+				// On a cache machine, also run shared Code specialized under
+				// the program's own profile, as the experiments runner
+				// builds it: its traces exist but must never replay.
+				if hasCache(cfg) {
+					code, err := Predecode(c.Prog, cfg)
+					if err != nil {
+						t.Fatalf("predecode: %v", err)
+					}
+					prof, err := ProfileRun(context.Background(), code, 0, 0)
+					if err != nil {
+						t.Fatalf("profile run: %v", err)
+					}
+					spec, err := PredecodeProfiled(c.Prog, cfg, prof)
+					if err != nil {
+						t.Fatalf("profiled predecode: %v", err)
+					}
+					sopts := opts
+					sopts.Code = spec
+					got = runChecked(t, e, "specialized", c.Prog, sopts)
+					compareResults(t, "specialized", want, got)
+					if e.replays != 0 {
+						t.Errorf("specialized: %d trace replays on a cache machine", e.replays)
+					}
+					if cfg.Name == ss4Caches().Name && (spec.Superblocks() == 0 || fusedPairs(spec) == 0) {
+						t.Errorf("%s: Code has %d traces and %d fused pairs, want both > 0",
+							cfg.Name, spec.Superblocks(), fusedPairs(spec))
+					}
+				}
 
 				// Instrumented path, forced via a no-op hook.
 				iopts := opts
 				iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
-				got, err = Run(c.Prog, iopts)
-				if err != nil {
-					t.Fatalf("instrumented path: %v", err)
-				}
+				got = runChecked(t, e, "instrumented", c.Prog, iopts)
 				compareResults(t, "instrumented", want, got)
 
 				// Static bounds oracle on the real benchmark programs.
 				copts := opts
 				copts.CountInstrs = true
-				counted, err := Run(c.Prog, copts)
-				if err != nil {
-					t.Fatalf("counted run: %v", err)
-				}
+				counted := runChecked(t, e, "counted", c.Prog, copts)
 				compareResults(t, "counted", want, counted)
 				checkStaticBounds(t, c.Prog, cfg, counted)
 			})
 		}
 	}
+}
+
+// fusedPairs counts the fused superinstructions in code's predecode.
+func fusedPairs(code *Code) int {
+	n := 0
+	for i := range code.dec {
+		if f := code.dec[i].fop; f == opFusedAluBr || f == opFusedAluAlu {
+			n++
+		}
+	}
+	return n
 }

@@ -62,8 +62,9 @@ type Engine struct {
 	// instrumented path.
 	classCounts [isa.NumClasses]int64
 	// instrCnt and takenExit are the per-instruction counters behind
-	// Options.CountInstrs on the instrumented path; the fast path folds
-	// the same numbers from enter/exit at fillResult and leaves these nil.
+	// Options.CountInstrs on the instrumented (hook) path; the fast path,
+	// caches or not, folds the same numbers from enter/exit at fillResult
+	// and leaves these nil.
 	instrCnt, takenExit []int64
 
 	// regs and ready are sized 256 (not isa.NumRegs) so that indexing by
@@ -190,7 +191,7 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	} else {
 		e.decBuf = predecodeInto(e.decBuf, p, cfg)
 		e.dec = e.decBuf
-		e.ownScheds = buildScheds(p, cfg, e.decBuf)
+		e.ownScheds = buildScheds(p, cfg, e.decBuf, nil)
 		e.ownProg, e.ownCfg, e.ownSchedFP = p, cfg, cfg.ScheduleFingerprint()
 		e.scheds = e.ownScheds
 	}
@@ -210,9 +211,10 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	}
 	e.classCounts = [isa.NumClasses]int64{}
 	e.instrCnt, e.takenExit = nil, nil
-	if opts.CountInstrs && (e.icache != nil || e.dcache != nil || opts.OnIssue != nil || opts.OnTrace != nil) {
-		// Only the instrumented path needs live counters; the fast path
-		// folds InstrCounts/TakenExits from enter/exit at fillResult.
+	if opts.CountInstrs && (opts.OnIssue != nil || opts.OnTrace != nil) {
+		// Only the instrumented (hook) path needs live counters; the fast
+		// path, caches or not, folds InstrCounts/TakenExits from enter/exit
+		// at fillResult.
 		e.instrCnt = make([]int64, n-1)
 		e.takenExit = make([]int64, n-1)
 	}
@@ -285,11 +287,10 @@ func (e *Engine) RunIntoCtx(ctx context.Context, p *isa.Program, opts Options, r
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstructions
 	}
-	// The fast path covers the common case of every ideal-machine sweep:
-	// no caches and no instrumentation callbacks. The instrumented path
-	// carries the icache/dcache model and the OnIssue/OnTrace hooks.
+	// The fast path runs every sweep cell, caches included; only the
+	// OnIssue/OnTrace hooks select the instrumented path.
 	var err error
-	if e.icache == nil && e.dcache == nil && opts.OnIssue == nil && opts.OnTrace == nil {
+	if opts.OnIssue == nil && opts.OnTrace == nil {
 		err = e.runFast(ctx, maxInstrs, maxInstrs)
 	} else {
 		err = e.runInstrumented(ctx, maxInstrs)
@@ -311,10 +312,14 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 	return min(instrs+cancelCheckInterval, maxInstrs)
 }
 
-// runFast is the uninstrumented inner loop: no caches, no callbacks.
-// Timing semantics are identical to runInstrumented with both caches and
-// both hooks absent, and the inlined semantic switch matches exec case for
-// case (the differential suite pins both paths to the reference engine).
+// runFast is the uninstrumented inner loop: every run without an OnIssue or
+// OnTrace hook, with or without caches. Timing semantics are identical to
+// runInstrumented with both hooks absent — the I-fetch, load-miss and
+// store-miss rules are the same helpers (fetchMiss, missPenalty, storeMiss)
+// applied at the same steps — and the inlined semantic switch matches exec
+// case for case (the differential suite pins both paths to the reference
+// engine). A machine with a cache replays no traces: each trace's timing
+// was proven on the assumption that no fetch or access misses.
 //
 // Relative to the seed engine the loop works at basic-block granularity:
 // dynamic instruction counts are two array bumps per contiguous execution
@@ -351,7 +356,11 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	regs := &e.regs
 	ready := &e.ready
 	enter, exit := e.enter, e.exit
+	icache, dcache := e.icache, e.dcache
 	scheds := e.scheds
+	if icache != nil || dcache != nil {
+		scheds = nil
+	}
 
 	cycle, barrier := e.cycle, e.barrier
 	inCycle := int64(e.inCycle)
@@ -397,6 +406,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			}
 			slot = barrier
 		}
+		if icache != nil {
+			slot = fetchMiss(icache, idx, slot, &stalls)
+		}
 		issue := slot
 
 		// 2. Operand availability (RAW through the scoreboard). The probes
@@ -409,13 +421,18 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		stalls.Data += m - issue
 		issue = m
 
-		// 3. Operation latency and the data-memory address.
+		// 3. Operation latency and the data-memory address. A load's
+		// D-cache miss lengthens its latency here; a store's access waits
+		// for its issue slot (the store case below).
 		lat := d.lat
 		var memAddr int64
 		if d.flags&fMem != 0 {
 			memAddr = regs[d.src1] + d.imm
 			if memAddr < 0 || memAddr >= memLen {
 				return fmt.Errorf("sim: pc %d (%s): address %d out of range", idx, &e.prog.Instrs[idx], memAddr)
+			}
+			if dcache != nil && d.flags&fLoad != 0 {
+				lat += missPenalty(dcache, memAddr)
 			}
 		}
 
@@ -539,6 +556,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			if a := int(memAddr); a > e.dirtyHi {
 				e.dirtyHi = a
 			}
+			if dcache != nil {
+				barrier, barrierIsBr = storeMiss(missPenalty(dcache, memAddr), issue, barrier, barrierIsBr, &stalls)
+			}
 		case isa.OpBeq:
 			if regs[d.src1] == regs[d.src2] {
 				taken, next = true, int(d.target)
@@ -591,8 +611,8 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			// entry, architectural op d.op) has fully issued above;
 			// apply its semantics, then inline the branch at idx+1
 			// through the exact timing steps it would take standalone:
-			// width limit, barrier, RAW — no destination, no memory,
-			// and a conflict-free unit (fusion requires it).
+			// width limit, barrier, I-fetch, RAW — no destination, no
+			// memory, and a conflict-free unit (fusion requires it).
 			{
 				var v int64
 				switch d.op {
@@ -656,6 +676,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 					}
 					slotB = barrier
 				}
+				if icache != nil {
+					slotB = fetchMiss(icache, idx+1, slotB, &stalls)
+				}
 				issueB := slotB
 				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
 				stalls.Data += m - issueB
@@ -703,8 +726,8 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			// A fused pair of integer ALU instructions: the head has
 			// fully issued above; apply its semantics, then inline the
 			// second ALU op at idx+1 through its standalone issue steps
-			// (width limit, barrier, RAW, WAW, scoreboard write; a
-			// conflict-free unit — fusion requires it). Straight-line,
+			// (width limit, barrier, I-fetch, RAW, WAW, scoreboard write;
+			// a conflict-free unit — fusion requires it). Straight-line,
 			// so no block bookkeeping and no limit compare.
 			{
 				var v int64
@@ -768,6 +791,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 						stalls.Branch += barrier - slotB
 					}
 					slotB = barrier
+				}
+				if icache != nil {
+					slotB = fetchMiss(icache, idx+1, slotB, &stalls)
 				}
 				issueB := slotB
 				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
@@ -936,8 +962,10 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		// including waits on its own jump-seam barriers — were precomputed.
 		// A taken exit leaves a fresh barrier behind (the exiting branch
 		// ends its group), so the loop spins: a hot loop body replays
-		// iteration after iteration with one precondition scan each — or
-		// none, when the exit is a proven-stable back-edge (skipCheck).
+		// iteration after iteration with at most one precondition scan
+		// each — none when nothing completes past the barrier
+		// (lastComplete ≤ barrier bounds every register), and none when
+		// the exit is a proven-stable back-edge (skipCheck).
 		for scheds != nil && barrierIsBr && barrier > cycle {
 			tr := scheds[pc]
 			if tr == nil {
@@ -1024,11 +1052,18 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				// A different exit fired: its semantics ran above; fall
 				// through to apply its timing at the current barrier.
 			} else {
+				// Every ready[r] is at most lastComplete (each write to
+				// ready raises lastComplete at least as far), so unless
+				// something completes past the barrier no register the
+				// trace touches can still be in flight: the scan would
+				// pass, and is skipped.
 				ok := true
-				for _, r := range tr.checkRegs {
-					if ready[r] > barrier {
-						ok = false
-						break
+				if lastComplete > barrier {
+					for _, r := range tr.checkRegs {
+						if ready[r] > barrier {
+							ok = false
+							break
+						}
 					}
 				}
 				if !ok {
@@ -1142,9 +1177,10 @@ func (e *Engine) foldCounts() {
 	}
 }
 
-// runInstrumented is the slow path: the same discipline as runFast plus
-// instruction/data cache modeling and the OnIssue/OnTrace callbacks. It is
-// selected once at RunInto, never per instruction. It dispatches on the
+// runInstrumented is the slow path: the same discipline and cache model as
+// runFast plus the OnIssue/OnTrace callbacks, which only it serves (hook
+// runs on cache machines, such as ilpsim -pipeline, keep their caches). It
+// is selected once at RunInto, never per instruction. It dispatches on the
 // architectural opcode, so fused superinstructions do not exist here, and
 // class counts are bumped per instruction (the callbacks already cost far
 // more than the counter).
@@ -1192,11 +1228,7 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 
 		// 2. Instruction fetch.
 		if e.icache != nil {
-			if !e.icache.Access(int64(idx)) {
-				pen := int64(e.icache.MissPenalty())
-				e.stalls.ICache += pen
-				slot += pen
-			}
+			slot = fetchMiss(e.icache, idx, slot, &e.stalls)
 		}
 		issue := slot
 
@@ -1214,7 +1246,8 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 			}
 		}
 
-		// 4. Operation latency, including data-cache effects on loads.
+		// 4. Operation latency, including a load's data-cache miss. Prints
+		// ship through the uncached output port, so fMem excludes them.
 		lat := d.lat
 		var memAddr int64
 		if d.flags&fMem != 0 {
@@ -1222,19 +1255,8 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 			if memAddr < 0 || memAddr >= memLen {
 				return fmt.Errorf("sim: pc %d (%s): address %d out of range", idx, &e.prog.Instrs[idx], memAddr)
 			}
-		}
-		var storeMissPenalty int64
-		if e.dcache != nil && d.flags&(fLoad|fStore) != 0 {
-			addr := memAddr
-			if d.flags&fPrint != 0 {
-				addr = 0 // output port; treat as uncached hit
-			} else if !e.dcache.Access(addr) {
-				pen := int64(e.dcache.MissPenalty())
-				if d.flags&fLoad != 0 {
-					lat += pen
-				} else {
-					storeMissPenalty = pen
-				}
+			if e.dcache != nil && d.flags&fLoad != 0 {
+				lat += missPenalty(e.dcache, memAddr)
 			}
 		}
 
@@ -1277,12 +1299,8 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 		if complete > e.lastComplete {
 			e.lastComplete = complete
 		}
-		if storeMissPenalty > 0 {
-			e.stalls.DCache += storeMissPenalty
-			if b := issue + storeMissPenalty; b > e.barrier {
-				e.barrier = b
-				e.barrierIsBr = false
-			}
+		if e.dcache != nil && d.flags&fMem != 0 && d.flags&fStore != 0 {
+			e.barrier, e.barrierIsBr = storeMiss(missPenalty(e.dcache, memAddr), issue, e.barrier, e.barrierIsBr, &e.stalls)
 		}
 
 		// 7. Execute (program order, at issue).
@@ -1320,6 +1338,41 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 		}
 	}
 	return nil
+}
+
+// The cache timing rules, shared by runFast and runInstrumented so both
+// loops charge a miss identically. Each inlines into its callers.
+
+// missPenalty accesses addr in c and returns the miss penalty in minor
+// cycles, or 0 on a hit. A load adds it to its operation latency.
+func missPenalty(c *cache.Cache, addr int64) int64 {
+	if c.Access(addr) {
+		return 0
+	}
+	return int64(c.MissPenalty())
+}
+
+// fetchMiss fetches the instruction at pc through the I-cache after the
+// width and barrier steps have chosen its slot: a miss delays the slot by
+// the penalty, booked as an ICache stall.
+func fetchMiss(ic *cache.Cache, pc int, slot int64, stalls *StallBreakdown) int64 {
+	pen := missPenalty(ic, int64(pc))
+	stalls.ICache += pen
+	return slot + pen
+}
+
+// storeMiss charges the D-cache penalty pen (missPenalty's result) of a
+// store issued at issue. A miss is a DCache stall of pen minor cycles, and
+// nothing may issue before issue+pen: it returns the barrier raised that
+// far, as a non-branch barrier, or the barrier unchanged.
+func storeMiss(pen, issue, barrier int64, barrierIsBr bool, stalls *StallBreakdown) (int64, bool) {
+	if pen > 0 {
+		stalls.DCache += pen
+		if b := issue + pen; b > barrier {
+			return b, false
+		}
+	}
+	return barrier, barrierIsBr
 }
 
 // setReg writes an integer-file result, honoring the hardwired zero.

@@ -21,12 +21,10 @@ const (
 	// fMem marks instructions that compute a data-memory address
 	// (loads and real stores; prints ship through the output port).
 	fMem
-	// fLoad and fStore mirror OpInfo.Load / OpInfo.Store.
+	// fLoad and fStore mirror OpInfo.Load / OpInfo.Store (a print is a
+	// store, but only fMem instructions access the data cache).
 	fLoad
 	fStore
-	// fPrint marks printi/printf, whose data-cache access is the
-	// uncached output port.
-	fPrint
 	// fUnit marks instructions whose functional unit can actually bind:
 	// the lane scan and the issue-latency booking only matter when the
 	// unit's multiplicity is below the machine's issue width or its issue
@@ -148,7 +146,7 @@ func (c *Code) CondTraces() int {
 // immutable and shareable.
 func (c *Code) Specialize(prof *statictime.Profile) *Code {
 	out := *c
-	out.scheds = buildSchedsProf(c.prog, c.cfg, c.dec, prof)
+	out.scheds = buildScheds(c.prog, c.cfg, c.dec, prof)
 	return &out
 }
 
@@ -157,6 +155,15 @@ func (c *Code) Specialize(prof *statictime.Profile) *Code {
 // whose machine has the same schedule fingerprint (cache geometry and the
 // machine name may differ — predecode depends only on the schedule).
 func Predecode(p *isa.Program, cfg *machine.Config) (*Code, error) {
+	return PredecodeProfiled(p, cfg, nil)
+}
+
+// PredecodeProfiled is Predecode with the trace schedules built under the
+// execution profile prof in the same pass: the result equals Predecode
+// followed by Specialize(prof), without first building the unprofiled
+// traces Specialize would discard. A nil profile builds exactly Predecode's
+// Code.
+func PredecodeProfiled(p *isa.Program, cfg *machine.Config, prof *statictime.Profile) (*Code, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("sim: no machine description")
 	}
@@ -172,7 +179,7 @@ func Predecode(p *isa.Program, cfg *machine.Config) (*Code, error) {
 		cfg:     cfg,
 		schedFP: cfg.ScheduleFingerprint(),
 		dec:     dec,
-		scheds:  buildScheds(p, cfg, dec),
+		scheds:  buildScheds(p, cfg, dec, prof),
 	}, nil
 }
 
@@ -279,9 +286,6 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 			s2 = isa.RZero
 		}
 		isPrint := in.Op == isa.OpPrinti || in.Op == isa.OpPrintf
-		if isPrint {
-			f |= fPrint
-		}
 		if info.Load {
 			f |= fLoad
 		}

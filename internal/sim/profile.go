@@ -15,14 +15,15 @@ import (
 const DefaultProfileBudget = 1 << 18
 
 // ProfileRun executes an instruction-budgeted pre-run of code on the fast
-// path and folds the engine's block entry/exit counters into an execution
-// profile for trace specialization (Code.Specialize). The run is abandoned
-// cleanly at the budget — a program still mid-flight yields a truncated but
-// valid profile; the open run's tail can overcount a pc by at most one,
-// noise at the evidence threshold. The counts are architectural, so the
-// profile is valid for every machine sharing the program, whatever their
-// timing. memWords sizes the run's memory (0 means DefaultMemWords);
-// budget ≤ 0 means DefaultProfileBudget.
+// path, without caches and with code's traces, and folds the engine's block
+// entry/exit counters into an execution profile for trace specialization
+// (Code.Specialize, PredecodeProfiled). The run is abandoned cleanly at the
+// budget — a program still mid-flight yields a truncated but valid profile;
+// the open run's tail can overcount a pc by at most one, noise at the
+// evidence threshold. The counts are architectural, so the profile is valid
+// for every machine sharing the program, whatever their timing or caches.
+// memWords sizes the run's memory (0 means DefaultMemWords); budget ≤ 0
+// means DefaultProfileBudget.
 func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -40,11 +41,12 @@ func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*s
 	if err := e.Reset(code.prog, opts); err != nil {
 		return nil, err
 	}
+	// The profile is architectural — the path, and with it the block
+	// counters, is the same with or without caches — so a cache machine's
+	// code drops its caches and keeps its trace replays.
+	e.icache, e.dcache = nil, nil
 	// runFast directly, not RunIntoCtx: the budget is a stop point, not an
-	// instruction limit, so hitting it yields state back without error. Any
-	// caches the machine carries are irrelevant here — the architectural
-	// path, and with it the block counters, is identical on every engine
-	// path.
+	// instruction limit, so hitting it yields state back without error.
 	if err := e.runFast(ctx, math.MaxInt64, budget); err != nil {
 		return nil, err
 	}

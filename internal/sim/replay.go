@@ -119,16 +119,13 @@ type traceSched struct {
 // their issue group qualify: the trace entry condition (a fresh taken-branch
 // barrier) exists only under that discipline — statictime.Traces returns nil
 // for the rest.
-func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded) []*traceSched {
-	return buildSchedsProf(p, cfg, dec, nil)
-}
-
-// buildSchedsProf is buildScheds under an optional execution profile:
-// conditional branches the profile marks likely-taken continue their traces
-// along the taken edge, guarded by an inverted-condition micro-op whose
-// firing (a mispath) falls back to the block interpreter at the branch's
-// fallthrough. A nil profile builds exactly the unspecialized schedules.
-func buildSchedsProf(p *isa.Program, cfg *machine.Config, dec []decoded, prof *statictime.Profile) []*traceSched {
+//
+// Under an execution profile, conditional branches the profile marks
+// likely-taken continue their traces along the taken edge, guarded by an
+// inverted-condition micro-op whose firing (a mispath) falls back to the
+// block interpreter at the branch's fallthrough. A nil profile builds the
+// unspecialized schedules.
+func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *statictime.Profile) []*traceSched {
 	traces, err := statictime.ProfiledTraces(p, cfg, prof)
 	if err != nil || traces == nil {
 		return nil // p and cfg are pre-validated; analysis cannot fail

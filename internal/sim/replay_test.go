@@ -6,6 +6,7 @@ package sim
 // vacuous) and that trace construction covers the cases it should.
 
 import (
+	"slices"
 	"testing"
 
 	"ilp/internal/isa"
@@ -143,5 +144,94 @@ func TestNoSchedsOnConflictedMachine(t *testing.T) {
 	}
 	if code.Superblocks() != 0 {
 		t.Errorf("Superblocks() = %d on a conflicted machine", code.Superblocks())
+	}
+}
+
+// entryProgram is the fixture of the trace-entry tests: a 7-cycle CRAY-1
+// multiply into r20 issues just before a jump, so r20 is still in flight
+// past the jump's barrier when the engine reaches the trace at the jump
+// target (lastComplete > barrier), and the entry must scan the trace's
+// registers. With readsR20 the trace's first instruction reads r20;
+// otherwise the trace never touches it.
+func entryProgram(readsR20 bool) *isa.Program {
+	src := isa.R(21)
+	if readsR20 {
+		src = isa.R(20)
+	}
+	b := isa.NewBuilder()
+	b.Li(isa.R(21), 5)
+	b.Op(isa.OpMul, isa.R(20), isa.R(21), isa.R(21))
+	b.Jump("trace")
+	b.Label("trace")
+	b.Imm(isa.OpAddi, isa.R(11), src, 1)
+	b.Imm(isa.OpAddi, isa.R(12), isa.R(11), 1)
+	b.Op(isa.OpXor, isa.R(13), isa.R(12), isa.R(11))
+	b.Print(isa.R(13))
+	b.Halt()
+	return b.MustFinish()
+}
+
+// TestTraceEntryScan pins both outcomes of the trace-entry register scan
+// when it runs: a trace reading a register still in flight past the
+// barrier is rejected (no replay is counted, and the per-instruction path
+// charges the wait), and a trace that never touches the in-flight register
+// is accepted. Both must match the reference engine. A mutation that skips
+// the scan fails the first case: the replay would issue the read at the
+// barrier, before the multiply completes.
+func TestTraceEntryScan(t *testing.T) {
+	const leader = 3 // the jump target
+	cfg := machine.CRAY1()
+	for _, tc := range []struct {
+		name        string
+		readsR20    bool
+		wantReplays int64
+	}{
+		{"in-flight-source-rejects", true, 0},
+		{"in-flight-bystander-accepts", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := entryProgram(tc.readsR20)
+			code, err := Predecode(p, cfg)
+			if err != nil {
+				t.Fatalf("predecode: %v", err)
+			}
+			tr := code.scheds[leader]
+			if tr == nil {
+				t.Fatal("no trace at the jump target")
+			}
+			if got := slices.Contains(tr.checkRegs, isa.R(20)); got != tc.readsR20 {
+				t.Fatalf("r20 in checkRegs = %v, want %v", got, tc.readsR20)
+			}
+
+			// Precondition: the multiply completes after the jump's
+			// barrier, so the entry cannot skip its scan.
+			var mulDone, jumpIssue int64
+			hook := func(_ int, in *isa.Instr, issue, complete int64) {
+				switch in.Op {
+				case isa.OpMul:
+					mulDone = complete
+				case isa.OpJ:
+					jumpIssue = issue
+				}
+			}
+			if _, err := Run(p, Options{Machine: cfg, OnIssue: hook}); err != nil {
+				t.Fatalf("hooked run: %v", err)
+			}
+			barrier := jumpIssue + int64(cfg.LatencyOf(isa.OpJ)+cfg.BranchRedirect)
+			if mulDone <= barrier {
+				t.Fatalf("multiply completes at %d, not past the barrier %d", mulDone, barrier)
+			}
+
+			want, err := refRun(p, Options{Machine: cfg})
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			e := NewEngine()
+			got := runChecked(t, e, "fast", p, Options{Machine: cfg, Code: code})
+			compareResults(t, "fast", want, got)
+			if e.replays != tc.wantReplays {
+				t.Errorf("%d trace replays, want %d", e.replays, tc.wantReplays)
+			}
+		})
 	}
 }

@@ -17,10 +17,12 @@
 // is "compile once per configuration, simulate billions of instructions":
 // at Reset the program is predecoded against the machine description into a
 // flat array of per-instruction facts (operand flags, resolved functional
-// unit, base latency), and the inner loop is split once into a fast path
-// (no caches, no callbacks) and an instrumented path. Engines are reusable
-// and pooled, so repeated runs recycle the memory arena instead of
-// allocating and zeroing 16 MB per simulation. See Engine.
+// unit, base latency), and the inner loop is split once into a fast path,
+// which runs every simulation without callbacks (cache machines included),
+// and an instrumented path, which runs only when an OnIssue or OnTrace hook
+// is set. Engines are reusable and pooled, so repeated runs recycle the
+// memory arena instead of allocating and zeroing 16 MB per simulation. See
+// Engine.
 package sim
 
 import (
@@ -52,19 +54,21 @@ type Options struct {
 	// OnIssue, if set, is called for every instruction with its index in
 	// the program, its issue minor cycle and its completion minor cycle.
 	// Used by the pipeline-diagram renderer and by tests. Setting it
-	// selects the instrumented engine path.
+	// selects the instrumented engine path (caches or not); without it
+	// and OnTrace, every run takes the fast path.
 	OnIssue func(idx int, in *isa.Instr, issue, complete int64)
 	// OnTrace, if set, receives the dynamic instruction trace with the
 	// resolved data-memory address (-1 for non-memory instructions).
 	// Used by the trace-limit analysis (package trace). Setting it
-	// selects the instrumented engine path.
+	// selects the instrumented engine path, as OnIssue does.
 	OnTrace func(idx int, in *isa.Instr, addr int64)
 	// CountInstrs, if set, reports per-instruction dynamic execution and
 	// taken-exit counts in Result.InstrCounts / Result.TakenExits — the
 	// inputs the static timing oracle (internal/statictime,
 	// verify.CheckTiming) needs to bound a run's cycle count. On the fast
-	// path the counts are folded from the block entry/exit counters the
-	// engine already keeps, so the run itself is unaffected.
+	// path (cache machines included) the counts are folded from the block
+	// entry/exit counters the engine already keeps, so the run itself is
+	// unaffected; only hook runs count per instruction.
 	CountInstrs bool
 }
 

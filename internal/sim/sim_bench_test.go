@@ -86,7 +86,8 @@ func BenchmarkSimulatorWideMachine(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkSimulatorWithCaches adds I/D cache modeling.
+// BenchmarkSimulatorWithCaches adds I/D cache modeling: the fast path's
+// generic loop with fetch and data-miss timing, and no trace replay.
 func BenchmarkSimulatorWithCaches(b *testing.B) {
 	p := tightLoop(600_000)
 	cfg := machine.MultiTitan()
@@ -94,11 +95,15 @@ func BenchmarkSimulatorWithCaches(b *testing.B) {
 	dc := machineCacheConfig
 	cfg.DCache = &dc
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{Machine: cfg}); err != nil {
+		r, err := Run(p, Options{Machine: cfg})
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += r.Instructions
 	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkSimulatorPredecodedBase runs from a shared predecoded Code, so
