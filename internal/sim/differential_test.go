@@ -34,10 +34,6 @@ import (
 // fused pairs (so its runs show the traces skipped and both halves of
 // each fused pair fetched).
 func diffMachines() []*machine.Config {
-	titan := machine.MultiTitan()
-	titan.Name = "titan-cached"
-	titan.ICache = &cache.Config{Name: "diff-i", Lines: 256, LineWords: 4, MissPenalty: 12}
-	titan.DCache = &cache.Config{Name: "diff-d", Lines: 128, LineWords: 4, MissPenalty: 20}
 	ss8i := machine.IdealSuperscalar(8)
 	ss8i.Name += "-icache"
 	ss8i.ICache = &cache.Config{Name: "I", Lines: 64, LineWords: 4, MissPenalty: 16}
@@ -50,11 +46,20 @@ func diffMachines() []*machine.Config {
 		machine.IdealSuperscalar(4),
 		machine.IdealSuperscalar(8),
 		machine.Superpipelined(4),
-		titan,
+		titanCached(),
 		ss8i,
 		based,
 		ss4Caches(),
 	}
+}
+
+// titanCached is the MultiTitan with an I- and a D-cache.
+func titanCached() *machine.Config {
+	m := machine.MultiTitan()
+	m.Name = "titan-cached"
+	m.ICache = &cache.Config{Name: "diff-i", Lines: 256, LineWords: 4, MissPenalty: 12}
+	m.DCache = &cache.Config{Name: "diff-d", Lines: 128, LineWords: 4, MissPenalty: 20}
+	return m
 }
 
 // ss4Caches is sec5-1's cache machine: a 4-wide ideal superscalar with
@@ -387,7 +392,7 @@ func TestDifferentialEngines(t *testing.T) {
 	suite := benchmarks.All()
 	cfgs := diffMachines()
 	if testing.Short() {
-		cfgs = []*machine.Config{cfgs[0], cfgs[len(cfgs)-1]}
+		cfgs = []*machine.Config{machine.Base(), titanCached(), ss4Caches()}
 	}
 	e := NewEngine() // one dedicated engine, re-armed by every run's Reset
 	for _, b := range suite {

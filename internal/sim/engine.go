@@ -1178,12 +1178,14 @@ func (e *Engine) foldCounts() {
 }
 
 // runInstrumented is the slow path: the same discipline and cache model as
-// runFast plus the OnIssue/OnTrace callbacks, which only it serves (hook
-// runs on cache machines, such as ilpsim -pipeline, keep their caches). It
-// is selected once at RunInto, never per instruction. It dispatches on the
-// architectural opcode, so fused superinstructions do not exist here, and
-// class counts are bumped per instruction (the callbacks already cost far
-// more than the counter).
+// runFast plus the OnIssue/OnTrace callbacks, which only it serves. It is
+// selected once at RunInto, never per instruction. Its callers in the repo
+// (ilpsim -pipeline, trace.Analyze) run cache-free machines, but Options
+// allows a hook on a cache machine and the differential suite checks that
+// case, so the cache rules stay here too, through the helpers runFast
+// shares. It dispatches on the architectural opcode, so fused
+// superinstructions do not exist here, and class counts are bumped per
+// instruction (the callbacks already cost far more than the counter).
 func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup

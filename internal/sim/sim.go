@@ -53,9 +53,11 @@ type Options struct {
 	Code *Code
 	// OnIssue, if set, is called for every instruction with its index in
 	// the program, its issue minor cycle and its completion minor cycle.
-	// Used by the pipeline-diagram renderer and by tests. Setting it
-	// selects the instrumented engine path (caches or not); without it
-	// and OnTrace, every run takes the fast path.
+	// Used by ilpsim -pipeline's issue timeline and by tests. Setting it
+	// selects the instrumented engine path, which also models the caches
+	// (no caller in the repo hooks a cache machine, but the differential
+	// suite checks it); without it and OnTrace, every run takes the fast
+	// path.
 	OnIssue func(idx int, in *isa.Instr, issue, complete int64)
 	// OnTrace, if set, receives the dynamic instruction trace with the
 	// resolved data-memory address (-1 for non-memory instructions).
