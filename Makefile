@@ -23,17 +23,19 @@ race:
 	$(GO) test -race ./...
 
 # The concurrency-heavy packages — the runner's singleflight/cancellation
-# fan-out and the simulator's polled timing loops — always re-run under the
-# race detector, bypassing the test cache. The directed parallel-batch and
-# cond-trace side-exit tests, the runner's batched sweeps with their
-# parallel compile (leaders-first claiming included), and one lowered
-# program scheduled from several goroutines with the front cache shared
-# across them, additionally run at -cpu 4 so the goroutines are genuinely
-# concurrent even on a single-core host.
+# worker pool and the simulator's polled timing loops — always re-run under
+# the race detector, bypassing the test cache. The directed parallel-batch
+# and cond-trace side-exit tests, the runner's sweeps on its one
+# measurement path (store-backed against storeless, leaders-first claiming,
+# the bound on live cells across concurrent sweeps, and a joiner re-leading
+# a cancelled sweep's cells), and one lowered program scheduled from
+# several goroutines with the front cache shared across them, additionally
+# run at -cpu 4 so the goroutines are genuinely concurrent even on a
+# single-core host.
 race-concurrency:
 	$(GO) test -race -count=1 ./internal/experiments/ ./internal/sim/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestBatchParallel|TestCondTrace' ./internal/sim/
-	$(GO) test -race -count=1 -cpu 4 -run 'TestBatched|TestWarm|TestLeadersFirst' ./internal/experiments/
+	$(GO) test -race -count=1 -cpu 4 -run 'TestBatched|TestWarm|TestLeadersFirst|TestLiveCellsBoundedByWorkers|TestJoinerReleadsCancelledCell' ./internal/experiments/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestLower|TestFront' ./internal/compiler/ ./internal/experiments/
 
 # A quick pass of the randomized differential harness (with the static

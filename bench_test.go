@@ -171,11 +171,13 @@ func BenchmarkRunAllQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAllBatched regenerates the full reduced sweep on a batchable
-// runner (no retries, no store, no faults — the default CLI shape), so
-// measureMany routes its cache-miss cells through the shared sim.Batch, and
-// reports end-to-end simulated Minstr/s — the sweep-level throughput the
-// batched scheduler and superblock replay raise together.
+// BenchmarkRunAllBatched regenerates the full reduced sweep on a runner in
+// the default CLI shape (no retries, no store, no faults), whose sweeps
+// lead their cache-miss cells through the runner's worker slots, each cell
+// simulating on its slot's reusable engine, and reports end-to-end
+// simulated Minstr/s — the sweep-level throughput the worker pool and
+// superblock replay raise together. (The name predates the one measurement
+// path; BENCH_sim.json is keyed by it.)
 func BenchmarkRunAllBatched(b *testing.B) {
 	var instrs int64
 	for i := 0; i < b.N; i++ {
@@ -184,19 +186,19 @@ func BenchmarkRunAllBatched(b *testing.B) {
 			b.Fatal(err)
 		}
 		st := r.Stats()
-		if st.BatchedCells == 0 {
-			b.Fatal("sweep ran no cells through the batch scheduler")
+		if st.BatchedCells != st.Sims {
+			b.Fatalf("sweep ran %d of its %d live cells on slot engines", st.BatchedCells, st.Sims)
 		}
 		instrs += st.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkRunAllParallel is BenchmarkRunAllBatched with the batch sharded
-// across four workers regardless of the host shape (sharding never changes
-// results, only concurrency): the headline number of the multi-core batch
-// scheduler. On a single-core host the shards time-slice and throughput
-// matches the batched number; on a 4-core runner it approaches 4×.
+// BenchmarkRunAllParallel is BenchmarkRunAllBatched on four worker slots
+// regardless of the host shape (the worker count never changes results,
+// only concurrency): the headline number of the multi-core worker pool. On
+// a single-core host the workers time-slice and throughput matches the
+// batched number; on a 4-core runner it approaches 4×.
 func BenchmarkRunAllParallel(b *testing.B) {
 	cfg := quickCfg()
 	cfg.Workers = 4
@@ -207,8 +209,8 @@ func BenchmarkRunAllParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		st := r.Stats()
-		if st.BatchedCells == 0 || st.ParallelShards == 0 {
-			b.Fatalf("sweep did not run sharded batches: %+v", st)
+		if st.BatchedCells != st.Sims || st.ParallelShards == 0 {
+			b.Fatalf("sweep did not run its live cells on parallel slot engines: %+v", st)
 		}
 		instrs += st.Instructions
 	}

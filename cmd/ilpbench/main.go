@@ -175,12 +175,12 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 			fmt.Fprintf(stderr, "cache stats: %d lowerings, %d compiles (%d hits), %d simulations (%d hits)\n",
 				st.Lowers, st.Compiles, st.CompileHits, st.Sims, st.SimHits)
 			fmt.Fprintf(stderr, "run stats: %d live simulations, %d resumed from store, %d retry waits\n",
-				rep.Live, rep.Resumed, rep.Retried)
+				rep.Sims, rep.Resumed, rep.Retries)
 			fmt.Fprintf(stderr, "predecode stats: %d artifacts built, %d simulations on shared predecode\n",
 				rep.Predecodes, rep.PredecodeShared)
-			fmt.Fprintf(stderr, "trace stats: %d superblock traces specialized, %d cells simulated in batches\n",
+			fmt.Fprintf(stderr, "trace stats: %d superblock traces specialized, %d cells simulated on reused slot engines\n",
 				rep.Superblocks, rep.BatchedCells)
-			fmt.Fprintf(stderr, "parallel stats: %d batch shards, %d profiled cond traces, %d mispath exits\n",
+			fmt.Fprintf(stderr, "parallel stats: %d sweep worker goroutines, %d profiled cond traces, %d mispath exits\n",
 				rep.ParallelShards, rep.CondTraces, rep.MispathExits)
 		}
 		if exit == 0 && rep.Degraded > 0 {

@@ -1,78 +1,79 @@
-// batch_test.go pins the batched measurement path: a batchable sweep must
-// render byte-identical output to the per-cell goroutine path (batching is
-// pure scheduling, never timing), keep the singleflight cache protocol
-// intact, and count its work in the new stats.
+// batch_test.go pins the runner's one measurement path: every sweep —
+// stored or not — resolves its cells through measureMany's leaders-first
+// worker pool, renders the same bits, keeps the singleflight cache protocol
+// intact, never runs more live cells than Config.Workers, and counts its
+// work in the stats.
 package experiments
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ilp/internal/compiler"
 	"ilp/internal/machine"
+	"ilp/internal/sim"
+	"ilp/internal/store"
 )
 
-// TestBatchedSweepBitIdentical renders every experiment with a batchable
-// config and with a no-op measure hook installed (which forces the goroutine
-// fan-out) and requires identical text — pinning each experiment's
-// job-to-result indexing on both measurement paths — and that the batched
-// runner actually batched.
+// TestBatchedSweepBitIdentical renders every experiment on a store-backed
+// runner and on a storeless one and requires identical text and series —
+// pinning each experiment's job-to-result indexing whether or not the
+// sweep persists — and that both ran every live cell on a slot engine, the
+// store-backed one committing a record per cell.
 func TestBatchedSweepBitIdentical(t *testing.T) {
 	base := Config{MaxDegree: 4, Benchmarks: []string{"whet", "linpack"}}
+	st, err := store.Open(filepath.Join(t.TempDir(), "sweep.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	stored := base
+	stored.Store = st
 
-	rBatch := NewRunner(base)
+	rStore := NewRunner(stored)
 	rPlain := NewRunner(base)
-	rPlain.measureHook = func(context.Context, string, *machine.Config) error {
-		return nil // same semantics, disqualifies the batched path
-	}
-	if !rBatch.batchable() || rPlain.batchable() {
-		t.Fatalf("batchable gate wrong: batch=%v plain=%v", rBatch.batchable(), rPlain.batchable())
-	}
 	for _, e := range Experiments() {
 		id := e.ID
-		got, err := rBatch.Run(id)
+		got, err := rStore.Run(id)
 		if err != nil {
-			t.Fatalf("%s (batched): %v", id, err)
+			t.Fatalf("%s (store): %v", id, err)
 		}
 		want, err := rPlain.Run(id)
 		if err != nil {
-			t.Fatalf("%s (goroutine): %v", id, err)
+			t.Fatalf("%s (storeless): %v", id, err)
 		}
 		if got.Text != want.Text {
-			t.Errorf("%s: batched rendition diverged:\n got:\n%s\nwant:\n%s", id, got.Text, want.Text)
+			t.Errorf("%s: store-backed rendition diverged:\n got:\n%s\nwant:\n%s", id, got.Text, want.Text)
 		}
 		if !reflect.DeepEqual(got.Series, want.Series) {
-			t.Errorf("%s: batched series diverged", id)
+			t.Errorf("%s: store-backed series diverged", id)
 		}
 	}
-	bs, ps := rBatch.Stats(), rPlain.Stats()
-	if bs.BatchedCells == 0 {
-		t.Errorf("batchable sweep batched no cells: %+v", bs)
+	ss, ps := rStore.Stats(), rPlain.Stats()
+	for _, c := range []struct {
+		name string
+		st   RunnerStats
+	}{{"store", ss}, {"storeless", ps}} {
+		if c.st.BatchedCells != c.st.Sims {
+			t.Errorf("%s: simulated %d cells, %d of them on slot engines", c.name, c.st.Sims, c.st.BatchedCells)
+		}
+		if c.st.ParallelShards == 0 || c.st.Superblocks == 0 || c.st.CondTraces == 0 {
+			t.Errorf("%s: no worker goroutines, superblocks or cond traces counted: %+v", c.name, c.st)
+		}
 	}
-	if ps.BatchedCells != 0 {
-		t.Errorf("hooked sweep used the batched path: %+v", ps)
+	if ss.Sims != ps.Sims || ss.SimHits != ps.SimHits {
+		t.Errorf("cache traffic diverged: store %+v vs storeless %+v", ss, ps)
 	}
-	if bs.Superblocks == 0 || ps.Superblocks == 0 {
-		t.Errorf("no superblock traces counted: batch=%d plain=%d", bs.Superblocks, ps.Superblocks)
-	}
-	if bs.CondTraces == 0 || ps.CondTraces == 0 {
-		t.Errorf("no profiled cond traces counted: batch=%d plain=%d", bs.CondTraces, ps.CondTraces)
-	}
-	if bs.ParallelShards == 0 {
-		t.Errorf("batched sweep recorded no shards: %+v", bs)
-	}
-	if ps.ParallelShards != 0 {
-		t.Errorf("hooked sweep recorded batch shards: %+v", ps)
-	}
-	if bs.Sims != ps.Sims || bs.SimHits != ps.SimHits {
-		t.Errorf("cache traffic diverged: batched %+v vs goroutine %+v", bs, ps)
-	}
-	if bs.BatchedCells != bs.Sims {
-		t.Errorf("batchable sweep simulated %d cells, only %d of them batched", bs.Sims, bs.BatchedCells)
+	if n := int64(st.Len()); n != ss.Sims {
+		t.Errorf("store holds %d records for %d live cells", n, ss.Sims)
 	}
 }
 
@@ -86,12 +87,13 @@ func TestWarmSweepSkipsWorkerSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cap(r.sem); i++ {
-		r.sem <- struct{}{} // every slot held, as by long cold sweeps
+	var held []*sim.Engine
+	for i := 0; i < cap(r.slots); i++ {
+		held = append(held, <-r.slots) // every slot held, as by long cold sweeps
 	}
 	defer func() {
-		for i := 0; i < cap(r.sem); i++ {
-			<-r.sem
+		for _, e := range held {
+			r.slots <- e
 		}
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -107,8 +109,127 @@ func TestWarmSweepSkipsWorkerSlot(t *testing.T) {
 	}
 }
 
-// TestBatchedMeasureManyDuplicates: duplicate cells inside one batched sweep
-// join the first occurrence's singleflight entry instead of re-simulating.
+// TestLiveCellsBoundedByWorkers: three concurrent cold sweeps on a
+// two-worker runner never compile more than two cells at once — the worker
+// slots bound live cells across every sweep of the runner, not per sweep.
+func TestLiveCellsBoundedByWorkers(t *testing.T) {
+	r := NewRunner(Config{Workers: 2})
+	var live, peak atomic.Int64
+	r.compileHook = func(context.Context, string, *machine.Config) error {
+		n := live.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(5 * time.Millisecond) // long enough for the sweeps to overlap
+		live.Add(-1)
+		return nil
+	}
+	var wg sync.WaitGroup
+	benches := []string{"whet", "linpack", "yacc"}
+	errs := make([]error, len(benches))
+	for k, bench := range benches {
+		var jobs []job
+		for l := compiler.O0; l <= compiler.O4; l++ {
+			jobs = append(jobs, job{bench, compiler.Options{Level: l}, machine.IdealSuperscalar(2)})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[k] = r.measureMany(context.Background(), jobs)
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("%s sweep: %v", benches[k], err)
+		}
+	}
+	if p := peak.Load(); p > 2 {
+		t.Errorf("peak of %d concurrent compiles on a two-worker runner", p)
+	}
+}
+
+// TestJoinerReleadsCancelledCell: sweep A claims two linpack cells and is
+// cancelled with its own cause while sweep B, on a live context, has joined
+// them. B must not inherit A's cancellation — neither as A's error nor, with
+// Degrade, as an uncounted NaN placeholder: it leads the evicted cells again
+// and gets real results, through measureMany and through MeasureCtx alike.
+func TestJoinerReleadsCancelledCell(t *testing.T) {
+	type sweepA struct{}
+	for _, degrade := range []bool{false, true} {
+		for _, via := range []string{"measureMany", "MeasureCtx"} {
+			t.Run(fmt.Sprintf("degrade=%v/%s", degrade, via), func(t *testing.T) {
+				r := NewRunner(Config{Workers: 2, Degrade: degrade})
+				entered := make(chan struct{}, 2)
+				r.measureHook = func(ctx context.Context, bench string, m *machine.Config) error {
+					if ctx.Value(sweepA{}) == nil {
+						return nil
+					}
+					entered <- struct{}{}
+					return blockUntilDone(ctx)
+				}
+				jobs := sweepJobs("linpack", 2)
+				aCause := errors.New("sweep A cancelled by its client")
+				actx, cancelA := context.WithCancelCause(context.WithValue(context.Background(), sweepA{}, true))
+				defer cancelA(nil)
+				aErr := make(chan error, 1)
+				go func() {
+					_, err := r.measureMany(actx, jobs)
+					aErr <- err
+				}()
+				<-entered // A has claimed both cells and is simulating one
+
+				res := make([]*sim.Result, len(jobs))
+				errs := make([]error, len(jobs))
+				bDone := make(chan struct{})
+				go func() {
+					defer close(bDone)
+					if via == "measureMany" {
+						got, err := r.measureMany(context.Background(), jobs)
+						for i := range errs {
+							errs[i] = err
+						}
+						copy(res, got)
+						return
+					}
+					var wg sync.WaitGroup
+					for i, j := range jobs {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							res[i], errs[i] = r.MeasureCtx(context.Background(), j.bench, j.copts, j.m)
+						}()
+					}
+					wg.Wait()
+				}()
+				joined(r, &r.stats.SimHits, int64(len(jobs)))
+				cancelA(aCause)
+
+				if err := <-aErr; !errors.Is(err, aCause) {
+					t.Fatalf("sweep A: want its own cause, got %v", err)
+				}
+				select {
+				case <-bDone:
+				case <-time.After(promptBound):
+					t.Fatal("sweep B never returned")
+				}
+				for i := range jobs {
+					if errs[i] != nil {
+						t.Fatalf("cell %d: sweep B inherited A's cancellation: %v", i, errs[i])
+					}
+					if res[i] == nil || res[i].Degraded {
+						t.Fatalf("cell %d: sweep B got no real result: %+v", i, res[i])
+					}
+				}
+				if st := r.Stats(); st.Degraded != 0 || st.Sims != 2*int64(len(jobs)) {
+					t.Errorf("stats = %+v, want 0 degraded and %d sims (B re-led both cells)", st, 2*len(jobs))
+				}
+			})
+		}
+	}
+}
+
+// TestBatchedMeasureManyDuplicates: duplicate cells inside one sweep join
+// the first occurrence's singleflight entry instead of re-simulating.
 func TestBatchedMeasureManyDuplicates(t *testing.T) {
 	r := NewRunner(Config{})
 	jobs := append(sweepJobs("whet", 2), sweepJobs("whet", 2)...)
@@ -127,7 +248,7 @@ func TestBatchedMeasureManyDuplicates(t *testing.T) {
 	}
 }
 
-// TestBatchedMeasureManyCancellation: a cancelled batched sweep returns the
+// TestBatchedMeasureManyCancellation: a cancelled sweep returns the
 // cancellation, evicts its claimed entries (no cache poisoning), and a later
 // live-context sweep redoes and completes the work.
 func TestBatchedMeasureManyCancellation(t *testing.T) {
@@ -139,11 +260,11 @@ func TestBatchedMeasureManyCancellation(t *testing.T) {
 	}
 	res, err := r.measureMany(context.Background(), sweepJobs("whet", 2))
 	if err != nil || res[0] == nil || res[1] == nil {
-		t.Fatalf("retry after cancelled batch failed: res=%v err=%v", res, err)
+		t.Fatalf("retry after cancelled sweep failed: res=%v err=%v", res, err)
 	}
 }
 
-// TestBatchedMatchesMeasureCtx: a cell simulated by the batched path is
+// TestBatchedMatchesMeasureCtx: a cell simulated by a multi-cell sweep is
 // DeepEqual to the same cell measured individually by a fresh runner.
 func TestBatchedMatchesMeasureCtx(t *testing.T) {
 	opts := compiler.Options{Level: compiler.O4}
@@ -159,13 +280,12 @@ func TestBatchedMatchesMeasureCtx(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res[i], want) {
-			t.Errorf("degree %d: batched cell diverged from MeasureCtx:\n got %+v\nwant %+v", i+1, res[i], want)
+			t.Errorf("degree %d: sweep cell diverged from MeasureCtx:\n got %+v\nwant %+v", i+1, res[i], want)
 		}
 	}
 }
 
-// TestLeadersFirstOrder pins the compile claim order of a batched sweep's
-// owned cells: every front's first cell in job order, then every other
+// TestLeadersFirstOrder pins the claim order of the cells a sweep leads: every front's first cell in job order, then every other
 // cell in job order. A sweep with a single front, or with no repeated
 // front, keeps job order.
 func TestLeadersFirstOrder(t *testing.T) {
@@ -190,7 +310,8 @@ func TestLeadersFirstOrder(t *testing.T) {
 // fig4-6, whose jobs pair each configuration's base and wide machines on
 // one front, a two-worker runner (whose workers claim leaders first and
 // so lower fronts side by side) returns exactly a one-worker runner's
-// results, and lowers the same fronts.
+// results, lowers the same fronts, and runs every live cell on a slot
+// engine.
 func TestLeadersFirstSweep(t *testing.T) {
 	var res [2]*Result
 	var stats [2]RunnerStats
@@ -208,7 +329,7 @@ func TestLeadersFirstSweep(t *testing.T) {
 	if stats[0].Lowers != stats[1].Lowers {
 		t.Errorf("lowers: %d with two workers, %d with one", stats[1].Lowers, stats[0].Lowers)
 	}
-	if stats[1].BatchedCells == 0 {
-		t.Errorf("two-worker sweep batched no cells: %+v", stats[1])
+	if stats[1].BatchedCells != stats[1].Sims {
+		t.Errorf("two-worker sweep ran %d of %d live cells on slot engines", stats[1].BatchedCells, stats[1].Sims)
 	}
 }

@@ -51,7 +51,8 @@ type Config struct {
 	// MaxDegree is the largest superscalar/superpipelined degree swept
 	// (the paper uses 8). Smaller values make quick runs.
 	MaxDegree int
-	// Workers bounds concurrent simulations; 0 means GOMAXPROCS.
+	// Workers bounds live cells across every sweep of the runner; 0 means
+	// GOMAXPROCS.
 	Workers int
 	// Benchmarks restricts the suite (nil = all eight).
 	Benchmarks []string
@@ -243,12 +244,12 @@ func ByID(id string) (Experiment, error) {
 type Runner struct {
 	Cfg Config
 
-	// core is the shared half of the runner: caches, worker pool, stats,
-	// and the batch scheduler. Views built with WithSweep alias the same
-	// core under a different sweep shape (degree, benchmark subset), so a
-	// long-running process — the ilpd daemon — serves every client from
-	// one fingerprint-keyed singleflight cache regardless of how each
-	// request slices the sweep.
+	// core is the shared half of the runner: caches, worker slots and
+	// stats. Views built with WithSweep alias the same core under a
+	// different sweep shape (degree, benchmark subset), so a long-running
+	// process — the ilpd daemon — serves every client from one
+	// fingerprint-keyed singleflight cache and one pool of worker slots,
+	// regardless of how each request slices the sweep.
 	*core
 }
 
@@ -261,14 +262,12 @@ type core struct {
 	compiles map[string]*flight[compiled]
 	sims     map[string]*flight[*sim.Result]
 	stats    RunnerStats
-	sem      chan struct{}
 
-	// batchSlot (capacity one) serializes use of batch, the reusable
-	// multi-cell simulation runner behind measureManyBatched. Only a sweep
-	// with cache misses takes it, for its simulate phase; a sweep that finds
-	// it busy waits, since each batch already runs on all Config.Workers.
-	batchSlot chan struct{}
-	batch     *sim.Batch
+	// slots holds Config.Workers engines, one per worker slot. A led cell
+	// takes one from compile to persist and simulates on it, so every sweep
+	// of the runner shares one bound of live cells and each engine's memory
+	// arena is reused cell after cell.
+	slots chan *sim.Engine
 
 	// compileHook and measureHook, when non-nil, run inside the
 	// corresponding singleflight leader just before the real work (after
@@ -324,9 +323,9 @@ type RunnerStats struct {
 	Degraded        int64 // cells whose permanent failure degraded to a placeholder
 	Superblocks     int64 // superblock traces specialized across built predecodes
 	CondTraces      int64 // profile-specialized traces (past likely-taken branches)
-	BatchedCells    int64 // measurement cells simulated through a shared batch
-	ParallelShards  int64 // worker shards used by batched measurement runs
-	MispathExits    int64 // specialized-trace guard exits across batched cells
+	BatchedCells    int64 // live simulations run on a worker slot's reusable engine
+	ParallelShards  int64 // worker goroutines started by sweeps leading cells
+	MispathExits    int64 // specialized-trace guard exits across live simulations
 	Instructions    int64 // dynamic instructions simulated by live leader sims
 }
 
@@ -338,12 +337,14 @@ func NewRunner(cfg Config) *Runner {
 	r := &Runner{
 		Cfg: cfg,
 		core: &core{
-			fronts:    map[string]*flight[*front]{},
-			compiles:  map[string]*flight[compiled]{},
-			sims:      map[string]*flight[*sim.Result]{},
-			sem:       make(chan struct{}, cfg.workers()),
-			batchSlot: make(chan struct{}, 1),
+			fronts:   map[string]*flight[*front]{},
+			compiles: map[string]*flight[compiled]{},
+			sims:     map[string]*flight[*sim.Result]{},
+			slots:    make(chan *sim.Engine, cfg.workers()),
 		},
+	}
+	for range cfg.workers() {
+		r.slots <- sim.NewEngine()
 	}
 	if cfg.Store != nil {
 		for _, rec := range cfg.Store.Records() {
@@ -432,45 +433,24 @@ func (r *Runner) RunCtx(ctx context.Context, id string) (res *Result, err error)
 	return res, err
 }
 
-// SweepReport is RunAll's fault-tolerance accounting. Cells and Degraded
-// are resume invariant: an interrupted sweep resumed from its store reports
-// the same committed-cell and degraded-cell totals as an uninterrupted run
-// of the same configuration (Live/Resumed/Retried describe how this
-// process got there and do vary).
+// SweepReport is RunAll's fault-tolerance accounting: the runner's
+// counters plus what the sweep rendered. Cells and Degraded are resume
+// invariant: an interrupted sweep resumed from its store reports the same
+// committed-cell and degraded-cell totals as an uninterrupted run of the
+// same configuration (Sims/Resumed/Retries describe how this process got
+// there and do vary).
 type SweepReport struct {
-	Experiments     int      // experiments rendered successfully
-	Failed          []string // ids of experiments that failed (non-cancellation)
-	Cells           int      // measurement cells with committed results
-	Degraded        int64    // cells that permanently failed and render as NaN rows
-	Retried         int64    // transient-failure retry waits performed
-	Live            int64    // simulations performed by this process
-	Resumed         int64    // cells preloaded from the result store
-	Predecodes      int64    // predecode artifacts built (once per compile key)
-	PredecodeShared int64    // live simulations that reused a shared predecode
-	Superblocks     int64    // superblock traces specialized across built predecodes
-	CondTraces      int64    // profile-specialized traces (past likely-taken branches)
-	BatchedCells    int64    // measurement cells simulated through a shared batch
-	ParallelShards  int64    // worker shards used by batched measurement runs
-	MispathExits    int64    // specialized-trace guard exits across batched cells
+	RunnerStats
+	Experiments int      // experiments rendered successfully
+	Failed      []string // ids of experiments that failed (non-cancellation)
+	Cells       int      // measurement cells with committed results
 }
 
 // Report snapshots the runner's sweep accounting.
 func (r *Runner) Report() SweepReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rep := SweepReport{
-		Degraded:        r.stats.Degraded,
-		Retried:         r.stats.Retries,
-		Live:            r.stats.Sims,
-		Resumed:         r.stats.Resumed,
-		Predecodes:      r.stats.Predecodes,
-		PredecodeShared: r.stats.PredecodeShared,
-		Superblocks:     r.stats.Superblocks,
-		CondTraces:      r.stats.CondTraces,
-		BatchedCells:    r.stats.BatchedCells,
-		ParallelShards:  r.stats.ParallelShards,
-		MispathExits:    r.stats.MispathExits,
-	}
+	rep := SweepReport{RunnerStats: r.stats}
 	for _, se := range r.sims {
 		select {
 		case <-se.ready:
@@ -628,50 +608,25 @@ func (r *Runner) Measure(bench string, copts compiler.Options, m *machine.Config
 	return r.MeasureCtx(context.Background(), bench, copts, m)
 }
 
-// MeasureCtx is Measure under a context: a done ctx aborts queued work
-// (waiting for a worker slot or a singleflight entry) immediately and
-// in-flight simulation within the engine's polling interval. A leader that
-// fails because of cancellation does not poison the cache — its entry is
-// evicted so a later call with a live context redoes the work — and any
-// panic in the pipeline surfaces as a structured CompileError/SimError
-// matching ErrPanic instead of crashing the process.
+// MeasureCtx is Measure under a context, a one-job measureMany: a done ctx
+// aborts queued work (waiting for a worker slot or a singleflight entry)
+// immediately and in-flight simulation within the engine's polling
+// interval. A leader that fails because of cancellation does not poison the
+// cache — its entry is evicted so a later call with a live context redoes
+// the work — and any panic in the pipeline surfaces as a structured
+// CompileError/SimError matching ErrPanic instead of crashing the process.
 //
-// Fault tolerance happens here and below: the leader retries transient
-// attempt failures per Config.Retries (publishing an exhausted transient
-// failure as permanent, so nothing upstream retries a cached verdict), and
-// with Config.Degrade a genuine failure is returned to every caller as a
+// Fault tolerance happens below: the leader retries transient attempt
+// failures per Config.Retries (publishing an exhausted transient failure as
+// permanent, so nothing upstream retries a cached verdict), and with
+// Config.Degrade a genuine failure is returned to every caller as a
 // Degraded placeholder result instead of an error.
 func (r *Runner) MeasureCtx(ctx context.Context, bench string, copts compiler.Options, m *machine.Config) (*sim.Result, error) {
-	if ctx.Err() != nil {
-		return nil, cause(ctx)
+	res, err := r.measureMany(ctx, []job{{bench, copts, m}})
+	if err != nil {
+		return nil, err
 	}
-	fp := m.Fingerprint()
-	ckey := compileKey(bench, copts, m)
-	skey := ckey + "|" + fp
-
-	r.mu.Lock()
-	if se, ok := r.sims[skey]; ok {
-		r.stats.SimHits++
-		r.mu.Unlock()
-		select {
-		case <-se.ready:
-			res, err := r.finish(ctx, m, se.val, se.err)
-			notify(ctx, bench, m, fp, res, err, true)
-			return res, err
-		case <-ctx.Done():
-			return nil, cause(ctx)
-		}
-	}
-	se := newFlight[*sim.Result]()
-	r.sims[skey] = se
-	r.stats.Sims++
-	r.mu.Unlock()
-
-	res, err := r.measure(ctx, bench, copts, m, ckey, skey)
-	r.publish(ctx, skey, se, res, err)
-	res, err = r.finish(ctx, m, se.val, se.err)
-	notify(ctx, bench, m, fp, res, err, false)
-	return res, err
+	return res[0], nil
 }
 
 // finish applies the degradation policy to a cell's outcome: with
@@ -685,23 +640,16 @@ func (r *Runner) finish(ctx context.Context, m *machine.Config, res *sim.Result,
 	return &sim.Result{Machine: m.Name, Degraded: true, BaseCycles: math.NaN()}, nil
 }
 
-// measure is the sim-cache miss path: acquire a worker slot (held across
-// all attempts), then run measureAttempt under the transient-failure retry
-// policy. It is the singleflight leader for its sim key.
-func (r *Runner) measure(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey, skey string) (*sim.Result, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, cause(ctx)
-	}
-	defer func() { <-r.sem }()
-
+// measure is the sim-cache miss path, run by the singleflight leader for
+// its sim key on the engine e of the worker slot it holds across all
+// attempts: measureAttempt under the transient-failure retry policy.
+func (r *Runner) measure(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey, skey string) (*sim.Result, error) {
 	var (
 		res *sim.Result
 		err error
 	)
 	for attempt := 0; ; attempt++ {
-		res, err = r.measureAttempt(ctx, bench, copts, m, ckey, skey, attempt)
+		res, err = r.measureAttempt(ctx, e, bench, copts, m, ckey, skey, attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
 			break
 		}
@@ -715,13 +663,13 @@ func (r *Runner) measure(ctx context.Context, bench string, copts compiler.Optio
 }
 
 // measureAttempt is one try at a measurement cell: compile (cached),
-// pass the fault-injection sites, simulate, and persist the result to the
-// store. The store append is part of the attempt on purpose — if the
+// pass the fault-injection sites, simulate on e, and persist the result to
+// the store. The store append is part of the attempt on purpose — if the
 // append fails, the attempt fails and the retry recomputes and re-appends,
 // so a cell is committed exactly when its record is durable. The attempt
 // carries the panic isolation for the simulation phase (injected worker
 // panics land here too, classifying permanent via ErrPanic).
-func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey, skey string, attempt int) (res *sim.Result, err error) {
+func (r *Runner) measureAttempt(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey, skey string, attempt int) (res *sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &SimError{
@@ -752,8 +700,8 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 			return nil, r.simFailure(ctx, bench, m, err)
 		}
 	}
-	res, err = sim.RunCtx(ctx, c.prog, sim.Options{Machine: m, Code: c.code})
-	if err != nil {
+	res = new(sim.Result)
+	if err := e.RunIntoCtx(ctx, c.prog, sim.Options{Machine: m, Code: c.code}, res); err != nil {
 		return nil, r.simFailure(ctx, bench, m, err)
 	}
 	r.mu.Lock()
@@ -761,6 +709,8 @@ func (r *Runner) measureAttempt(ctx context.Context, bench string, copts compile
 		r.stats.PredecodeShared++
 	}
 	r.stats.Instructions += res.Instructions
+	r.stats.BatchedCells++
+	r.stats.MispathExits += e.Mispaths()
 	r.mu.Unlock()
 	if perr := r.persist(ctx, bench, m, skey, attempt, res); perr != nil {
 		return nil, perr
@@ -858,10 +808,11 @@ func (r *Runner) simFailure(ctx context.Context, bench string, m *machine.Config
 }
 
 // compile returns the compiled program for the key, compiling at most once.
-// The leader already holds a worker slot, so waiters (who hold their own
-// slots) can never starve it. A machine that fails validation fails here,
-// before it could lead — and fail — a compile entry or front it would share
-// with valid machines: neither key covers all of a description.
+// Every caller runs inside a runCells cell, so the leader already holds a
+// worker slot and waiters (who hold their own slots) can never starve it.
+// A machine that fails validation fails here, before it could lead — and
+// fail — a compile entry or front it would share with valid machines:
+// neither key covers all of a description.
 func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
 	if err := m.Validate(); err != nil {
 		return compiled{}, r.compileFailure(ctx, bench, m, err)
@@ -1011,50 +962,84 @@ func (r *Runner) compileFailure(ctx context.Context, bench string, m *machine.Co
 	}
 }
 
-// MeasureMany runs a set of (bench, opts, machine) jobs concurrently.
+// job is one measurement cell of a sweep: a benchmark, its compiler
+// options and the machine to simulate it on.
 type job struct {
 	bench string
 	copts compiler.Options
 	m     *machine.Config
 }
 
-// measureMany resolves a sweep's jobs, batched (measureManyBatched) when the
-// configuration allows it. Otherwise it fans the jobs out over the worker
-// pool under a shared cancellable context: the first failure cancels every
-// queued and in-flight sibling (first error wins — it becomes the context's
-// cause), a panicking worker is converted to a structured error instead of
-// crashing the process, and every *distinct* root cause that raced in
-// before the cancellation landed is reported via errors.Join.
-func (r *Runner) measureMany(pctx context.Context, jobs []job) ([]*sim.Result, error) {
-	if r.batchable() {
-		return r.measureManyBatched(pctx, jobs)
-	}
-	ctx, cancel := context.WithCancelCause(pctx)
-	defer cancel(context.Canceled)
+// sweepCell is a measureMany job's cache keys and the sim-cache entry the
+// sweep leads or joins for it.
+type sweepCell struct {
+	ckey, skey, fp string
+	se             *flight[*sim.Result]
+}
 
+// measureMany resolves a sweep's jobs; it is the runner's only measurement
+// path. It claims every job's sim-cache entry up front, under one lock,
+// leads the entries it created (lead), and then joins the rest — cached,
+// led elsewhere, or duplicated within the sweep — as any waiter would. A
+// joined entry that its leader's cancellation evicted is claimed again
+// while ctx is live, so one caller's cancellation never fails another's
+// cell. The first failure of a led cell cancels the sweep, a panicking
+// worker becomes a structured error instead of crashing the process, and
+// every distinct root cause is reported via errors.Join.
+func (r *Runner) measureMany(ctx context.Context, jobs []job) ([]*sim.Result, error) {
+	if ctx.Err() != nil {
+		return nil, cause(ctx)
+	}
+	// The keys are hashed before taking the lock every sweep contends on.
+	cells := make([]sweepCell, len(jobs))
+	pending := make([]int, len(jobs))
+	for i, j := range jobs {
+		fp := j.m.Fingerprint()
+		ckey := compileKey(j.bench, j.copts, j.m)
+		cells[i] = sweepCell{ckey: ckey, skey: ckey + "|" + fp, fp: fp}
+		pending[i] = i
+	}
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = &SimError{
-						Benchmark: jobs[i].bench, Machine: jobs[i].m.Name,
-						Phase: ilperr.PhaseSimulate, Err: ilperr.PanicError(v, debug.Stack()),
-					}
-					cancel(errs[i])
-				}
-			}()
-			results[i], errs[i] = r.MeasureCtx(ctx, jobs[i].bench, jobs[i].copts, jobs[i].m)
-			if errs[i] != nil {
-				cancel(errs[i]) // first failure wins; no-op for later ones
+	for len(pending) > 0 {
+		var led, joined []int
+		r.mu.Lock()
+		for _, i := range pending {
+			c := &cells[i]
+			if c.se = r.sims[c.skey]; c.se != nil {
+				r.stats.SimHits++
+				joined = append(joined, i)
+				continue
 			}
-		}(i)
+			c.se = newFlight[*sim.Result]()
+			r.sims[c.skey] = c.se
+			r.stats.Sims++
+			led = append(led, i)
+		}
+		r.mu.Unlock()
+
+		if err := r.lead(ctx, jobs, cells, led, results); err != nil {
+			return nil, err
+		}
+		pending = pending[:0]
+		for _, i := range joined {
+			j, c := jobs[i], cells[i]
+			select {
+			case <-c.se.ready:
+				switch {
+				case !c.se.evicted:
+					results[i], errs[i] = r.finish(ctx, j.m, c.se.val, c.se.err)
+					notify(ctx, j.bench, j.m, c.fp, results[i], errs[i], true)
+				case ctx.Err() == nil:
+					pending = append(pending, i) // its leader was cancelled: lead it again
+				default:
+					errs[i] = cause(ctx)
+				}
+			case <-ctx.Done():
+				errs[i] = cause(ctx)
+			}
+		}
 	}
-	wg.Wait()
 	if err := joinDistinct(context.Cause(ctx), errs); err != nil {
 		return nil, err
 	}
@@ -1062,23 +1047,58 @@ func (r *Runner) measureMany(pctx context.Context, jobs []job) ([]*sim.Result, e
 	// instruction-budget trip landing in the final notify) must still fail
 	// the sweep: the caller's context is dead, so the caller gets its
 	// cause, not a table it no longer has the budget to claim.
-	if pctx.Err() != nil {
-		return nil, cause(pctx)
+	if ctx.Err() != nil {
+		return nil, cause(ctx)
 	}
 	return results, nil
 }
 
-// batchable reports whether the runner's configuration allows the batched
-// measurement path: nothing may hook, persist, or perturb individual
-// attempts, because a batched cell runs exactly one attempt inside the
-// shared scheduler. With no injector and no store, Config.Retries is dead
-// configuration — ilperr.IsTransient can only be true for injected faults
-// and store I/O, so the per-attempt retry loop provably never fires and a
-// single attempt is equivalent. Degrade is compatible too (a result policy
-// applied after the fact); everything else falls back to the per-cell
-// goroutine path.
-func (r *Runner) batchable() bool {
-	return r.Cfg.Faults == nil && r.Cfg.Store == nil && r.measureHook == nil
+// lead runs the cells a sweep claimed (led, indices into jobs) through one
+// runCells loop in leadersFirst order. Each cell holds a worker slot from
+// compile to persist and is published, with its result stored in results,
+// as soon as it completes. If the loop fails, the cells it never started
+// are published with the sweep's cancellation, which evicts them, so no
+// waiter hangs on them.
+func (r *Runner) lead(ctx context.Context, jobs []job, cells []sweepCell, led []int, results []*sim.Result) error {
+	if len(led) == 0 {
+		return nil
+	}
+	fronts := make([]string, len(led))
+	for k, i := range led {
+		fronts[k] = frontKey(jobs[i].bench, jobs[i].copts, jobs[i].m)
+	}
+	order := make([]int, len(led))
+	ledJobs := make([]job, len(led))
+	for k, o := range leadersFirst(fronts) {
+		order[k] = led[o]
+		ledJobs[k] = jobs[led[o]]
+	}
+	r.mu.Lock()
+	r.stats.ParallelShards += int64(min(r.Cfg.workers(), len(led)))
+	r.mu.Unlock()
+
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(context.Canceled)
+	err := r.runCells(ctx, ledJobs, func(ctx context.Context, e *sim.Engine, k int) error {
+		i := order[k]
+		j, c := jobs[i], cells[i]
+		res, err := r.measure(ctx, e, j.bench, j.copts, j.m, c.ckey, c.skey)
+		r.publish(ctx, c.skey, c.se, res, err)
+		results[i], err = r.finish(ctx, j.m, c.se.val, c.se.err)
+		notify(ctx, j.bench, j.m, c.fp, results[i], err, false)
+		return err
+	})
+	if err != nil {
+		cancel(err)
+		for _, i := range led {
+			select {
+			case <-cells[i].se.ready:
+			default: // never started
+				r.publish(ctx, cells[i].skey, cells[i].se, nil, cause(ctx))
+			}
+		}
+	}
+	return err
 }
 
 // publish settles a leader's outcome on its sim-cache entry: exhausted-
@@ -1094,154 +1114,8 @@ func (r *Runner) publish(ctx context.Context, skey string, se *flight[*sim.Resul
 	settle(ctx, r, r.sims, skey, se, res, err)
 }
 
-// batchCell is one cell of a batched sweep: its job index, cache keys and
-// sim-cache entry, and — for a cell the sweep leads — its compile outcome.
-type batchCell struct {
-	idx            int
-	ckey, skey, fp string
-	se             *flight[*sim.Result]
-	c              compiled
-	err            error
-}
-
-// measureManyBatched is measureMany's batched fast path: the sweep claims its
-// sim-cache entries up front and leads every cache-miss cell through
-// runOwned, which compiles them in parallel and simulates them together on
-// the runner's sim.Batch. The cache protocol is unchanged: claimed entries
-// are singleflight leaders published exactly as MeasureCtx would publish
-// them, so concurrent MeasureCtx callers (and later sweeps) join them without
-// observing any difference, and timing is bit-identical because a batched
-// cell runs alone on its engine from reset to halt.
-func (r *Runner) measureManyBatched(ctx context.Context, jobs []job) ([]*sim.Result, error) {
-	results := make([]*sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-
-	// The keys are hashed before taking the lock every sweep contends on.
-	cells := make([]batchCell, len(jobs))
-	for i, j := range jobs {
-		fp := j.m.Fingerprint()
-		ckey := compileKey(j.bench, j.copts, j.m)
-		cells[i] = batchCell{idx: i, ckey: ckey, skey: ckey + "|" + fp, fp: fp}
-	}
-	var owned, joined []batchCell
-	r.mu.Lock()
-	for _, c := range cells {
-		if se, ok := r.sims[c.skey]; ok {
-			r.stats.SimHits++
-			c.se = se
-			joined = append(joined, c)
-			continue
-		}
-		c.se = newFlight[*sim.Result]()
-		r.sims[c.skey] = c.se
-		r.stats.Sims++
-		owned = append(owned, c)
-	}
-	r.mu.Unlock()
-
-	if len(owned) > 0 {
-		r.runOwned(ctx, jobs, owned, results, errs)
-	}
-
-	// Cells led elsewhere (or duplicated within this sweep) join their
-	// entries exactly as MeasureCtx waiters do.
-	for _, c := range joined {
-		j := jobs[c.idx]
-		select {
-		case <-c.se.ready:
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, c.se.val, c.se.err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], true)
-		case <-ctx.Done():
-			results[c.idx], errs[c.idx] = nil, cause(ctx)
-		}
-	}
-	if err := joinDistinct(context.Cause(ctx), errs); err != nil {
-		return nil, err
-	}
-	// Same tail rule as the fan-out path: a cancellation that landed while
-	// (or after) the batch ran — in particular an instruction-budget trip
-	// fired by the publish loop's own notify — fails the sweep even though
-	// every cell published cleanly.
-	if ctx.Err() != nil {
-		return nil, cause(ctx)
-	}
-	return results, nil
-}
-
-// runOwned leads a batched sweep's claimed cells and publishes each cell's
-// outcome into results and errs. It holds one worker slot while it works —
-// only a sweep with cache misses takes one, so a warm sweep never queues
-// behind cold ones — and releases it before the caller waits on cells led
-// elsewhere, whose leaders may need it. The cells compile on Cfg.workers()
-// goroutines, each claiming the next cell in leadersFirst order through the
-// singleflight compile cache, and the compiled ones then run together
-// through the batch.
-func (r *Runner) runOwned(ctx context.Context, jobs []job, owned []batchCell, results []*sim.Result, errs []error) {
-	// If cancellation wins the slot race, the claimed entries must still be
-	// published (and evicted) so no waiter hangs.
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		err := cause(ctx)
-		for _, c := range owned {
-			r.publish(ctx, c.skey, c.se, nil, err)
-			errs[c.idx] = err
-		}
-		return
-	}
-	defer func() { <-r.sem }()
-
-	fronts := make([]string, len(owned))
-	for k, c := range owned {
-		j := jobs[c.idx]
-		fronts[k] = frontKey(j.bench, j.copts, j.m)
-	}
-	order := leadersFirst(fronts)
-	fanOut(len(owned), r.Cfg.workers(), func(i int) {
-		c := &owned[order[i]]
-		j := jobs[c.idx]
-		c.c, c.err = r.compile(ctx, j.bench, j.copts, j.m, c.ckey)
-	})
-	var runs []sim.BatchRun
-	var ran []batchCell
-	for _, c := range owned {
-		j := jobs[c.idx]
-		if c.err != nil {
-			r.publish(ctx, c.skey, c.se, nil, c.err)
-			results[c.idx], errs[c.idx] = r.finish(ctx, j.m, nil, c.err)
-			notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
-			continue
-		}
-		runs = append(runs, sim.BatchRun{Prog: c.c.prog, Opts: sim.Options{Machine: j.m, Code: c.c.code}})
-		ran = append(ran, c)
-	}
-	if len(runs) == 0 {
-		return
-	}
-
-	bres, berrs := r.runBatch(ctx, runs)
-	var shared, instrs int64
-	for k, c := range ran {
-		j := jobs[c.idx]
-		res, err := bres[k], berrs[k]
-		if err != nil {
-			err = r.simFailure(ctx, j.bench, j.m, err)
-		} else {
-			shared++ // every batched cell runs on its shared predecode
-			instrs += res.Instructions
-		}
-		r.publish(ctx, c.skey, c.se, res, err)
-		results[c.idx], errs[c.idx] = r.finish(ctx, j.m, res, err)
-		notify(ctx, j.bench, j.m, c.fp, results[c.idx], errs[c.idx], false)
-	}
-	r.mu.Lock()
-	r.stats.PredecodeShared += shared
-	r.stats.Instructions += instrs
-	r.mu.Unlock()
-}
-
-// leadersFirst returns the order in which a batched sweep's compile workers
-// claim its cells, given each cell's front key in job order: every front's
+// leadersFirst returns the order in which a sweep's workers claim the
+// cells it leads, given each cell's front key in job order: every front's
 // first cell in job order, then every other cell in job order. Experiments
 // list a front's cells side by side, so in plain job order a second worker
 // would claim a front's second cell and then block while the first lowers
@@ -1261,87 +1135,58 @@ func leadersFirst(fronts []string) []int {
 	return append(order, rest...)
 }
 
-// runBatch runs cells through the runner's batch once the batch slot is
-// free, and counts the run. The batch spans the runner's configured worker
-// count (GOMAXPROCS by default): a sweep holds one pool slot but saturates
-// the cores the pool was sized for. A sweep cancelled while it waits for the
-// slot fails every cell with the cancellation cause.
-func (r *Runner) runBatch(ctx context.Context, runs []sim.BatchRun) ([]*sim.Result, []error) {
-	select {
-	case r.batchSlot <- struct{}{}:
-	case <-ctx.Done():
-		errs := make([]error, len(runs))
-		for k := range errs {
-			errs[k] = cause(ctx)
-		}
-		return make([]*sim.Result, len(runs)), errs
-	}
-	defer func() { <-r.batchSlot }()
-	if r.batch == nil {
-		r.batch = sim.NewBatchWorkers(r.Cfg.workers())
-	}
-	res, errs := r.batch.Run(ctx, runs)
-	r.mu.Lock()
-	r.stats.BatchedCells += int64(len(runs))
-	r.stats.ParallelShards += int64(r.batch.Shards())
-	r.stats.MispathExits += r.batch.Mispaths()
-	r.mu.Unlock()
-	return res, errs
-}
-
-// runCells runs cell(ctx, i) for every job on Cfg.workers() goroutines —
-// per-cell work the measurement cache does not cover — under measureMany's
-// discipline: the first failure cancels the rest (it becomes the context's
-// cause), a panicking cell fails with a structured simulate-phase SimError
-// naming its job, and every distinct root cause is reported.
-func (r *Runner) runCells(ctx context.Context, jobs []job, cell func(ctx context.Context, i int) error) error {
+// runCells runs cell(ctx, e, i) for every job on up to Cfg.workers()
+// goroutines, the caller's included, each claiming the next job in order.
+// A cell holds one of the runner's worker slots from start to return and
+// simulates on the slot's engine e, so all the sweeps of a runner share one
+// bound of Cfg.workers() live cells. The first failure cancels the rest (it
+// becomes the context's cause, and jobs not yet started are skipped), a
+// panicking cell fails with a structured simulate-phase SimError naming its
+// job, and every distinct root cause is reported.
+func (r *Runner) runCells(ctx context.Context, jobs []job, cell func(ctx context.Context, e *sim.Engine, i int) error) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(context.Canceled)
 	errs := make([]error, len(jobs))
-	fanOut(len(jobs), r.Cfg.workers(), func(i int) {
+	run := func(i int) (err error) {
+		if ctx.Err() != nil {
+			return cause(ctx)
+		}
+		var e *sim.Engine
+		select {
+		case e = <-r.slots:
+		case <-ctx.Done():
+			return cause(ctx)
+		}
 		defer func() {
+			r.slots <- e
 			if v := recover(); v != nil {
-				errs[i] = &SimError{
+				err = &SimError{
 					Benchmark: jobs[i].bench, Machine: jobs[i].m.Name,
 					Phase: ilperr.PhaseSimulate, Err: ilperr.PanicError(v, debug.Stack()),
 				}
-				cancel(errs[i])
 			}
 		}()
-		if ctx.Err() != nil {
-			errs[i] = cause(ctx)
-			return
-		}
-		if errs[i] = cell(ctx, i); errs[i] != nil {
-			cancel(errs[i]) // first failure wins; no-op for later ones
-		}
-	})
-	return joinDistinct(context.Cause(ctx), errs)
-}
-
-// fanOut calls fn(i) for every i in [0, n) on min(workers, n) goroutines,
-// each claiming the next index from a shared counter, and returns once every
-// call has.
-func fanOut(n, workers int, fn func(i int)) {
-	w := min(workers, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
+		return cell(ctx, e, i)
 	}
 	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+			if errs[i] = run(i); errs[i] != nil {
+				cancel(errs[i]) // first failure wins; no-op for later ones
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for range w {
+	for range min(r.Cfg.workers(), len(jobs)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
+	return joinDistinct(context.Cause(ctx), errs)
 }
 
 // joinDistinct reduces a sweep's per-job errors to its distinct root

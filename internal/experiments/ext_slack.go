@@ -51,19 +51,19 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 		}
 	}
 	ratios := make([]float64, len(jobs))
-	err = r.runCells(ctx, jobs, func(ctx context.Context, i int) error {
+	err = r.runCells(ctx, jobs, func(ctx context.Context, e *sim.Engine, i int) error {
 		j := jobs[i]
 		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}
-		// Simulated directly (not through the measurement cache): the slack
-		// ratio needs the per-instruction counts, which ordinary
-		// measurements do not carry.
-		res, err := sim.RunCtx(ctx, c.prog, sim.Options{
+		// Simulated directly on the slot's engine (not through the
+		// measurement cache): the slack ratio needs the per-instruction
+		// counts, which ordinary measurements do not carry.
+		res := new(sim.Result)
+		if err := e.RunIntoCtx(ctx, c.prog, sim.Options{
 			Machine: j.m, Code: c.code, CountInstrs: true,
-		})
-		if err != nil {
+		}, res); err != nil {
 			return r.simFailure(ctx, j.bench, j.m, err)
 		}
 		a, err := statictime.Analyze(c.prog, j.m)

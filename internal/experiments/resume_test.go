@@ -83,7 +83,7 @@ func TestResumeReproducesOutput(t *testing.T) {
 	if gotRep.Resumed == 0 {
 		t.Fatal("resumed run loaded nothing from the store")
 	}
-	if gotRep.Live+gotRep.Resumed < int64(gotRep.Cells) {
+	if gotRep.Sims+gotRep.Resumed < int64(gotRep.Cells) {
 		t.Fatalf("report does not add up: %+v", gotRep)
 	}
 }

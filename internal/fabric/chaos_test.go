@@ -85,8 +85,8 @@ func TestFabricChaosSchedules(t *testing.T) {
 				if sum.Merge.Duplicates != 0 {
 					t.Fatalf("committed cells were recomputed: %+v", sum.Merge)
 				}
-				if sum.Report.Live != 0 {
-					t.Fatalf("render pass resimulated %d cells", sum.Report.Live)
+				if sum.Report.Sims != 0 {
+					t.Fatalf("render pass resimulated %d cells", sum.Report.Sims)
 				}
 			})
 		}(seed)

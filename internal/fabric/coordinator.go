@@ -186,7 +186,7 @@ type Summary struct {
 	// their own stores can only produce duplicates by re-measuring a
 	// committed cell, so a crash-free-of-rework run merges with zero.
 	Merge store.MergeInfo
-	// Report is the render pass's accounting. Report.Live is the other
+	// Report is the render pass's accounting. Report.Sims is the other
 	// half of the witness: the render resolves every cell from the
 	// merged store, so any live simulation means a worker lost work.
 	Report experiments.SweepReport

@@ -124,8 +124,8 @@ func TestFabricHappyPath(t *testing.T) {
 	if sum.Merge.Duplicates != 0 || sum.Merge.Conflicts != 0 {
 		t.Fatalf("disjoint shards produced duplicates: %+v", sum.Merge)
 	}
-	if sum.Report.Live != 0 {
-		t.Fatalf("render pass simulated %d cells live; all should resume from the merge", sum.Report.Live)
+	if sum.Report.Sims != 0 {
+		t.Fatalf("render pass simulated %d cells live; all should resume from the merge", sum.Report.Sims)
 	}
 	if sum.Report.Cells != wantRep.Cells {
 		t.Fatalf("fabric committed %d cells, single process %d", sum.Report.Cells, wantRep.Cells)
@@ -158,8 +158,8 @@ func TestFabricSurvivesWorkerKills(t *testing.T) {
 	if sum.Merge.Duplicates != 0 {
 		t.Fatalf("restarted workers recomputed committed cells: %+v", sum.Merge)
 	}
-	if sum.Report.Live != 0 {
-		t.Fatalf("render pass had to resimulate %d cells", sum.Report.Live)
+	if sum.Report.Sims != 0 {
+		t.Fatalf("render pass had to resimulate %d cells", sum.Report.Sims)
 	}
 	// Every surviving attempt resumed its predecessors' cells.
 	for _, sh := range sum.Shards {
@@ -187,8 +187,8 @@ func TestFabricTearRepairedOnResume(t *testing.T) {
 	if sum.Restarts == 0 {
 		t.Fatal("tear injection caused no restarts")
 	}
-	if sum.Merge.Duplicates != 0 || sum.Report.Live != 0 {
-		t.Fatalf("tear recovery recomputed cells: merge %+v, render live %d", sum.Merge, sum.Report.Live)
+	if sum.Merge.Duplicates != 0 || sum.Report.Sims != 0 {
+		t.Fatalf("tear recovery recomputed cells: merge %+v, render live %d", sum.Merge, sum.Report.Sims)
 	}
 }
 
@@ -198,9 +198,9 @@ func TestFabricTearRepairedOnResume(t *testing.T) {
 func TestFabricRevokesHungWorker(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
 	// At rate 1 every attempt that performs a live commit hangs right
-	// after it; the batched runner commits the whole slab before the
-	// observer fires, so attempt 0 lands every cell and attempt 1
-	// resumes them all from the store and finishes without a hang.
+	// after it, in the observer of its first durable cell; each attempt
+	// lands at least one more cell, so a later attempt resumes them all
+	// from the store and finishes without a hang.
 	cfg.Benchmarks = []string{"whet"}
 	cfg.Shards = 1
 	cfg.Experiments = []string{"fig4-5"} // 2 cells: few, cheap attempts
@@ -223,8 +223,8 @@ func TestFabricRevokesHungWorker(t *testing.T) {
 	if revocations == 0 {
 		t.Fatal("hang injection at rate 1 never tripped the lease watchdog")
 	}
-	if sum.Report.Live != 0 || sum.Merge.Duplicates != 0 {
-		t.Fatalf("hang recovery recomputed cells: merge %+v, render live %d", sum.Merge, sum.Report.Live)
+	if sum.Report.Sims != 0 || sum.Merge.Duplicates != 0 {
+		t.Fatalf("hang recovery recomputed cells: merge %+v, render live %d", sum.Merge, sum.Report.Sims)
 	}
 }
 

@@ -3,8 +3,9 @@ package sim
 // Differential equivalence suite: every golden benchmark, compiled per
 // machine configuration, is simulated three ways — with the preserved seed
 // engine (reference_test.go), the predecoded fast path, and the instrumented
-// path (forced by installing a no-op OnIssue hook) — and all observable
-// results must be bit-identical. This is the proof that the performance
+// path (forced by installing a no-op OnIssue hook, on a cache machine's
+// cache-free copy, since Reset rejects hooks on a cache machine) — and all
+// observable results must be bit-identical. This is the proof that the performance
 // rewrite changed no semantics and no timing. Every run of the matrix uses
 // a dedicated engine, so the suite also checks the scoreboard invariant the
 // trace entry relies on (checkReadyBound) after each one.
@@ -74,6 +75,32 @@ func ss4Caches() *machine.Config {
 
 // hasCache reports whether the machine models an instruction or data cache.
 func hasCache(cfg *machine.Config) bool { return cfg.ICache != nil || cfg.DCache != nil }
+
+// hookedOpts returns the options of p's instrumented runs, forced by a
+// no-op OnIssue hook, and the seed reference result they must match. On a
+// cache-free machine those are opts with the hook and want. Reset rejects
+// a hook on a cache machine, which hookedOpts asserts on e; the hooked runs
+// then use the machine's cache-free copy, which keeps its schedule (so p
+// and opts.Code suit it), against the reference on that copy.
+func hookedOpts(t *testing.T, e *Engine, p *isa.Program, opts Options, want *Result) (Options, *Result) {
+	t.Helper()
+	iopts := opts
+	iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
+	if !hasCache(opts.Machine) {
+		return iopts, want
+	}
+	if err := e.RunInto(p, iopts, new(Result)); err == nil {
+		t.Errorf("hooked run on cache machine %s was not rejected", opts.Machine.Name)
+	}
+	free := *opts.Machine
+	free.ICache, free.DCache = nil, nil
+	iopts.Machine = &free
+	ref, err := refRun(p, Options{Machine: &free})
+	if err != nil {
+		t.Fatalf("reference engine, cache-free copy: %v", err)
+	}
+	return iopts, ref
+}
 
 // runChecked runs p on the dedicated engine e, failing the test (labelled
 // by path) on an error, and checks checkReadyBound on the engine's final
@@ -322,20 +349,20 @@ func TestDifferentialRandomCFG(t *testing.T) {
 				got = runChecked(t, e, "shared-code", p, copts)
 				compareResults(t, "shared-code", want, got)
 
-				iopts := opts
-				iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
+				iopts, iwant := hookedOpts(t, e, p, opts, want)
 				got = runChecked(t, e, "instrumented", p, iopts)
-				compareResults(t, "instrumented", want, got)
+				compareResults(t, "instrumented", iwant, got)
 
 				// Counted runs: CountInstrs must not perturb timing, the
-				// two paths' counters must agree, and the static bounds
-				// oracle must hold for the measured cycle count.
+				// two paths' counters must agree (they are architectural,
+				// so a cache-free copy counts the same), and the static
+				// bounds oracle must hold for the measured cycle count.
 				copts.CountInstrs = true
 				fastC := runChecked(t, e, "counted-fast", p, copts)
 				compareResults(t, "counted-fast", want, fastC)
 				iopts.CountInstrs = true
 				instC := runChecked(t, e, "counted-instrumented", p, iopts)
-				compareResults(t, "counted-instrumented", want, instC)
+				compareResults(t, "counted-instrumented", iwant, instC)
 				compareCounts(t, "counted", fastC, instC)
 				checkStaticBounds(t, p, cfg, fastC)
 			})
@@ -445,10 +472,9 @@ func TestDifferentialEngines(t *testing.T) {
 				}
 
 				// Instrumented path, forced via a no-op hook.
-				iopts := opts
-				iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
+				iopts, iwant := hookedOpts(t, e, c.Prog, opts, want)
 				got = runChecked(t, e, "instrumented", c.Prog, iopts)
-				compareResults(t, "instrumented", want, got)
+				compareResults(t, "instrumented", iwant, got)
 
 				// Static bounds oracle on the real benchmark programs.
 				copts := opts

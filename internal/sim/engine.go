@@ -113,6 +113,9 @@ type Engine struct {
 // NewEngine returns an empty engine. Buffers are grown on first Reset.
 func NewEngine() *Engine { return &Engine{} }
 
+// Mispaths returns the specialized-trace guard exits the last run took.
+func (e *Engine) Mispaths() int64 { return e.mispaths }
+
 // Reset validates the program and machine, predecodes the program (or adopts
 // the shared predecode in opts.Code), and re-arms all run state, reusing the
 // engine's buffers.
@@ -123,6 +126,9 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	cfg := opts.Machine
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	if (opts.OnIssue != nil || opts.OnTrace != nil) && (cfg.ICache != nil || cfg.DCache != nil) {
+		return fmt.Errorf("sim: machine %s models caches; OnIssue and OnTrace hooks need a cache-free machine", cfg.Name)
 	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -313,13 +319,13 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 }
 
 // runFast is the uninstrumented inner loop: every run without an OnIssue or
-// OnTrace hook, with or without caches. Timing semantics are identical to
-// runInstrumented with both hooks absent — the I-fetch, load-miss and
-// store-miss rules are the same helpers (fetchMiss, missPenalty, storeMiss)
-// applied at the same steps — and the inlined semantic switch matches exec
-// case for case (the differential suite pins both paths to the reference
-// engine). A machine with a cache replays no traces: each trace's timing
-// was proven on the assumption that no fetch or access misses.
+// OnTrace hook, and the only one that models caches (Reset rejects a hook
+// on a cache machine). On a cache-free machine its timing semantics are
+// identical to runInstrumented with both hooks absent, and the inlined
+// semantic switch matches exec case for case (the differential suite pins
+// both paths to the reference engine). A machine with a cache replays no
+// traces: each trace's timing was proven on the assumption that no fetch
+// or access misses.
 //
 // Relative to the seed engine the loop works at basic-block granularity:
 // dynamic instruction counts are two array bumps per contiguous execution
@@ -1177,15 +1183,12 @@ func (e *Engine) foldCounts() {
 	}
 }
 
-// runInstrumented is the slow path: the same discipline and cache model as
-// runFast plus the OnIssue/OnTrace callbacks, which only it serves. It is
-// selected once at RunInto, never per instruction. Its callers in the repo
-// (ilpsim -pipeline, trace.Analyze) run cache-free machines, but Options
-// allows a hook on a cache machine and the differential suite checks that
-// case, so the cache rules stay here too, through the helpers runFast
-// shares. It dispatches on the architectural opcode, so fused
-// superinstructions do not exist here, and class counts are bumped per
-// instruction (the callbacks already cost far more than the counter).
+// runInstrumented is the slow path: runFast's discipline on a cache-free
+// machine plus the OnIssue/OnTrace callbacks, which only it serves. It is
+// selected once at RunInto, never per instruction. It dispatches on the
+// architectural opcode, so fused superinstructions do not exist here, and
+// class counts are bumped per instruction (the callbacks already cost far
+// more than the counter).
 func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup
@@ -1228,13 +1231,9 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 			slot = e.barrier
 		}
 
-		// 2. Instruction fetch.
-		if e.icache != nil {
-			slot = fetchMiss(e.icache, idx, slot, &e.stalls)
-		}
 		issue := slot
 
-		// 3. Operand availability (RAW through the scoreboard).
+		// 2. Operand availability (RAW through the scoreboard).
 		if d.flags&fSrc1 != 0 {
 			if t := e.ready[d.src1]; t > issue {
 				e.stalls.Data += t - issue
@@ -1248,8 +1247,7 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 			}
 		}
 
-		// 4. Operation latency, including a load's data-cache miss. Prints
-		// ship through the uncached output port, so fMem excludes them.
+		// 3. Operation latency, and a memory access's address.
 		lat := d.lat
 		var memAddr int64
 		if d.flags&fMem != 0 {
@@ -1257,12 +1255,9 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 			if memAddr < 0 || memAddr >= memLen {
 				return fmt.Errorf("sim: pc %d (%s): address %d out of range", idx, &e.prog.Instrs[idx], memAddr)
 			}
-			if e.dcache != nil && d.flags&fLoad != 0 {
-				lat += missPenalty(e.dcache, memAddr)
-			}
 		}
 
-		// 5. Write-order (WAW).
+		// 4. Write-order (WAW).
 		if d.flags&fDst != 0 {
 			if t := e.ready[d.dst] - lat; t > issue {
 				e.stalls.Write += t - issue
@@ -1270,7 +1265,7 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 			}
 		}
 
-		// 6. Functional-unit availability (class conflicts).
+		// 5. Functional-unit availability (class conflicts).
 		best := int(d.unitOff)
 		for i := best + 1; i < int(d.unitOff)+int(d.unitLen); i++ {
 			if e.unitFree[i] < e.unitFree[best] {
@@ -1301,11 +1296,8 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 		if complete > e.lastComplete {
 			e.lastComplete = complete
 		}
-		if e.dcache != nil && d.flags&fMem != 0 && d.flags&fStore != 0 {
-			e.barrier, e.barrierIsBr = storeMiss(missPenalty(e.dcache, memAddr), issue, e.barrier, e.barrierIsBr, &e.stalls)
-		}
 
-		// 7. Execute (program order, at issue).
+		// 6. Execute (program order, at issue).
 		taken, err := e.exec(idx, d, memAddr)
 		if err != nil {
 			return err
@@ -1342,8 +1334,8 @@ func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
 	return nil
 }
 
-// The cache timing rules, shared by runFast and runInstrumented so both
-// loops charge a miss identically. Each inlines into its callers.
+// The cache timing rules of runFast, the only path that models caches. Each
+// inlines into its callers.
 
 // missPenalty accesses addr in c and returns the miss penalty in minor
 // cycles, or 0 on a hit. A load adds it to its operation latency.

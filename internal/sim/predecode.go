@@ -21,10 +21,9 @@ const (
 	// fMem marks instructions that compute a data-memory address
 	// (loads and real stores; prints ship through the output port).
 	fMem
-	// fLoad and fStore mirror OpInfo.Load / OpInfo.Store (a print is a
-	// store, but only fMem instructions access the data cache).
+	// fLoad mirrors OpInfo.Load: a load's data-cache miss adds to its
+	// latency.
 	fLoad
-	fStore
 	// fUnit marks instructions whose functional unit can actually bind:
 	// the lane scan and the issue-latency booking only matter when the
 	// unit's multiplicity is below the machine's issue width or its issue
@@ -288,9 +287,6 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 		isPrint := in.Op == isa.OpPrinti || in.Op == isa.OpPrintf
 		if info.Load {
 			f |= fLoad
-		}
-		if info.Store {
-			f |= fStore
 		}
 		if info.Load || (info.Store && !isPrint) {
 			f |= fMem

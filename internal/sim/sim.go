@@ -54,15 +54,15 @@ type Options struct {
 	// OnIssue, if set, is called for every instruction with its index in
 	// the program, its issue minor cycle and its completion minor cycle.
 	// Used by ilpsim -pipeline's issue timeline and by tests. Setting it
-	// selects the instrumented engine path, which also models the caches
-	// (no caller in the repo hooks a cache machine, but the differential
-	// suite checks it); without it and OnTrace, every run takes the fast
-	// path.
+	// selects the instrumented engine path, which models no caches: Reset
+	// rejects a hook on a machine with an I- or D-cache. Without it and
+	// OnTrace, every run takes the fast path.
 	OnIssue func(idx int, in *isa.Instr, issue, complete int64)
 	// OnTrace, if set, receives the dynamic instruction trace with the
 	// resolved data-memory address (-1 for non-memory instructions).
 	// Used by the trace-limit analysis (package trace). Setting it
-	// selects the instrumented engine path, as OnIssue does.
+	// selects the instrumented engine path, as OnIssue does, and needs a
+	// cache-free machine too.
 	OnTrace func(idx int, in *isa.Instr, addr int64)
 	// CountInstrs, if set, reports per-instruction dynamic execution and
 	// taken-exit counts in Result.InstrCounts / Result.TakenExits — the
