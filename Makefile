@@ -127,12 +127,13 @@ bench-quick:
 ilpd-smoke:
 	$(GO) test -run 'TestIlpdSmoke' -count=1 -v ./cmd/ilpd/
 
-# Fabric smoke: the full default sweep through cmd/ilpfab's sharded
-# worker processes — with SIGKILLs injected at commit points — must
-# render byte-identical to docs/ilpbench-output.txt, the same golden file
-# ilpbench and ilpd are held to. (~30 s; skipped under -short and -race.)
+# Fabric smoke: the full default sweep through `ilpbench -shards 4`'s
+# supervised worker processes — with SIGKILLs injected at commit points —
+# must render byte-identical to docs/ilpbench-output.txt, the same golden
+# file the single-process run and ilpd are held to, and merge exactly the
+# duplicates its experiments force. (~10 s; skipped under -short and -race.)
 fabric-smoke:
-	$(GO) test -run 'TestFabricGolden' -count=1 -v ./cmd/ilpfab/
+	$(GO) test -run 'TestFabricGolden' -count=1 -v ./cmd/ilpbench/
 
 # Daemon load harness: concurrent clients against an in-process daemon,
 # reporting end-to-end sweeps/sec and how much of the offered load the

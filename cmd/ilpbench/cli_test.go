@@ -162,10 +162,11 @@ func TestParseFaults(t *testing.T) {
 	}
 }
 
-// TestFlagValidation: out-of-range fault-tolerance flags are usage errors
-// (exit 1, message naming the flag) instead of being silently clamped to
-// the defaults — a negative -retries used to mean 0 and a negative
-// -max-backoff used to mean 250ms, so typos passed unnoticed.
+// TestFlagValidation: out-of-range numeric flags are usage errors (exit
+// 1, message naming the flag) instead of being silently clamped to the
+// defaults — a negative -retries used to mean 0, a negative -max-backoff
+// 250ms, a -degree below 1 the paper's 8, a negative -workers GOMAXPROCS
+// and a negative -shards one process, so typos passed unnoticed.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -173,6 +174,13 @@ func TestFlagValidation(t *testing.T) {
 		flag string
 		ok   bool
 	}{
+		{"negative degree", []string{"-degree", "-3"}, "-degree", false},
+		{"zero degree", []string{"-degree", "0"}, "-degree", false},
+		{"negative workers", []string{"-workers", "-4"}, "-workers", false},
+		{"negative shards", []string{"-shards", "-1"}, "-shards", false},
+		{"degree one ok", []string{"-degree", "1"}, "", true},
+		{"zero workers ok", []string{"-workers", "0"}, "", true},
+		{"zero shards ok", []string{"-shards", "0"}, "", true},
 		{"negative retries", []string{"-retries", "-1"}, "-retries", false},
 		{"zero timeout explicit", []string{"-timeout", "0"}, "-timeout", false},
 		{"negative timeout", []string{"-timeout", "-5s"}, "-timeout", false},

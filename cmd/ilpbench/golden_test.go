@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -44,6 +46,50 @@ func TestGoldenFullSweep(t *testing.T) {
 	}
 	t.Errorf("ilpbench all stdout drifted from %s\n%s\nregenerate with: go run ./cmd/ilpbench all > docs/ilpbench-output.txt",
 		goldenPath, firstDiff(string(want), stdout.String()))
+}
+
+// TestFabricGolden holds the sharded front end to the same golden file:
+// the full sweep over four supervised worker processes, with SIGKILLs
+// injected at commit points, must merge and render byte-identical to
+// docs/ilpbench-output.txt. This is `make fabric-smoke`. The seed makes
+// the kills land, so the sweep restarts within the default restart
+// budget.
+//
+// The merge must fold exactly 126 duplicates. fig4-6 measures linpack
+// and livermore, and abl-temps and ext-icache measure linpack, whatever
+// the benchmark subset, so each of the four shards commits those 42 cells
+// itself: 3 × 42 extra copies. Any other duplicate is a committed cell
+// that a restarted worker measured again.
+func TestFabricGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full fabric sweep skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("full fabric sweep skipped under the race detector")
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading golden file: %v", err)
+	}
+
+	storePath := filepath.Join(t.TempDir(), "r.jsonl")
+	code, out, errOut := runCLI(t, "-shards", "4", "-store", storePath,
+		"-faults", "seed=11,workerkill=0.004", "all")
+	if code != 0 {
+		t.Fatalf("ilpbench -shards 4 all exited %d\nstderr: %s", code, errOut)
+	}
+	if strings.Count(errOut, "; restarting in ") == 0 {
+		t.Errorf("kill injection caused no restarts — raise the rate or change the seed")
+	}
+	m := regexp.MustCompile(`fabric: merged 4 shard stores: \d+ cells \((\d+) duplicates`).FindStringSubmatch(errOut)
+	if m == nil {
+		t.Errorf("no merge line on stderr:\n%s", errOut)
+	} else if m[1] != "126" {
+		t.Errorf("merge folded %s duplicates, want 126 (42 forced copies per extra shard)", m[1])
+	}
+	if out != string(want) {
+		t.Errorf("fabric sweep drifted from %s\n%s", goldenPath, firstDiff(string(want), out))
+	}
 }
 
 // firstDiff locates the first differing line for a readable failure

@@ -4,7 +4,7 @@
 //
 //	ilpbench [-degree N] [-benchmarks a,b,c] [-workers N] [-timeout D]
 //	         [-store file.jsonl] [-resume] [-retries N] [-max-backoff D]
-//	         [-degrade] [-faults spec] [experiment ...]
+//	         [-degrade] [-faults spec] [-shards N] [experiment ...]
 //
 // With no experiment arguments it runs everything in paper order. Use
 // -list to see the available experiment ids.
@@ -28,6 +28,16 @@
 // killing the sweep. The exit status is 0 only for a fully clean sweep: 1
 // when an experiment failed or flags were bad, 2 when the sweep completed
 // but one or more cells degraded.
+//
+// Sharding: -shards N runs the same sweep as a crash-tolerant fabric
+// (internal/fabric). A coordinator partitions the benchmarks over N
+// supervised worker processes, re-execs of this binary as `ilpbench
+// fabric-worker`, each committing to its own shard store beside -store.
+// A worker that crashes or hangs is killed and restarted, and resumes
+// from its shard store; the coordinator then merges the shard stores into
+// -store and renders from the merge, byte-identical to the single-process
+// stdout. The -faults workerkill, workerhang and workertear sites drill
+// the recovery.
 package main
 
 import (
@@ -75,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if err := validateFlags(fs, *retries, *timeout, *maxBackoff); err != nil {
+	if err := validateFlags(fs, *degree, *workers, *shards, *retries, *timeout, *maxBackoff); err != nil {
 		fmt.Fprintf(stderr, "ilpbench: %v\n", err)
 		fs.Usage()
 		return 1
@@ -98,6 +108,25 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 		return 1
 	}
 
+	sweep := fabric.Sweep{
+		MaxDegree: *degree, Experiments: expandIDs(fs.Args()), Workers: *workers,
+		Retries: *retries, MaxBackoff: *maxBackoff, Degrade: *degrade, Faults: *faults,
+	}
+	if *benches != "" {
+		sweep.Benchmarks = strings.Split(*benches, ",")
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	// Once cancellation starts (first Ctrl-C or timeout), restore default
+	// signal handling so a second Ctrl-C terminates immediately.
+	context.AfterFunc(ctx, stop)
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+
 	if *shards > 0 {
 		// The fabric path: shard stores (not the merged store) carry the
 		// crash-resume state, so -resume has no meaning here, and the
@@ -116,12 +145,14 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 				*storePath, len(recs))
 			return 1
 		}
-		return runSharded(fs.Args(), shardedConfig{
-			shards: *shards, storePath: *storePath, degree: *degree,
-			benches: *benches, workers: *workers, retries: *retries,
-			maxBackoff: *maxBackoff, degrade: *degrade, faults: *faults,
-			timeout: *timeout, stats: *stats,
-		}, stdout, stderr)
+		self, err := os.Executable()
+		if err != nil {
+			self = os.Args[0]
+		}
+		return runSharded(ctx, fabric.Config{
+			Shards: *shards, StorePath: *storePath, Sweep: sweep,
+			WorkerArgv: []string{self, "fabric-worker"}, Log: stderr,
+		}, *stats, stdout, stderr)
 	}
 
 	var st *store.Store
@@ -138,27 +169,7 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 			return 1
 		}
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	// Once cancellation starts (first Ctrl-C or timeout), restore default
-	// signal handling so a second Ctrl-C terminates immediately.
-	context.AfterFunc(ctx, stop)
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	cfg := experiments.Config{
-		MaxDegree: *degree, Workers: *workers,
-		Retries: *retries, MaxBackoff: *maxBackoff,
-		Degrade: *degrade, Store: st, Faults: inj,
-	}
-	if *benches != "" {
-		cfg.Benchmarks = strings.Split(*benches, ",")
-	}
-	runner := experiments.NewRunner(cfg)
+	runner := experiments.NewRunner(sweep.RunnerConfig(st, inj))
 
 	// The stats and degradation accounting run on *every* exit path from
 	// here on (deferred, not dangling after the sweep loop): an early
@@ -189,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 		}
 	}()
 
-	for _, id := range expandIDs(fs.Args()) {
+	for _, id := range sweep.Experiments {
 		start := time.Now()
 		res, err := runner.RunCtx(ctx, id)
 		if err != nil {
@@ -211,86 +222,52 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 }
 
 // validateFlags rejects flag values that earlier versions silently
-// papered over (a negative retry count clamped to zero, a negative
-// backoff clamped to the default, a non-positive timeout meaning "no
-// limit"): passing them is a usage error, not a request. -timeout 0 is
-// the documented "no limit" default, so it is only rejected when the user
-// explicitly spelled it.
-func validateFlags(fs *flag.FlagSet, retries int, timeout, maxBackoff time.Duration) error {
+// papered over (a degree below 1 meaning the paper's 8, a negative
+// -workers meaning GOMAXPROCS, a negative -shards meaning one process, a
+// negative retry count clamped to zero, a negative backoff clamped to the
+// default, a non-positive timeout meaning "no limit"): passing them is a
+// usage error, not a request. -timeout 0 is the documented "no limit"
+// default, so it is only rejected when the user explicitly spelled it.
+func validateFlags(fs *flag.FlagSet, degree, workers, shards, retries int, timeout, maxBackoff time.Duration) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if retries < 0 {
+	switch {
+	case degree < 1:
+		return fmt.Errorf("-degree must be >= 1 (have %d)", degree)
+	case workers < 0:
+		return fmt.Errorf("-workers must be >= 0 (have %d); 0 means GOMAXPROCS", workers)
+	case shards < 0:
+		return fmt.Errorf("-shards must be >= 0 (have %d); 0 runs in one process", shards)
+	case retries < 0:
 		return fmt.Errorf("-retries must be >= 0 (have %d)", retries)
-	}
-	if set["timeout"] && timeout <= 0 {
+	case set["timeout"] && timeout <= 0:
 		return fmt.Errorf("-timeout must be positive (have %v); omit the flag for no limit", timeout)
-	}
-	if maxBackoff < 0 {
+	case maxBackoff < 0:
 		return fmt.Errorf("-max-backoff must be >= 0 (have %v)", maxBackoff)
 	}
 	return nil
 }
 
 // parseFaults builds the deterministic fault injector from the -faults
-// spec. The grammar lives in faultinject.Parse so ilpbench and ilpfab
-// accept identical schedules.
+// spec. The grammar lives in faultinject.Parse, which every fabric worker
+// also applies to the same spec, so a bad spec fails here before any
+// worker spawns.
 func parseFaults(spec string) (*faultinject.Injector, error) {
 	return faultinject.Parse(spec)
-}
-
-// shardedConfig carries the -shards flag bundle to runSharded.
-type shardedConfig struct {
-	shards, degree, workers, retries int
-	storePath, benches, faults       string
-	maxBackoff, timeout              time.Duration
-	degrade, stats                   bool
 }
 
 // runSharded is the -shards N path: delegate the sweep to the fabric
 // coordinator, with this same binary (re-exec'd as `ilpbench
 // fabric-worker`) as the worker. Exit codes match the single-process
 // contract: 0 clean, 1 failed, 2 completed but degraded.
-func runSharded(ids []string, sc shardedConfig, stdout, stderr io.Writer) int {
-	self, err := os.Executable()
-	if err != nil {
-		self = os.Args[0]
-	}
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = nil
-	}
-	cfg := fabric.Config{
-		Shards:      sc.shards,
-		StorePath:   sc.storePath,
-		MaxDegree:   sc.degree,
-		Experiments: ids,
-		Workers:     sc.workers,
-		Retries:     sc.retries,
-		MaxBackoff:  sc.maxBackoff,
-		Degrade:     sc.degrade,
-		Faults:      sc.faults,
-		WorkerArgv:  []string{self, "fabric-worker"},
-		Log:         stderr,
-	}
-	if sc.benches != "" {
-		cfg.Benchmarks = strings.Split(sc.benches, ",")
-	}
+func runSharded(ctx context.Context, cfg fabric.Config, stats bool, stdout, stderr io.Writer) int {
 	coord, err := fabric.New(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "ilpbench: %v\n", err)
 		return 1
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	context.AfterFunc(ctx, stop)
-	if sc.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sc.timeout)
-		defer cancel()
-	}
-
 	sum, err := coord.Run(ctx, stdout)
-	if sc.stats {
+	if stats {
 		fmt.Fprintf(stdout, "cells: %d committed, %d degraded\n", sum.Report.Cells, sum.Report.Degraded)
 		fmt.Fprintf(stderr, "fabric stats: %d shards, %d restarts, %d cells merged, %d torn tails repaired\n",
 			len(sum.Shards), sum.Restarts, sum.Merge.Records, sum.Merge.TornTails)
@@ -312,10 +289,5 @@ func expandIDs(args []string) []string {
 	if len(args) > 0 && !(len(args) == 1 && args[0] == "all") {
 		return args
 	}
-	all := experiments.Experiments()
-	ids := make([]string, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
-	}
-	return ids
+	return experiments.IDs()
 }

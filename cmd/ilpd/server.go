@@ -383,9 +383,7 @@ func (s *Server) validate(req *SweepRequest) (ids []string, timeout time.Duratio
 		ids = append(ids, id)
 	}
 	if len(ids) == 0 {
-		for _, e := range experiments.Experiments() {
-			ids = append(ids, e.ID)
-		}
+		ids = experiments.IDs()
 	}
 	for _, b := range req.Benchmarks {
 		if _, err := benchmarks.ByName(b); err != nil {

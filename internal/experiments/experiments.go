@@ -202,13 +202,15 @@ func Experiments() []Experiment {
 	return out
 }
 
-// IDs lists experiment ids.
+// IDs lists experiment ids in the paper's order, the order Experiments
+// returns them.
 func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
+	all := Experiments()
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
 	}
-	return out
+	return ids
 }
 
 // ByID finds one experiment.

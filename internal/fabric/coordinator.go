@@ -22,31 +22,16 @@ type Config struct {
 	// Shards is how many shards to partition the benchmark suite into.
 	// Capped at the benchmark count; 0 means 2.
 	Shards int
-	// Concurrency bounds simultaneously running worker processes.
-	// 0 means all shards at once.
-	Concurrency int
 	// StorePath is the final merged store. Shard stores live beside it
 	// as StorePath.shard<i>.
 	StorePath string
 
-	// MaxDegree, Benchmarks, Experiments, Workers, Retries, Degrade and
-	// the cell backoffs are forwarded to every worker's experiments
-	// config (Workers bounds sim goroutines inside one worker process).
-	MaxDegree   int
-	Benchmarks  []string
-	Experiments []string
-	Workers     int
-	Retries     int
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	Degrade     bool
-
-	// Faults is the injector spec forwarded to workers — both pipeline
-	// faults and the kill/hang/tear process faults.
-	Faults string
+	// Sweep is forwarded to every worker, with Benchmarks narrowed to the
+	// worker's shard, and runs the render pass as it is.
+	Sweep
 
 	// WorkerArgv is the command line that re-enters WorkerMain (for
-	// ilpfab: [self, "worker"]). Required.
+	// ilpbench: [self, "fabric-worker"]). Required.
 	WorkerArgv []string
 	// WorkerEnv appends to the inherited environment of each worker.
 	WorkerEnv []string
@@ -182,9 +167,11 @@ type Summary struct {
 	// Restarts is the total worker restarts across all shards.
 	Restarts int
 	// Merge describes the join of the shard stores. Merge.Duplicates is
-	// the zero-recomputation witness: disjoint shards resuming from
-	// their own stores can only produce duplicates by re-measuring a
-	// committed cell, so a crash-free-of-rework run merges with zero.
+	// half of the zero-recomputation witness, measured against the copies
+	// the sweep forces rather than against zero: every shard commits its
+	// own copy of the cells an experiment measures whatever the benchmark
+	// subset (see Shard), 42 per extra shard on the full sweep. A
+	// restarted worker that re-measured a committed cell adds one more.
 	Merge store.MergeInfo
 	// Report is the render pass's accounting. Report.Sims is the other
 	// half of the witness: the render resolves every cell from the
@@ -277,19 +264,12 @@ func (c *Coordinator) Run(ctx context.Context, w io.Writer) (Summary, error) {
 		}
 	}()
 
-	conc := c.cfg.Concurrency
-	if conc <= 0 {
-		conc = len(shards)
-	}
-	sem := make(chan struct{}, conc)
 	statuses := make([]ShardStatus, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)
 		go func(i int, sh Shard) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			statuses[i] = c.runShard(ctx, sh, i)
 		}(i, sh)
 	}
@@ -336,22 +316,9 @@ func (c *Coordinator) render(ctx context.Context, w io.Writer) (experiments.Swee
 		return experiments.SweepReport{}, fmt.Errorf("fabric: opening merged store: %w", err)
 	}
 	defer st.Close()
-	r := experiments.NewRunner(experiments.Config{
-		MaxDegree:   c.cfg.MaxDegree,
-		Workers:     c.cfg.Workers,
-		Benchmarks:  c.cfg.Benchmarks,
-		Retries:     c.cfg.Retries,
-		BaseBackoff: c.cfg.BaseBackoff,
-		MaxBackoff:  c.cfg.MaxBackoff,
-		Degrade:     c.cfg.Degrade,
-		Store:       st,
-	})
-	ids := c.cfg.Experiments
-	if len(ids) == 0 {
-		ids = canonicalIDs()
-	}
+	r := experiments.NewRunner(c.cfg.RunnerConfig(st, nil))
 	var errs []error
-	for _, id := range ids {
+	for _, id := range c.cfg.ids() {
 		res, err := r.RunCtx(ctx, id)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -420,20 +387,13 @@ func (c *Coordinator) runAttempt(ctx context.Context, sh Shard, idx, attempt int
 	}
 
 	spec := ShardSpec{
-		Shard:       sh.ID,
-		StorePath:   c.ShardStorePath(idx),
-		Benchmarks:  sh.Benchmarks,
-		Experiments: c.cfg.Experiments,
-		MaxDegree:   c.cfg.MaxDegree,
-		Workers:     c.cfg.Workers,
-		Retries:     c.cfg.Retries,
-		BaseBackoff: c.cfg.BaseBackoff,
-		MaxBackoff:  c.cfg.MaxBackoff,
-		Degrade:     c.cfg.Degrade,
-		Faults:      c.cfg.Faults,
-		Attempt:     attempt,
-		Heartbeat:   c.cfg.heartbeat(),
+		Shard:     sh.ID,
+		StorePath: c.ShardStorePath(idx),
+		Sweep:     c.cfg.Sweep,
+		Attempt:   attempt,
+		Heartbeat: c.cfg.heartbeat(),
 	}
+	spec.Benchmarks = sh.Benchmarks
 	specLine, err := json.Marshal(spec)
 	if err != nil {
 		return fail(false, true, err)

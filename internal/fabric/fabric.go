@@ -48,26 +48,68 @@ package fabric
 
 import (
 	"fmt"
+	"time"
 
 	"ilp/internal/experiments"
+	"ilp/internal/faultinject"
+	"ilp/internal/store"
 )
 
-// canonicalIDs is every experiment id in the paper's presentation order —
-// the order `ilpbench all` renders, which the fabric's rendition must
-// match byte for byte.
-func canonicalIDs() []string {
-	all := experiments.Experiments()
-	ids := make([]string, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
+// Sweep is what a fabric run forwards to every process that runs its
+// experiments: each shard worker and the coordinator's render pass.
+// Config and ShardSpec both embed it, and embedding flattens in JSON, so
+// these fields travel as top-level keys of the spec line.
+type Sweep struct {
+	// MaxDegree, Benchmarks, Workers, Retries, the backoffs and Degrade
+	// are the experiments.Config fields of the same names; Workers bounds
+	// live cells inside one process. A Config's Benchmarks is the whole
+	// suite (nil = all eight), a ShardSpec's its shard's subset.
+	MaxDegree  int      `json:"max_degree,omitempty"`
+	Benchmarks []string `json:"benchmarks"`
+	// Experiments lists the experiment ids to sweep; empty means all, in
+	// the paper's order.
+	Experiments []string      `json:"experiments,omitempty"`
+	Workers     int           `json:"workers,omitempty"`
+	Retries     int           `json:"retries,omitempty"`
+	BaseBackoff time.Duration `json:"base_backoff,omitempty"`
+	MaxBackoff  time.Duration `json:"max_backoff,omitempty"`
+	Degrade     bool          `json:"degrade,omitempty"`
+	// Faults is the fault-injector spec (faultinject.Parse grammar),
+	// covering both in-pipeline sites and the worker kill/hang/tear sites
+	// each worker consults at its live commits.
+	Faults string `json:"faults,omitempty"`
+}
+
+// RunnerConfig is the experiments.Config that runs this sweep over st,
+// with inj as its parsed Faults (nil injects nothing).
+func (s Sweep) RunnerConfig(st *store.Store, inj *faultinject.Injector) experiments.Config {
+	return experiments.Config{
+		MaxDegree:   s.MaxDegree,
+		Workers:     s.Workers,
+		Benchmarks:  s.Benchmarks,
+		Retries:     s.Retries,
+		BaseBackoff: s.BaseBackoff,
+		MaxBackoff:  s.MaxBackoff,
+		Degrade:     s.Degrade,
+		Store:       st,
+		Faults:      inj,
 	}
-	return ids
+}
+
+func (s Sweep) ids() []string {
+	if len(s.Experiments) == 0 {
+		return experiments.IDs()
+	}
+	return s.Experiments
 }
 
 // Shard is one unit of supervised work: a named subset of the benchmark
-// suite. Benchmarks partition cleanly because every cache key (compile,
-// sim, store) begins with the benchmark name — two shards can never
-// contend for, or duplicate, a cell.
+// suite. Every cache key (compile, sim, store) begins with the benchmark
+// name, so two shards never contend for a cell. They are not always
+// disjoint, though: fig4-6 measures linpack and livermore, and abl-temps
+// and ext-icache measure linpack, whatever the benchmark subset, so every
+// shard that runs those experiments commits their cells itself and the
+// merge folds the copies (see Summary.Merge).
 type Shard struct {
 	// ID names the shard ("shard0", "shard1", ...) — the key of its
 	// lease and the stem of its store file.

@@ -18,9 +18,10 @@ import (
 )
 
 // TestMain lets this test binary double as a shard worker: the
-// coordinator tests set ILP_FABRIC_WORKER=1 in the argv they spawn, and
-// the re-exec'd binary lands in WorkerMain instead of the test runner —
-// the same re-exec trick cmd/ilpfab plays with its "worker" subcommand.
+// coordinator tests set ILP_FABRIC_WORKER=1 in the environment of the
+// workers they spawn, and the re-exec'd binary lands in WorkerMain
+// instead of the test runner — the same re-exec trick ilpbench plays with
+// its "fabric-worker" subcommand.
 func TestMain(m *testing.M) {
 	if os.Getenv("ILP_FABRIC_WORKER") == "1" {
 		os.Exit(WorkerMain(os.Stdin, os.Stdout, os.Stderr))
@@ -56,12 +57,14 @@ func TestPartition(t *testing.T) {
 func testConfig(t *testing.T, dir string) Config {
 	t.Helper()
 	return Config{
-		Shards:            2,
-		StorePath:         filepath.Join(dir, "merged.jsonl"),
-		MaxDegree:         2,
-		Benchmarks:        []string{"whet", "linpack"},
-		Experiments:       []string{"fig4-1"},
-		Workers:           1,
+		Shards:    2,
+		StorePath: filepath.Join(dir, "merged.jsonl"),
+		Sweep: Sweep{
+			MaxDegree:   2,
+			Benchmarks:  []string{"whet", "linpack"},
+			Experiments: []string{"fig4-1"},
+			Workers:     1,
+		},
 		WorkerArgv:        []string{os.Args[0]},
 		WorkerEnv:         []string{"ILP_FABRIC_WORKER=1"},
 		Lease:             2 * time.Second,
@@ -71,19 +74,13 @@ func testConfig(t *testing.T, dir string) Config {
 	}
 }
 
-// singleProcess renders the same sweep in-process — the byte-identity
-// reference for every fabric run.
+// singleProcess renders the same sweep in-process, storeless and
+// fault-free — the byte-identity reference for every fabric run.
 func singleProcess(t *testing.T, cfg Config) (string, experiments.SweepReport) {
 	t.Helper()
-	r := experiments.NewRunner(experiments.Config{
-		MaxDegree: cfg.MaxDegree, Benchmarks: cfg.Benchmarks, Workers: 1,
-	})
+	r := experiments.NewRunner(cfg.RunnerConfig(nil, nil))
 	var buf bytes.Buffer
-	ids := cfg.Experiments
-	if len(ids) == 0 {
-		ids = canonicalIDs()
-	}
-	for _, id := range ids {
+	for _, id := range cfg.ids() {
 		res, err := r.RunCtx(context.Background(), id)
 		if err != nil {
 			t.Fatalf("reference run %s: %v", id, err)
@@ -254,25 +251,39 @@ func TestFabricRetriesExhausted(t *testing.T) {
 }
 
 // TestFabricPermanentFailureDoesNotRestart: a shard that can never
-// succeed (unknown benchmark) fails on its first attempt — restarting a
-// deterministic failure burns time for nothing.
+// succeed fails on its first attempt — restarting a deterministic failure
+// burns time for nothing. Two inputs reach the worker's permanent verdict:
+// an unknown benchmark fails its sweep, and an unparsable faults spec
+// fails before the worker opens its store.
 func TestFabricPermanentFailureDoesNotRestart(t *testing.T) {
-	cfg := testConfig(t, t.TempDir())
-	cfg.Benchmarks = []string{"no-such-benchmark"}
-	cfg.Shards = 1
-	sum, _, err := runFabric(t, cfg)
-	if err == nil {
-		t.Fatal("sweep of an unknown benchmark succeeded")
+	cases := []struct {
+		name  string
+		set   func(*Config)
+		cause string
+	}{
+		{"unknown benchmark", func(c *Config) { c.Benchmarks = []string{"no-such-benchmark"} }, "no-such-benchmark"},
+		{"bad faults spec", func(c *Config) { c.Faults = "bogus=1" }, "faults spec"},
 	}
-	var werr *WorkerError
-	if !errors.As(err, &werr) || !werr.Permanent {
-		t.Fatalf("unknown benchmark should be a permanent WorkerError: %v", err)
-	}
-	if sum.Shards[0].Attempts != 1 {
-		t.Fatalf("permanent failure was retried: %d attempts", sum.Shards[0].Attempts)
-	}
-	if !strings.Contains(err.Error(), "no-such-benchmark") {
-		t.Fatalf("terminal error does not name the cause: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, t.TempDir())
+			cfg.Shards = 1
+			tc.set(&cfg)
+			sum, _, err := runFabric(t, cfg)
+			if err == nil {
+				t.Fatal("a sweep that cannot succeed succeeded")
+			}
+			var werr *WorkerError
+			if !errors.As(err, &werr) || !werr.Permanent {
+				t.Fatalf("want a permanent WorkerError: %v", err)
+			}
+			if sum.Shards[0].Attempts != 1 {
+				t.Fatalf("permanent failure was retried: %d attempts", sum.Shards[0].Attempts)
+			}
+			if !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("terminal error does not name the cause %q: %v", tc.cause, err)
+			}
+		})
 	}
 }
 

@@ -26,22 +26,8 @@ type ShardSpec struct {
 	// the store's writer lock, so a not-yet-reaped predecessor cannot
 	// corrupt the shard.
 	StorePath string `json:"store"`
-	// Benchmarks is the shard's benchmark subset.
-	Benchmarks []string `json:"benchmarks"`
-	// Experiments lists the experiment ids to sweep; empty means all.
-	Experiments []string `json:"experiments,omitempty"`
-	// MaxDegree, Workers, Retries, Degrade and the backoffs parameterize
-	// the worker's experiments.Config exactly as ilpbench's flags do.
-	MaxDegree   int           `json:"max_degree,omitempty"`
-	Workers     int           `json:"workers,omitempty"`
-	Retries     int           `json:"retries,omitempty"`
-	BaseBackoff time.Duration `json:"base_backoff,omitempty"`
-	MaxBackoff  time.Duration `json:"max_backoff,omitempty"`
-	Degrade     bool          `json:"degrade,omitempty"`
-	// Faults is the fault-injector spec (faultinject.Parse grammar),
-	// covering both in-pipeline sites and the worker kill/hang/tear
-	// sites this worker consults at each live commit.
-	Faults string `json:"faults,omitempty"`
+	// Sweep is the coordinator's, with Benchmarks narrowed to the shard.
+	Sweep
 	// Attempt is the restart count: 0 for the first spawn. It feeds the
 	// injection coordinate so each restart draws a fresh fault schedule.
 	Attempt int `json:"attempt"`

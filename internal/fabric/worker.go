@@ -37,9 +37,9 @@ const (
 
 // WorkerMain is the entry point of a shard worker process: it reads one
 // ShardSpec line from stdin, sweeps the shard's cells into the shard
-// store, and streams Events to stdout. cmd/ilpfab re-execs itself into
-// this function ("ilpfab worker"), and the fabric tests re-exec the test
-// binary the same way.
+// store, and streams Events to stdout. `ilpbench -shards` re-execs its
+// own binary into this function (`ilpbench fabric-worker`), and the
+// fabric tests re-exec the test binary the same way.
 //
 // The worker is where injected process faults live: at every live cell
 // commit it consults the spec's injector at the workerkill, workerhang,
@@ -112,17 +112,7 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	r := experiments.NewRunner(experiments.Config{
-		MaxDegree:   spec.MaxDegree,
-		Workers:     spec.Workers,
-		Benchmarks:  spec.Benchmarks,
-		Retries:     spec.Retries,
-		BaseBackoff: spec.BaseBackoff,
-		MaxBackoff:  spec.MaxBackoff,
-		Degrade:     spec.Degrade,
-		Store:       st,
-		Faults:      inj,
-	})
+	r := experiments.NewRunner(spec.RunnerConfig(st, inj))
 
 	// The chaos hook: fires at each live commit, after the cell is
 	// durable. Injected deaths are the whole point of this fabric, so
@@ -154,12 +144,8 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	})
 
 	ew.send(Event{Type: EventHello, Shard: spec.Shard})
-	ids := spec.Experiments
-	if len(ids) == 0 {
-		ids = canonicalIDs()
-	}
 	var errs []error
-	for _, id := range ids {
+	for _, id := range spec.ids() {
 		if _, err := r.RunCtx(octx, id); err != nil {
 			if ctx.Err() != nil {
 				return fail(fmt.Errorf("fabric: shard cancelled: %w", context.Cause(ctx)))

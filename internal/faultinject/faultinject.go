@@ -242,8 +242,8 @@ func knownSite(site Site) bool {
 // pairs where the keys are "seed" (int64), "slowdelay" (a duration), and
 // any site name (its injection rate in [0,1]). The empty spec is the
 // production configuration: a nil injector that injects nothing. This is
-// the one parser behind ilpbench -faults, ilpfab -faults, and the fabric
-// worker spec, so every surface spells fault schedules identically.
+// the one parser behind ilpbench -faults and the fabric worker spec, so
+// every surface spells fault schedules identically.
 func Parse(spec string) (*Injector, error) {
 	if spec == "" {
 		return nil, nil
