@@ -44,6 +44,38 @@ func TestCleanSweepExitsZero(t *testing.T) {
 	if !strings.Contains(errOut, " lowerings, ") {
 		t.Fatalf("-stats cache line does not count lowerings:\n%s", errOut)
 	}
+	// tab2-1 simulates each benchmark once, on the cache-free base
+	// machine: one front, recorded by its only cell, walked by none.
+	if !strings.Contains(errOut, "path stats: 1 paths recorded, 0 runs timed by walking a path\n") {
+		t.Fatalf("-stats path line missing or wrong:\n%s", errOut)
+	}
+}
+
+// TestFullSweepPathStats: a full sweep records one path per front (the 67
+// lowerings) and walks every other cache-free run — the 363 cache-free
+// cells after each front's first plus ext-slack's 40 counted runs — at any
+// worker count.
+func TestFullSweepPathStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full ilpbench sweep skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("full ilpbench sweep skipped under the race detector")
+	}
+	for _, workers := range []string{"1", "3"} {
+		code, _, errOut := runCLI(t, "-stats", "-workers", workers, "all")
+		if code != 0 {
+			t.Fatalf("-workers %s all exited %d\nstderr: %s", workers, code, errOut)
+		}
+		for _, want := range []string{
+			"cache stats: 67 lowerings, 342 compiles (164 hits), 458 simulations (188 hits)\n",
+			"path stats: 67 paths recorded, 403 runs timed by walking a path\n",
+		} {
+			if !strings.Contains(errOut, want) {
+				t.Errorf("-workers %s: stderr lacks %q:\n%s", workers, want, errOut)
+			}
+		}
+	}
 }
 
 // TestDegradedSweepExitsNonzero drives the CLI through the fault injector:

@@ -185,6 +185,8 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 			st := runner.Stats()
 			fmt.Fprintf(stderr, "cache stats: %d lowerings, %d compiles (%d hits), %d simulations (%d hits)\n",
 				st.Lowers, st.Compiles, st.CompileHits, st.Sims, st.SimHits)
+			fmt.Fprintf(stderr, "path stats: %d paths recorded, %d runs timed by walking a path\n",
+				st.Paths, st.Walks)
 			fmt.Fprintf(stderr, "run stats: %d live simulations, %d resumed from store, %d retry waits\n",
 				rep.Sims, rep.Resumed, rep.Retries)
 			fmt.Fprintf(stderr, "predecode stats: %d artifacts built, %d simulations on shared predecode\n",

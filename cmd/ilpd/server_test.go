@@ -485,6 +485,23 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Server.Submitted != 1 || st.Server.Completed != 1 {
 		t.Errorf("server accounting wrong: %+v", st.Server)
 	}
+
+	// tab2-1's one cell recorded whet's path; fig4-1's cache-free cells of
+	// the same front walk it.
+	if st.Runner.Paths != 1 || st.Runner.Walks != 0 {
+		t.Errorf("after tab2-1: %d paths, %d walks; want 1, 0", st.Runner.Paths, st.Runner.Walks)
+	}
+	id = submit(t, ts.URL, SweepRequest{Experiments: []string{"fig4-1"}, Benchmarks: []string{"whet"}, Degree: 2})
+	waitDone(t, ts.URL, id)
+	st = fetchStatsT(t, ts.URL)
+	if st.Runner.Paths != 1 || st.Runner.Walks == 0 || st.Runner.Walks >= st.Runner.Sims {
+		t.Errorf("after fig4-1: %d paths, %d walks for %d sims; want 1 path and 0 < walks < sims",
+			st.Runner.Paths, st.Runner.Walks, st.Runner.Sims)
+	}
+	if st.Report.Paths != st.Runner.Paths || st.Report.Walks != st.Runner.Walks {
+		t.Errorf("report carries %d paths, %d walks; runner %d, %d",
+			st.Report.Paths, st.Report.Walks, st.Runner.Paths, st.Runner.Walks)
+	}
 }
 
 // TestPprofExposed: the profiling index answers.

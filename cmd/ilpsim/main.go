@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,51 +26,106 @@ import (
 	"ilp/internal/sim"
 )
 
+// machineByName parses a -machine value. Degrees must be integers ≥ 1,
+// and a name takes no more degree fields than its machine has.
 func machineByName(name string) (*machine.Config, error) {
 	parts := strings.Split(strings.ToLower(name), ":")
-	arg := func(i, def int) int {
-		if len(parts) > i {
-			if v, err := strconv.Atoi(parts[i]); err == nil {
-				return v
-			}
+	degrees := func(n int, def ...int) ([]int, error) {
+		if len(parts)-1 > n {
+			return nil, fmt.Errorf("machine %q: %s takes at most %d degree(s)", name, parts[0], n)
 		}
-		return def
+		out := append([]int(nil), def...)
+		for i, f := range parts[1:] {
+			v, err := strconv.Atoi(f)
+			if err != nil || v < 1 {
+				return nil, fmt.Errorf("machine %q: degree %q is not an integer ≥ 1", name, f)
+			}
+			out[i] = v
+		}
+		return out, nil
 	}
+	var d []int
+	var err error
 	switch parts[0] {
 	case "base", "":
-		return machine.Base(), nil
+		_, err = degrees(0)
+		return machine.Base(), err
 	case "multititan", "titan":
-		return machine.MultiTitan(), nil
+		_, err = degrees(0)
+		return machine.MultiTitan(), err
 	case "cray1", "cray-1", "cray":
-		return machine.CRAY1(), nil
-	case "superscalar", "ss":
-		return machine.IdealSuperscalar(arg(1, 4)), nil
-	case "superpipelined", "sp":
-		return machine.Superpipelined(arg(1, 4)), nil
-	case "supersuper", "ssp":
-		return machine.SuperpipelinedSuperscalar(arg(1, 2), arg(2, 2)), nil
+		_, err = degrees(0)
+		return machine.CRAY1(), err
 	case "underpipelined":
-		return machine.Underpipelined(), nil
+		_, err = degrees(0)
+		return machine.Underpipelined(), err
+	case "superscalar", "ss":
+		if d, err = degrees(1, 4); err != nil {
+			return nil, err
+		}
+		return machine.IdealSuperscalar(d[0]), nil
+	case "superpipelined", "sp":
+		if d, err = degrees(1, 4); err != nil {
+			return nil, err
+		}
+		return machine.Superpipelined(d[0]), nil
+	case "supersuper", "ssp":
+		if d, err = degrees(2, 2, 2); err != nil {
+			return nil, err
+		}
+		return machine.SuperpipelinedSuperscalar(d[0], d[1]), nil
 	}
 	return nil, fmt.Errorf("unknown machine %q", name)
 }
 
 func main() {
-	machineName := flag.String("machine", "base", "machine description (base, multititan, cray1, superscalar:N, superpipelined:M, supersuper:N:M, underpipelined)")
-	level := flag.Int("level", 4, "optimization level 0..4 (Figure 4-8's axis)")
-	unroll := flag.Int("unroll", 0, "loop unroll factor (0 = benchmark default)")
-	careful := flag.Bool("careful", false, "careful unrolling (reassociation + memory disambiguation)")
-	temps := flag.Int("temps", 0, "temporary registers per file (0 = default 16)")
-	printOut := flag.Bool("print", false, "show program output values")
-	disasm := flag.Bool("S", false, "dump disassembly instead of simulating")
-	pipeline := flag.Int("pipeline", 0, "render an issue timeline for the first N dynamic instructions")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ilpsim [flags] <benchmark|file.tl>; benchmarks:", strings.Join(benchmarks.Names(), " "))
-		os.Exit(2)
+// run is ilpsim with its arguments and output streams passed in, returning
+// the exit status: 0 on success, 1 on a bad flag value or a failed compile
+// or simulation, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ilpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machineName := fs.String("machine", "base", "machine description (base, multititan, cray1, superscalar:N, superpipelined:M, supersuper:N:M, underpipelined)")
+	level := fs.Int("level", 4, "optimization level 0..4 (Figure 4-8's axis)")
+	unroll := fs.Int("unroll", 0, "loop unroll factor (0 = benchmark default)")
+	careful := fs.Bool("careful", false, "careful unrolling (reassociation + memory disambiguation)")
+	temps := fs.Int("temps", 0, "temporary registers per file (0 = default 16)")
+	printOut := fs.Bool("print", false, "show program output values")
+	disasm := fs.Bool("S", false, "dump disassembly instead of simulating")
+	pipeline := fs.Int("pipeline", 0, "render an issue timeline for the first N dynamic instructions")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	target := flag.Arg(0)
+
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ilpsim [flags] <benchmark|file.tl>; benchmarks:", strings.Join(benchmarks.Names(), " "))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ilpsim:", err)
+		return 1
+	}
+	switch {
+	case *level < int(compiler.O0) || *level > int(compiler.O4):
+		return fail(fmt.Errorf("-level %d is outside 0..4", *level))
+	case *unroll < 0:
+		return fail(fmt.Errorf("-unroll %d is negative", *unroll))
+	case *temps < 0:
+		return fail(fmt.Errorf("-temps %d is negative", *temps))
+	case *pipeline < 0:
+		return fail(fmt.Errorf("-pipeline %d is negative", *pipeline))
+	}
+	m, err := machineByName(*machineName)
+	if err != nil {
+		return fail(err)
+	}
+	if *temps > 0 {
+		m.IntTemps, m.FPTemps = *temps, *temps
+	}
+	target := fs.Arg(0)
 
 	var src string
 	isAsm := strings.HasSuffix(target, ".s")
@@ -82,20 +138,10 @@ func main() {
 	} else {
 		data, ferr := os.ReadFile(target)
 		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "ilpsim: %q is neither a benchmark (%s) nor a readable file: %v\n",
-				target, strings.Join(benchmarks.Names(), " "), ferr)
-			os.Exit(1)
+			return fail(fmt.Errorf("%q is neither a benchmark (%s) nor a readable file: %v",
+				target, strings.Join(benchmarks.Names(), " "), ferr))
 		}
 		src = string(data)
-	}
-
-	m, err := machineByName(*machineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ilpsim:", err)
-		os.Exit(1)
-	}
-	if *temps > 0 {
-		m.IntTemps, m.FPTemps = *temps, *temps
 	}
 
 	var prog *isa.Program
@@ -103,8 +149,7 @@ func main() {
 		// Raw assembly: assemble directly, no compiler involved.
 		prog, err = isa.Assemble(src)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilpsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	} else {
 		c, cerr := compiler.Compile(src, compiler.Options{
@@ -114,14 +159,13 @@ func main() {
 			Careful: *careful,
 		})
 		if cerr != nil {
-			fmt.Fprintln(os.Stderr, "ilpsim:", cerr)
-			os.Exit(1)
+			return fail(cerr)
 		}
 		prog = c.Prog
 	}
 	if *disasm {
-		fmt.Print(prog.Disassemble())
-		return
+		fmt.Fprint(stdout, prog.Disassemble())
+		return 0
 	}
 
 	opts := sim.Options{Machine: m}
@@ -140,44 +184,44 @@ func main() {
 	}
 	res, err := sim.Run(prog, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ilpsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *pipeline > 0 {
-		fmt.Printf("issue timeline (first %d dynamic instructions, '#' = executing, minor cycles):\n", len(timeline))
+		fmt.Fprintf(stdout, "issue timeline (first %d dynamic instructions, '#' = executing, minor cycles):\n", len(timeline))
 		origin := timeline[0].issue
 		for _, s := range timeline {
 			width := int(s.complete - s.issue)
 			if width < 1 {
 				width = 1
 			}
-			fmt.Printf("  t=%4d  %s%s  @%d %s\n",
+			fmt.Fprintf(stdout, "  t=%4d  %s%s  @%d %s\n",
 				s.issue-origin,
 				strings.Repeat(" ", int(s.issue-origin)),
 				strings.Repeat("#", width),
 				s.idx, s.text)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Printf("machine:       %s (issue width %d, degree %d)\n", m.Name, m.IssueWidth, m.Degree)
-	fmt.Printf("options:       level=%s unroll=%d careful=%v\n", compiler.Level(*level), unrollFactor, *careful)
-	fmt.Printf("instructions:  %d (static %d)\n", res.Instructions, len(prog.Instrs))
-	fmt.Printf("minor cycles:  %d\n", res.MinorCycles)
-	fmt.Printf("base cycles:   %.1f\n", res.BaseCycles)
-	fmt.Printf("CPI (base):    %.3f\n", res.BaseCPI())
-	fmt.Printf("stalls:        data %d, write %d, unit %d, width %d, branch %d\n",
+	fmt.Fprintf(stdout, "machine:       %s (issue width %d, degree %d)\n", m.Name, m.IssueWidth, m.Degree)
+	fmt.Fprintf(stdout, "options:       level=%s unroll=%d careful=%v\n", compiler.Level(*level), unrollFactor, *careful)
+	fmt.Fprintf(stdout, "instructions:  %d (static %d)\n", res.Instructions, len(prog.Instrs))
+	fmt.Fprintf(stdout, "minor cycles:  %d\n", res.MinorCycles)
+	fmt.Fprintf(stdout, "base cycles:   %.1f\n", res.BaseCycles)
+	fmt.Fprintf(stdout, "CPI (base):    %.3f\n", res.BaseCPI())
+	fmt.Fprintf(stdout, "stalls:        data %d, write %d, unit %d, width %d, branch %d\n",
 		res.Stalls.Data, res.Stalls.Write, res.Stalls.Unit, res.Stalls.Width, res.Stalls.Branch)
-	fmt.Printf("class mix:\n")
+	fmt.Fprintf(stdout, "class mix:\n")
 	for cl, n := range res.ClassCounts {
 		if n > 0 {
-			fmt.Printf("  %-10s %9d (%5.1f%%)\n", isa.Class(cl), n, 100*float64(n)/float64(res.Instructions))
+			fmt.Fprintf(stdout, "  %-10s %9d (%5.1f%%)\n", isa.Class(cl), n, 100*float64(n)/float64(res.Instructions))
 		}
 	}
 	if *printOut {
-		fmt.Printf("output (%d values):\n", len(res.Output))
+		fmt.Fprintf(stdout, "output (%d values):\n", len(res.Output))
 		for _, v := range res.Output {
-			fmt.Println(" ", v)
+			fmt.Fprintln(stdout, " ", v)
 		}
 	}
+	return 0
 }

@@ -53,15 +53,17 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 	ratios := make([]float64, len(jobs))
 	err = r.runCells(ctx, jobs, func(ctx context.Context, e *sim.Engine, i int) error {
 		j := jobs[i]
-		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		c, err := r.compile(ctx, e, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}
-		// Simulated directly on the slot's engine (not through the
-		// measurement cache): the slack ratio needs the per-instruction
-		// counts, which ordinary measurements do not carry.
+		// Simulated on the slot's engine, not through the measurement
+		// cache: the slack ratio needs the per-instruction counts, which
+		// ordinary measurements do not carry. A walk folds them from its
+		// block counters as an executing run does, so the oracle below
+		// checks walked counts too.
 		res := new(sim.Result)
-		if err := e.RunIntoCtx(ctx, c.prog, sim.Options{
+		if err := r.simulate(ctx, e, j.bench, j.copts, c, sim.Options{
 			Machine: j.m, Code: c.code, CountInstrs: true,
 		}, res); err != nil {
 			return r.simFailure(ctx, j.bench, j.m, err)

@@ -108,6 +108,11 @@ type Engine struct {
 	mispaths int64
 	output   []isa.Value
 	stalls   StallBreakdown
+
+	// rec, when non-nil, records the run's control path (see Path): runFast
+	// appends to it at control transfers and trace exits only. It is set
+	// for the duration of one RecordIntoCtx call and nil on every other run.
+	rec *Path
 }
 
 // NewEngine returns an empty engine. Buffers are grown on first Reset.
@@ -120,34 +125,10 @@ func (e *Engine) Mispaths() int64 { return e.mispaths }
 // the shared predecode in opts.Code), and re-arms all run state, reusing the
 // engine's buffers.
 func (e *Engine) Reset(p *isa.Program, opts Options) error {
-	if opts.Machine == nil {
-		return fmt.Errorf("sim: no machine description")
+	memWords, stackTop, err := validate(p, opts)
+	if err != nil {
+		return err
 	}
-	cfg := opts.Machine
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if (opts.OnIssue != nil || opts.OnTrace != nil) && (cfg.ICache != nil || cfg.DCache != nil) {
-		return fmt.Errorf("sim: machine %s models caches; OnIssue and OnTrace hooks need a cache-free machine", cfg.Name)
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	memWords := opts.MemWords
-	if memWords == 0 {
-		memWords = DefaultMemWords
-	}
-	if len(p.Data) > memWords {
-		return fmt.Errorf("sim: data segment (%d words) exceeds memory (%d words)", len(p.Data), memWords)
-	}
-	stackTop := p.StackTop
-	if stackTop == 0 {
-		stackTop = int64(memWords)
-	}
-	if stackTop > int64(memWords) || stackTop <= int64(len(p.Data)) {
-		return fmt.Errorf("sim: stack top %d outside memory", stackTop)
-	}
-
 	e.resetMemory(memWords)
 	copy(e.mem, p.Data)
 	e.dataLen = len(p.Data)
@@ -155,6 +136,47 @@ func (e *Engine) Reset(p *isa.Program, opts Options) error {
 
 	e.regs = [256]int64{}
 	e.regs[isa.RSP] = stackTop
+	return e.arm(p, opts)
+}
+
+// validate checks a run's program and options, returning the memory size
+// and the initial stack pointer the run uses.
+func validate(p *isa.Program, opts Options) (memWords int, stackTop int64, err error) {
+	if opts.Machine == nil {
+		return 0, 0, fmt.Errorf("sim: no machine description")
+	}
+	cfg := opts.Machine
+	if err := cfg.Validate(); err != nil {
+		return 0, 0, fmt.Errorf("sim: %w", err)
+	}
+	if (opts.OnIssue != nil || opts.OnTrace != nil) && (cfg.ICache != nil || cfg.DCache != nil) {
+		return 0, 0, fmt.Errorf("sim: machine %s models caches; OnIssue and OnTrace hooks need a cache-free machine", cfg.Name)
+	}
+	if err := p.Validate(); err != nil {
+		return 0, 0, fmt.Errorf("sim: %w", err)
+	}
+	memWords = opts.MemWords
+	if memWords == 0 {
+		memWords = DefaultMemWords
+	}
+	if len(p.Data) > memWords {
+		return 0, 0, fmt.Errorf("sim: data segment (%d words) exceeds memory (%d words)", len(p.Data), memWords)
+	}
+	stackTop = p.StackTop
+	if stackTop == 0 {
+		stackTop = int64(memWords)
+	}
+	if stackTop > int64(memWords) || stackTop <= int64(len(p.Data)) {
+		return 0, 0, fmt.Errorf("sim: stack top %d outside memory", stackTop)
+	}
+	return memWords, stackTop, nil
+}
+
+// arm re-arms everything but the architectural state (memory and
+// registers) for a validated run: the timing state, the caches, the
+// predecoded program and the counters.
+func (e *Engine) arm(p *isa.Program, opts Options) error {
+	cfg := opts.Machine
 	e.ready = [256]int64{}
 
 	total := 0
@@ -304,7 +326,7 @@ func (e *Engine) RunIntoCtx(ctx context.Context, p *isa.Program, opts Options, r
 	if err != nil {
 		return err
 	}
-	e.fillResult(res)
+	e.fillResult(res, e.output)
 	return nil
 }
 
@@ -345,6 +367,13 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // dirty-memory tracking — updated on the engine at every store — must stay
 // accurate there.
 //
+// With e.rec set (RecordIntoCtx), the loop also records the run's control
+// path: a conditional branch's outcome or a jr's target at each control
+// transfer, and the guard outcomes a trace exit implies — O(1) per exit,
+// from the bits buildScheds precomputed, and a word at a time across a
+// stable spin's iterations. Every recorder check sits at a control
+// transfer or a trace exit, never on the straight-line path.
+//
 // stopAt makes the loop resumable: once instrs reaches it (checked at the
 // same control-transfer points as the instruction limit), the loop writes
 // all state back and returns with halted still false, and a later call picks
@@ -367,6 +396,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	if icache != nil || dcache != nil {
 		scheds = nil
 	}
+	rec := e.rec
 
 	cycle, barrier := e.cycle, e.barrier
 	inCycle := int64(e.inCycle)
@@ -569,32 +599,32 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			if regs[d.src1] == regs[d.src2] {
 				taken, next = true, int(d.target)
 			}
-			goto boundary
+			goto condBoundary
 		case isa.OpBne:
 			if regs[d.src1] != regs[d.src2] {
 				taken, next = true, int(d.target)
 			}
-			goto boundary
+			goto condBoundary
 		case isa.OpBlt:
 			if regs[d.src1] < regs[d.src2] {
 				taken, next = true, int(d.target)
 			}
-			goto boundary
+			goto condBoundary
 		case isa.OpBge:
 			if regs[d.src1] >= regs[d.src2] {
 				taken, next = true, int(d.target)
 			}
-			goto boundary
+			goto condBoundary
 		case isa.OpBle:
 			if regs[d.src1] <= regs[d.src2] {
 				taken, next = true, int(d.target)
 			}
-			goto boundary
+			goto condBoundary
 		case isa.OpBgt:
 			if regs[d.src1] > regs[d.src2] {
 				taken, next = true, int(d.target)
 			}
-			goto boundary
+			goto condBoundary
 		case isa.OpJ:
 			taken, next = true, int(d.target)
 			goto boundary
@@ -611,6 +641,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				return fmt.Errorf("sim: pc %d out of range", t)
 			}
 			taken, next = true, t
+			if rec != nil {
+				rec.targets = append(rec.targets, int32(t))
+			}
 			goto boundary
 		case opFusedAluBr:
 			// A fused ALU+conditional-branch pair. The head (this
@@ -714,6 +747,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 					bTaken = regs[bd.src1] > regs[bd.src2]
 				}
 				instrs += 2
+				if rec != nil {
+					rec.appendBit(bTaken)
+				}
 				if bTaken {
 					pc = int(bd.target)
 					exit[idx+1]++
@@ -931,6 +967,12 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		instrs++
 		continue
 
+	condBoundary:
+		// A conditional branch: record its outcome.
+		if rec != nil {
+			rec.appendBit(taken)
+		}
+
 	boundary:
 		// Control-transfer epilogue: a taken transfer ends the current
 		// contiguous run at idx and starts one at the target; an untaken
@@ -1020,6 +1062,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 					groups += k * sEx.groups
 					instrs += k * sEx.n
 					e.replays += k
+					if rec != nil {
+						rec.appendRepeat(sEx.pathBits, sEx.pathLen, k)
+					}
 					sLast := barrier - sEx.barrierOff
 					for _, w := range sEx.writes {
 						ready[w.Reg] = sLast + w.Off
@@ -1087,6 +1132,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				over = 1
 			}
 			ex := &tr.exits[exitIdx]
+			if rec != nil {
+				rec.appendBits(ex.pathBits, ex.pathLen)
+			}
 			stalls.Width += over + ex.widthStalls
 			stalls.Branch += s - (cycle + over) + ex.branchStalls
 			stalls.Data += ex.dataStalls
@@ -1549,15 +1597,16 @@ func (e *Engine) regF(reg isa.Reg) float64 {
 	return math.Float64frombits(uint64(e.regs[reg]))
 }
 
-// fillResult writes the run's result into res, reusing res.Output.
-func (e *Engine) fillResult(res *Result) {
+// fillResult writes the run's result, with output as what the program
+// printed, into res, reusing res.Output.
+func (e *Engine) fillResult(res *Result, output []isa.Value) {
 	res.Machine = e.cfg.Name
 	res.Instructions = e.instrs
 	res.IssueGroups = e.groups
 	res.MinorCycles = e.lastComplete
 	res.BaseCycles = e.cfg.BaseCycles(e.lastComplete)
 	res.ClassCounts = e.classCounts
-	res.Output = append(res.Output[:0], e.output...)
+	res.Output = append(res.Output[:0], output...)
 	res.Stalls = e.stalls
 	res.InstrCounts, res.TakenExits = nil, nil
 	if e.opts.CountInstrs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ilp/internal/isa"
 	"ilp/internal/machine"
@@ -90,6 +91,13 @@ type traceExit struct {
 	barrierOff   int64
 	writes       []statictime.RegWrite
 	jumps        []traceJump // in-trace jumps passed before this exit
+	// pathBits holds, in its low pathLen bits, the conditional-branch
+	// outcomes a run leaving here implies, in path order (bit i is the i-th
+	// guard's branch, 1 = taken): every guard before this exit passed, and
+	// this exit's own guard, if it has one, fired. A recording engine
+	// appends them in O(1) per exit (see Path).
+	pathBits uint64
+	pathLen  int64
 }
 
 // traceSched is the engine-ready form of a statictime superblock trace: a
@@ -111,6 +119,37 @@ type traceSched struct {
 	exits     []traceExit
 	checkRegs []isa.Reg
 	blocks    int // block segments covered; >1 means a stitched superblock
+
+	// guardPass holds, in bit g, the branch outcome that lets a run
+	// continue past the trace's guard g (its g-th conditional branch):
+	// untaken for a StepCond, taken for a StepCondTaken. The analyzer
+	// numbers exits in step order, so guard g leaves through exit g and
+	// the final fallthrough is the last exit, len(exits)-1, which is also
+	// the guard count. A trace covers at most 64 instructions, so its
+	// guards fit one word.
+	guardPass uint64
+}
+
+// pick selects the exit a run through t takes from the next recorded
+// branch outcomes w (bit i is the i-th next outcome; avail of them remain
+// on the path): the first guard whose outcome differs from guardPass fires,
+// and a run that passes every guard leaves through the end. It returns the
+// exit and the outcomes it consumed, or ok false when the path ends before
+// the exit is decided.
+func (t *traceSched) pick(w uint64, avail int64) (exit int, used int64, ok bool) {
+	n := int64(len(t.exits) - 1)
+	x := w ^ t.guardPass
+	if k := min(n, avail); k < 64 {
+		x &= 1<<uint(k) - 1
+	}
+	if x != 0 {
+		g := bits.TrailingZeros64(x)
+		return g, int64(g) + 1, true
+	}
+	if avail < n {
+		return 0, 0, false
+	}
+	return int(n), n, true
 }
 
 // buildScheds converts the analyzer's proven superblock traces into
@@ -162,6 +201,9 @@ func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *stati
 				kind: uint8(st.Kind), exit: int32(st.Exit), target: int32(st.Target),
 			}
 		}
+		if !ts.setGuards(t) {
+			continue // exits out of step order (cannot happen)
+		}
 		for i, ex := range t.Exits {
 			te := traceExit{
 				at: int32(ex.At), target: int32(ex.Target),
@@ -180,12 +222,48 @@ func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *stati
 			}
 			ts.exits[i] = te
 		}
+		n := len(ts.exits) - 1 // guards
+		for g := range n {
+			ex := &ts.exits[g]
+			ex.pathBits = ts.guardPass&(1<<uint(g)-1) | ^ts.guardPass&(1<<uint(g))
+			ex.pathLen = int64(g) + 1
+		}
+		end := &ts.exits[n]
+		end.pathBits = ts.guardPass
+		if n < 64 {
+			end.pathBits &= 1<<uint(n) - 1
+		}
+		end.pathLen = int64(n)
 		if out == nil {
 			out = make([]*traceSched, len(dec))
 		}
 		out[start] = ts
 	}
 	return out
+}
+
+// setGuards sets t's guardPass from the analyzer's trace and reports
+// whether its exits follow the numbering pick relies on: the g-th guard
+// step leaves through exit g, and the end step through the last exit.
+func (t *traceSched) setGuards(tr *statictime.Trace) bool {
+	g := 0
+	for _, st := range tr.Steps {
+		switch statictime.TraceStepKind(st.Kind) {
+		case statictime.StepCond, statictime.StepCondTaken:
+			if st.Exit != g || g >= 64 {
+				return false
+			}
+			if st.Kind == statictime.StepCondTaken {
+				t.guardPass |= 1 << uint(g)
+			}
+			g++
+		case statictime.StepEnd:
+			if st.Exit != g || g != len(tr.Exits)-1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // traceMatchesCode re-derives, from the predecoded program alone, the facts

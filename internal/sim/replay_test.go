@@ -6,6 +6,7 @@ package sim
 // vacuous) and that trace construction covers the cases it should.
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -231,6 +232,22 @@ func TestTraceEntryScan(t *testing.T) {
 			compareResults(t, "fast", want, got)
 			if e.replays != tc.wantReplays {
 				t.Errorf("%d trace replays, want %d", e.replays, tc.wantReplays)
+			}
+
+			// The walker makes the same entry decision from the same
+			// timing state.
+			opts := Options{Machine: cfg, Code: code}
+			path, err := NewEngine().RecordIntoCtx(context.Background(), p, opts, new(Result))
+			if err != nil {
+				t.Fatalf("record: %v", err)
+			}
+			walked := new(Result)
+			if err := e.WalkIntoCtx(context.Background(), p, path, opts, walked); err != nil {
+				t.Fatalf("walk: %v", err)
+			}
+			compareResults(t, "walk", want, walked)
+			if e.replays != tc.wantReplays {
+				t.Errorf("walk: %d trace replays, want %d", e.replays, tc.wantReplays)
 			}
 		})
 	}

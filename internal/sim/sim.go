@@ -23,6 +23,13 @@
 // is set. Engines are reusable and pooled, so repeated runs recycle the
 // memory arena instead of allocating and zeroing 16 MB per simulation. See
 // Engine.
+//
+// On a cache-free machine, semantics reach timing only through branch
+// outcomes, jr targets and faults, so a run can also be timed without
+// executing it: Engine.RecordIntoCtx records a fast-path run's control path
+// (Path), and Engine.WalkIntoCtx times any program that shares the path —
+// every schedule of one compiler front — by walking it with the fast path's
+// exact timing steps and no register, memory or micro-op semantics.
 package sim
 
 import (
