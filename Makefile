@@ -28,15 +28,16 @@ race:
 # and cond-trace side-exit tests, the runner's sweeps on its one
 # measurement path (store-backed against storeless, leaders-first claiming,
 # the bound on live cells across concurrent sweeps, and a joiner re-leading
-# a cancelled sweep's cells), the path cache (a cancelled recording led
-# again, a failed recording's joiners executing on their own, concurrent
-# sweeps sharing path entries), and one lowered program scheduled from
+# a cancelled sweep's cells), walks following a path while it is recorded,
+# the path cache (a joiner following an open recording, a cancelled
+# recording led again, a failed recording's joiners executing on their
+# own, concurrent sweeps sharing path entries), and one lowered program scheduled from
 # several goroutines with the front cache shared across them, additionally
 # run at -cpu 4 so the goroutines are genuinely concurrent even on a
 # single-core host.
 race-concurrency:
 	$(GO) test -race -count=1 ./internal/experiments/ ./internal/sim/
-	$(GO) test -race -count=1 -cpu 4 -run 'TestBatchParallel|TestCondTrace' ./internal/sim/
+	$(GO) test -race -count=1 -cpu 4 -run 'TestBatchParallel|TestCondTrace|TestWalkFollowsOpenPath|TestWalkOpenPath' ./internal/sim/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestBatched|TestWarm|TestLeadersFirst|TestLiveCellsBoundedByWorkers|TestJoinerReleadsCancelledCell|TestPath' ./internal/experiments/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestLower|TestFront' ./internal/compiler/ ./internal/experiments/
 

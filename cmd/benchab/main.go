@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	benchab [-base REV] [-pairs N] [-seconds S] [-seed N] [-scratch DIR] workload...
+//	benchab [-base REV] [-pairs N] [-seed N] [-scratch DIR] workload...
 //
-// It exports the base revision (default HEAD^) with `git archive` into a
-// directory under the scratch directory, so the base side builds from a
-// clean tree of that commit, and then runs `bash bench/run.sh --workload W
-// --seed S --seconds T --trace 0` on both sides. Pair i uses the fresh seed
+// It checks the base revision (default HEAD^) out into a fresh clone under
+// the scratch directory, so the base side builds from a clean tree of that
+// commit, and then runs `bash bench/run.sh --workload W --seed S --trace 0`
+// on both sides, at the benchmark's own run length. The clone shares the
+// repository's object store and is removed when the comparison ends; it
+// leaves nothing in the repository itself. Pair i uses the fresh seed
 // seed+i on both sides, and the side that runs first alternates from pair
 // to pair, so a drift in the host's speed lands on both sides equally. For
 // each end-to-end metric that BENCHMARK.json declares, it prints each
@@ -23,10 +25,8 @@
 package main
 
 import (
-	"archive/tar"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,14 +68,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	base := fs.String("base", "HEAD^", "git revision to compare the working tree against")
 	pairs := fs.Int("pairs", 10, "alternating base/change pairs per workload")
-	seconds := fs.Float64("seconds", 20, "timed phase of each bench run, in seconds")
 	seed := fs.Int64("seed", 1, "seed of the first pair; pair i uses seed+i on both sides")
-	scratch := fs.String("scratch", os.TempDir(), "directory to export the base revision under")
+	scratch := fs.String("scratch", os.TempDir(), "directory to check the base revision out under")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() == 0 || *pairs < 1 || *seconds <= 0 {
-		fmt.Fprintln(stderr, "usage: benchab [-base REV] [-pairs N ≥ 1] [-seconds S > 0] [-seed N] [-scratch DIR] workload...")
+	if fs.NArg() == 0 || *pairs < 1 {
+		fmt.Fprintln(stderr, "usage: benchab [-base REV] [-pairs N ≥ 1] [-seed N] [-scratch DIR] workload...")
 		return 2
 	}
 	root, err := gitOutput("", "rev-parse", "--show-toplevel")
@@ -88,17 +87,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchab:", err)
 		return 1
 	}
-	rev, err := gitOutput(root, "rev-parse", "--short", *base)
+	rev, err := gitOutput(root, "rev-parse", "--short", "--verify", *base+"^{commit}")
 	if err != nil {
 		fmt.Fprintln(stderr, "benchab:", err)
 		return 1
 	}
-	baseDir := filepath.Join(*scratch, "benchab-"+rev)
-	if err := export(root, rev, baseDir); err != nil {
+	baseDir, err := checkout(root, rev, *scratch)
+	if err != nil {
 		fmt.Fprintln(stderr, "benchab:", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "benchab: base %s exported to %s\n", rev, baseDir)
+	defer os.RemoveAll(baseDir)
+	fmt.Fprintf(stderr, "benchab: base %s checked out in %s\n", rev, baseDir)
 
 	for _, w := range fs.Args() {
 		values := map[string][]pair{}
@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			var got [2]result
 			for _, dir := range sides {
-				res, line, err := benchRun(dir, w, s, *seconds)
+				res, line, err := benchRun(dir, w, s)
 				if err != nil {
 					fmt.Fprintf(stderr, "benchab: %s seed %d in %s: %v\n", w, s, dir, err)
 					return 1
@@ -149,74 +149,29 @@ func gitOutput(dir string, args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// export writes the tree of rev into dir (which must not exist yet, or
-// already hold that export) by reading `git archive`'s tar stream.
-func export(root, rev, dir string) error {
-	if _, err := os.Stat(filepath.Join(dir, "bench", "run.sh")); err == nil {
-		return nil // exported by an earlier comparison against the same revision
-	}
-	cmd := exec.Command("git", "archive", "--format=tar", rev)
-	cmd.Dir = root
-	out, err := cmd.StdoutPipe()
+// checkout clones the repository at root into a fresh directory under
+// scratch, sharing root's object store, and checks rev out there detached.
+// The caller removes the directory.
+func checkout(root, rev, scratch string) (string, error) {
+	dir, err := os.MkdirTemp(scratch, "benchab-"+rev+"-")
 	if err != nil {
-		return err
+		return "", err
 	}
-	if err := cmd.Start(); err != nil {
-		return err
+	if _, err = gitOutput("", "clone", "--quiet", "--shared", "--no-checkout", root, dir); err == nil {
+		_, err = gitOutput(dir, "checkout", "--quiet", "--detach", rev)
 	}
-	terr := untar(out, dir)
-	if err := cmd.Wait(); err != nil {
-		return fmt.Errorf("git archive %s: %v", rev, err)
+	if err != nil {
+		os.RemoveAll(dir)
+		return "", err
 	}
-	return terr
-}
-
-// untar extracts the regular files and directories of a tar stream under
-// dir, refusing any entry that would land outside it.
-func untar(r io.Reader, dir string) error {
-	tr := tar.NewReader(r)
-	for {
-		h, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		name := filepath.Join(dir, filepath.FromSlash(h.Name))
-		if !strings.HasPrefix(name, filepath.Clean(dir)+string(os.PathSeparator)) {
-			return fmt.Errorf("archive entry %q leaves %s", h.Name, dir)
-		}
-		switch h.Typeflag {
-		case tar.TypeDir:
-			if err := os.MkdirAll(name, 0o755); err != nil {
-				return err
-			}
-		case tar.TypeReg:
-			if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
-				return err
-			}
-			f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, os.FileMode(h.Mode)&0o777)
-			if err != nil {
-				return err
-			}
-			_, err = io.Copy(f, tr)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
+	return dir, nil
 }
 
 // benchRun runs one bench invocation in the checkout at dir and returns its
 // parsed result line.
-func benchRun(dir, workload string, seed int64, seconds float64) (result, string, error) {
+func benchRun(dir, workload string, seed int64) (result, string, error) {
 	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
-		"--seed", strconv.FormatInt(seed, 10),
-		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
+		"--seed", strconv.FormatInt(seed, 10), "--trace", "0")
 	cmd.Dir = dir
 	var errb bytes.Buffer
 	cmd.Stderr = &errb

@@ -1,9 +1,11 @@
 package main
 
 import (
-	"archive/tar"
 	"bytes"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -136,14 +138,46 @@ func TestParseResultRejectsFailedRuns(t *testing.T) {
 	}
 }
 
-func TestUntarRefusesEscapes(t *testing.T) {
-	var b bytes.Buffer
-	tw := tar.NewWriter(&b)
-	body := []byte("x")
-	tw.WriteHeader(&tar.Header{Name: "../escape", Mode: 0o644, Size: 1, Typeflag: tar.TypeReg})
-	tw.Write(body)
-	tw.Close()
-	if err := untar(&b, t.TempDir()); err == nil {
-		t.Fatal("untar wrote an entry outside its directory")
+// TestCheckoutIsTheCommittedTree: the base side is rev's committed tree,
+// not the working tree's edits, in a fresh directory under scratch.
+func TestCheckoutIsTheCommittedTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	root := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		out, err := gitOutput(root, append([]string{"-c", "user.name=t", "-c", "user.email=t@t"}, args...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	git("init", "--quiet")
+	if err := os.WriteFile(filepath.Join(root, "f"), []byte("committed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("add", "f")
+	git("commit", "--quiet", "-m", "c")
+	rev := git("rev-parse", "--short", "HEAD")
+	if err := os.WriteFile(filepath.Join(root, "f"), []byte("edited"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scratch := t.TempDir()
+	dir, err := checkout(root, rev, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Dir(dir) != scratch {
+		t.Errorf("checkout in %s, want a directory under %s", dir, scratch)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "f")); err != nil || string(b) != "committed" {
+		t.Errorf("checked-out f = %q (%v), want the committed tree", b, err)
+	}
+	if _, err := checkout(root, "no-such-rev", scratch); err == nil {
+		t.Error("checkout of an unknown revision succeeded")
+	}
+	if ents, _ := os.ReadDir(scratch); len(ents) != 1 {
+		t.Errorf("scratch holds %d entries, want only the good checkout", len(ents))
 	}
 }

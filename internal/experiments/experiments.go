@@ -234,7 +234,8 @@ func ByID(id string) (Experiment, error) {
 //   - The path cache has the same key. It holds the front's control path
 //     (sim.Path), recorded by the front's first cache-free simulation while
 //     it runs; every later cache-free simulation of the front walks that
-//     path instead of executing the program (see simulate).
+//     path instead of executing the program, following the recording while
+//     it is still open (see simulate).
 //   - The compile cache is keyed by (benchmark, compiler options,
 //     machine.ScheduleFingerprint) — everything the compiler can observe.
 //     Machine variants that differ only in name or cache geometry (the §5
@@ -265,12 +266,12 @@ type Runner struct {
 type core struct {
 	mu       sync.Mutex
 	fronts   map[string]*flight[*front]
-	paths    map[string]*flight[*sim.Path]
+	paths    map[string]*sim.Path
 	compiles map[string]*flight[compiled]
 	sims     map[string]*flight[*sim.Result]
 	stats    RunnerStats
 	// pathJoins counts simulations that found their front's path entry
-	// already led (tests wait on it to know a walker is waiting).
+	// already led (tests wait on it to know a walker follows the entry).
 	pathJoins int64
 
 	// slots holds Config.Workers engines, one per worker slot. A led cell
@@ -286,10 +287,11 @@ type core struct {
 	// as if the phase itself had failed.
 	compileHook func(ctx context.Context, bench string, m *machine.Config) error
 	measureHook func(ctx context.Context, bench string, m *machine.Config) error
-	// simHook, when non-nil, runs before every cache-free simulation, with
-	// recording set when the simulation leads its front's path. Tests use
-	// it to bound a run (opts.MaxInstructions) or to stall or fail a
-	// recording; a non-nil returned error fails the simulation.
+	// simHook, when non-nil, runs before each attempt of a cache-free
+	// simulation to record or walk its front's path, with recording set
+	// when the attempt leads the path. Tests use it to bound a run
+	// (opts.MaxInstructions) or to stall or fail a recording; a non-nil
+	// returned error fails the simulation.
 	simHook func(ctx context.Context, bench string, m *machine.Config, recording bool, opts *sim.Options) error
 }
 
@@ -355,7 +357,7 @@ func NewRunner(cfg Config) *Runner {
 		Cfg: cfg,
 		core: &core{
 			fronts:   map[string]*flight[*front]{},
-			paths:    map[string]*flight[*sim.Path]{},
+			paths:    map[string]*sim.Path{},
 			compiles: map[string]*flight[compiled]{},
 			sims:     map[string]*flight[*sim.Result]{},
 			slots:    make(chan *sim.Engine, cfg.workers()),
@@ -699,7 +701,7 @@ func (r *Runner) measureAttempt(ctx context.Context, e *sim.Engine, bench string
 	if ctx.Err() != nil {
 		return nil, cause(ctx)
 	}
-	c, err := r.compile(ctx, e, bench, copts, m, ckey)
+	c, err := r.compile(ctx, bench, copts, m, ckey)
 	if err != nil {
 		return nil, err
 	}
@@ -739,44 +741,91 @@ func (r *Runner) measureAttempt(ctx context.Context, e *sim.Engine, bench string
 // simulate runs one simulation of the compiled program c on e into res.
 // A cache machine always executes it. A cache-free simulation resolves its
 // front's path entry: the first one of the front leads, recording the path
-// while it simulates; every later one waits for the entry and walks the
-// path, which gives the bit-identical result without executing the program
-// (DESIGN.md §4, "Record once, walk the rest"). If the recording failed for
-// a real reason, a later simulation executes the program, so it returns its
-// own exact error; a cancelled recording is evicted and led again.
+// while it simulates; every later one walks the path, which gives the
+// bit-identical result without executing the program (DESIGN.md §4, "Record
+// once, walk the rest"). A walk that starts while the recording runs
+// follows it, so a front's cells never wait for its whole recording. If the
+// recording failed for a real reason, a later simulation executes the
+// program, so it returns its own exact error; a cancelled recording is
+// evicted and led again.
 func (r *Runner) simulate(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, c compiled, opts sim.Options, res *sim.Result) error {
 	m := opts.Machine
 	if m.ICache != nil || m.DCache != nil {
 		return e.RunIntoCtx(ctx, c.prog, opts, res)
 	}
-	led := false
-	path, err := once(ctx, r, r.paths, frontKey(bench, copts, m), &r.pathJoins, &r.stats.Paths, func() (*sim.Path, error) {
-		led = true
+	key := frontKey(bench, copts, m)
+	for {
+		path, lead := r.pathEntry(key, c.prog)
 		if h := r.simHook; h != nil {
-			if err := h(ctx, bench, m, true, &opts); err != nil {
-				return nil, err
+			if err := h(ctx, bench, m, lead, &opts); err != nil {
+				if lead {
+					r.closePath(ctx, key, path, err)
+				}
+				return err
 			}
 		}
-		return e.RecordIntoCtx(ctx, c.prog, opts, res)
-	})
-	if led || (err != nil && isCancellation(ctx, err)) {
-		return err
-	}
-	if h := r.simHook; h != nil {
-		if err := h(ctx, bench, m, false, &opts); err != nil {
+		if lead {
+			return r.record(ctx, e, key, path, c.prog, opts, res)
+		}
+		err := e.WalkIntoCtx(ctx, c.prog, path, opts, res)
+		if err == nil {
+			r.mu.Lock()
+			r.stats.Walks++
+			r.mu.Unlock()
+			return nil
+		}
+		if !errors.Is(err, sim.ErrRecordingFailed) {
 			return err
 		}
+		r.mu.Lock()
+		evicted := r.paths[key] != path
+		r.mu.Unlock()
+		if !evicted {
+			return e.RunIntoCtx(ctx, c.prog, opts, res)
+		}
 	}
-	if err != nil {
-		return e.RunIntoCtx(ctx, c.prog, opts, res)
-	}
-	if err := e.WalkIntoCtx(ctx, c.prog, path, opts, res); err != nil {
-		return err
-	}
+}
+
+// pathEntry returns the front's path entry, creating it for the caller to
+// lead when there is none.
+func (r *Runner) pathEntry(key string, prog *isa.Program) (path *sim.Path, lead bool) {
 	r.mu.Lock()
-	r.stats.Walks++
-	r.mu.Unlock()
-	return nil
+	defer r.mu.Unlock()
+	if path := r.paths[key]; path != nil {
+		r.pathJoins++
+		return path, false
+	}
+	path = sim.NewPath(prog)
+	r.paths[key] = path
+	r.stats.Paths++
+	return path, true
+}
+
+// record simulates prog on e into res while recording the path entry it
+// leads, then closes the entry with the outcome.
+func (r *Runner) record(ctx context.Context, e *sim.Engine, key string, path *sim.Path, prog *isa.Program, opts sim.Options, res *sim.Result) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = ilperr.PanicError(v, debug.Stack())
+		}
+		r.closePath(ctx, key, path, err)
+	}()
+	return e.RecordIntoCtx(ctx, prog, opts, res, path)
+}
+
+// closePath closes a led path entry with its recording's outcome. A
+// recording that failed while ctx was done is evicted before the close
+// wakes its walks, so each of them finds the entry gone and leads it again
+// instead of inheriting the cancellation.
+func (r *Runner) closePath(ctx context.Context, key string, path *sim.Path, err error) {
+	if err != nil && ctx.Err() != nil {
+		r.mu.Lock()
+		if r.paths[key] == path {
+			delete(r.paths, key)
+		}
+		r.mu.Unlock()
+	}
+	path.Close(err)
 }
 
 // persist makes a committed cell durable. A store I/O failure (or an
@@ -870,30 +919,28 @@ func (r *Runner) simFailure(ctx context.Context, bench string, m *machine.Config
 
 // compile returns the compiled program for the key, compiling at most once.
 // Every caller runs inside a runCells cell, so the leader already holds a
-// worker slot and waiters (who hold their own slots) can never starve it;
-// e is the slot's engine, idle until the cell simulates, on which a front
-// leader runs its profiling pre-run.
+// worker slot and waiters (who hold their own slots) can never starve it.
 // A machine that fails validation fails here, before it could lead — and
 // fail — a compile entry or front it would share with valid machines:
 // neither key covers all of a description.
-func (r *Runner) compile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
+func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
 	if err := m.Validate(); err != nil {
 		return compiled{}, r.compileFailure(ctx, bench, m, err)
 	}
 	return once(ctx, r, r.compiles, ckey, &r.stats.CompileHits, &r.stats.Compiles, func() (compiled, error) {
-		return r.doCompile(ctx, e, bench, copts, m, ckey)
+		return r.doCompile(ctx, bench, copts, m, ckey)
 	})
 }
 
 // doCompile is the compile-cache miss path: it runs compileAttempt under
 // the same transient-failure retry policy as measure.
-func (r *Runner) doCompile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
+func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
 	var (
 		c   compiled
 		err error
 	)
 	for attempt := 0; ; attempt++ {
-		c, err = r.compileAttempt(ctx, e, bench, copts, m, ckey, attempt)
+		c, err = r.compileAttempt(ctx, bench, copts, m, ckey, attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
 			break
 		}
@@ -911,7 +958,7 @@ func (r *Runner) doCompile(ctx context.Context, e *sim.Engine, bench string, cop
 // hook). It takes the benchmark's front from the front cache, schedules it
 // for m, and predecodes the result with its traces specialized from the
 // front's branch profile.
-func (r *Runner) compileAttempt(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (c compiled, err error) {
+func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (c compiled, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			c, err = compiled{}, &CompileError{
@@ -940,7 +987,7 @@ func (r *Runner) compileAttempt(ctx context.Context, e *sim.Engine, bench string
 	// profile the front); its compile reuses that work.
 	var own compiled
 	fr, err := once(ctx, r, r.fronts, frontKey(bench, copts, m), nil, &r.stats.Lowers, func() (*front, error) {
-		fr, c, err := r.lower(ctx, e, b.Source, copts)
+		fr, c, err := r.lower(ctx, b.Source, copts)
 		own = c
 		return fr, err
 	})
@@ -983,15 +1030,15 @@ func (r *Runner) compileAttempt(ctx context.Context, e *sim.Engine, bench string
 // lower is the front-cache miss path. It lowers src for the register split
 // of copts.Machine, schedules and predecodes the result for that machine,
 // and records the front's branch profile with a short budgeted pre-run of
-// that code on e; the scheduled program and its predecode are returned for
-// the leader's own compile. One profile serves every machine sharing the
+// that code; the scheduled program and its predecode are returned for the
+// leader's own compile. One profile serves every machine sharing the
 // front: the scheduler permutes instructions only within regions bounded
 // by block leaders and control transfers, so every branch keeps its pc,
 // and the counts are architectural. Profiling is best-effort — a pre-run
 // that errors leaves the profile nil, and a wrong profile could cost speed,
 // never timing — but a cancelled pre-run fails the front, so a truncated
 // profile is never published.
-func (r *Runner) lower(ctx context.Context, e *sim.Engine, src string, copts compiler.Options) (*front, compiled, error) {
+func (r *Runner) lower(ctx context.Context, src string, copts compiler.Options) (*front, compiled, error) {
 	low, err := compiler.Lower(src, copts)
 	if err != nil {
 		return nil, compiled{}, err
@@ -1005,7 +1052,7 @@ func (r *Runner) lower(ctx context.Context, e *sim.Engine, src string, copts com
 		return nil, compiled{}, err
 	}
 	fr := &front{low: low}
-	prof, err := e.Profile(ctx, code, 0, 0)
+	prof, err := sim.ProfileRun(ctx, code, 0, 0)
 	if err == nil {
 		fr.prof = prof
 	} else if isCancellation(ctx, err) {

@@ -44,9 +44,9 @@ func runExtLimits(ctx context.Context, r *Runner) (*Result, error) {
 		cells[i] = jobs[2*i]
 	}
 	lims := make([]*trace.Limits, len(suite))
-	err = r.runCells(ctx, cells, func(ctx context.Context, e *sim.Engine, i int) error {
+	err = r.runCells(ctx, cells, func(ctx context.Context, _ *sim.Engine, i int) error {
 		j := cells[i]
-		c, err := r.compile(ctx, e, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,10 @@
 // path_test.go pins the path cache: a front's first cache-free simulation
 // records its control path and every later one walks it to the result a
-// direct simulation gives; a recording that fails for a real reason sends
-// later simulations back to executing, each with its own error; a
-// cancelled recording is evicted and led again; and concurrent sweeps share
-// path entries. Run with -race -cpu 4.
+// direct simulation gives, following the recording while it runs; a
+// recording that fails for a real reason sends later simulations back to
+// executing, each with its own error; a cancelled recording is evicted and
+// led again; and concurrent sweeps share path entries. Run with -race -cpu
+// 4.
 package experiments
 
 import (
@@ -77,6 +78,49 @@ func TestPathSweepWalks(t *testing.T) {
 	st := r.Stats()
 	if st.Paths != int64(fronts) || st.Walks != int64(cells-fronts) {
 		t.Errorf("Paths = %d, Walks = %d; want %d and %d", st.Paths, st.Walks, fronts, cells-fronts)
+	}
+}
+
+// TestPathJoinerFollowsOpenRecording: a cell that joins its front's path
+// entry while the recording has not even started walks the open path,
+// following the recording instead of waiting for all of it, and ends with
+// a direct simulation's result.
+func TestPathJoinerFollowsOpenRecording(t *testing.T) {
+	jobs := sweepJobs("grr", 2)
+	r := NewRunner(Config{Workers: 2})
+	r.simHook = func(_ context.Context, _ string, _ *machine.Config, recording bool, _ *sim.Options) error {
+		if !recording {
+			return nil
+		}
+		deadline := time.Now().Add(promptBound)
+		for {
+			r.mu.Lock()
+			n := r.pathJoins
+			r.mu.Unlock()
+			if n >= 1 {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				return errors.New("no cell joined the open path entry")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	res, err := r.measureMany(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		want, err := directRun(t, j, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[i], want) {
+			t.Errorf("%s: runner's result differs from a direct simulation", j.m.Name)
+		}
+	}
+	if st := r.Stats(); st.Paths != 1 || st.Walks != 1 {
+		t.Errorf("Paths = %d, Walks = %d; want 1 and 1", st.Paths, st.Walks)
 	}
 }
 

@@ -110,8 +110,9 @@ type Engine struct {
 	stalls   StallBreakdown
 
 	// rec, when non-nil, records the run's control path (see Path): runFast
-	// appends to it at control transfers and trace exits only. It is set
-	// for the duration of one RecordIntoCtx call and nil on every other run.
+	// appends to it at control transfers and trace exits and publishes it
+	// at polls. It is set for the duration of one RecordIntoCtx call and nil
+	// on every other run.
 	rec *Path
 }
 
@@ -371,8 +372,9 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // path: a conditional branch's outcome or a jr's target at each control
 // transfer, and the guard outcomes a trace exit implies — O(1) per exit,
 // from the bits buildScheds precomputed, and a word at a time across a
-// stable spin's iterations. Every recorder check sits at a control
-// transfer or a trace exit, never on the straight-line path.
+// stable spin's iterations — and publishes it to following walks at each
+// poll. Every recorder check sits at a control transfer, a trace exit or a
+// poll, never on the straight-line path.
 //
 // stopAt makes the loop resumable: once instrs reaches it (checked at the
 // same control-transfer points as the instruction limit), the loop writes
@@ -1085,6 +1087,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				if exitIdx < 0 {
 					skipCheck = true
 					if instrs >= checkAt {
+						if rec != nil {
+							rec.publish()
+						}
 						if instrs >= maxInstrs {
 							return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
 						}
@@ -1170,6 +1175,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				stableIdx = exitIdx
 			}
 			if instrs >= checkAt {
+				if rec != nil {
+					rec.publish()
+				}
 				if instrs >= maxInstrs {
 					return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
 				}
@@ -1186,6 +1194,9 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		}
 		skipCheck = false
 		if instrs >= checkAt {
+			if rec != nil {
+				rec.publish()
+			}
 			if instrs >= maxInstrs {
 				return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
 			}

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"ilp/internal/isa"
 )
@@ -16,23 +18,117 @@ import (
 // path: every schedule of one compiler front does, since the scheduler
 // permutes instructions only within blocks and never moves a branch.
 //
-// A Path is immutable once recorded and may back any number of concurrent
-// walks.
+// A Path is open from NewPath until Close. Walks may start on an open path:
+// a walk follows the recording as the recording run publishes it, at its
+// polls, and waits whenever it catches up. A closed path is immutable and
+// may back any number of concurrent walks.
 type Path struct {
+	// Written by the recording run only; walks read pub.
 	bits    []uint64 // branch outcomes, bit i of the path at bits[i/64] bit i%64
 	n       int64    // branch outcomes recorded
 	targets []int32  // jr targets in path order
 	output  []isa.Value
-	// instrs is the static length of the recorded program, which every
-	// program sharing the path has too.
-	instrs int
+	// instrs is the static length of the program the path is for, which
+	// every program sharing the path has too.
+	instrs  int
+	started bool
+
+	mu    sync.Mutex
+	pub   pathView      // the part of the path walks may read
+	grown chan struct{} // closed at the next publish; made by a waiting walk
 }
 
-// Branches returns the number of conditional-branch outcomes on the path.
-func (p *Path) Branches() int64 { return p.n }
+// pathView is the part of a path a walk may read without locking: whole
+// words of outcomes while the path is open (the recording still writes the
+// last, partial word), and all of it once the path is closed.
+type pathView struct {
+	bits    []uint64
+	n       int64
+	targets []int32
+	closed  bool
+	failed  bool
+}
 
-// Jumps returns the number of indirect-jump targets on the path.
-func (p *Path) Jumps() int { return len(p.targets) }
+// ErrRecordingFailed is the error of a walk whose path was closed with a
+// failed recording. The path's prefix holds no verdict on the walked
+// program: executing it is the way to learn its own outcome.
+var ErrRecordingFailed = errors.New("sim: the walked path's recording failed")
+
+// NewPath returns an open, empty path for recording a run of p.
+func NewPath(p *isa.Program) *Path { return &Path{instrs: len(p.Instrs)} }
+
+// publish makes what the recording has appended so far readable by walks
+// and wakes the walks that wait for it.
+func (p *Path) publish() {
+	whole := p.n >> 6
+	p.mu.Lock()
+	p.pub = pathView{bits: p.bits[:whole], n: whole << 6, targets: p.targets}
+	p.wake()
+	p.mu.Unlock()
+}
+
+// wake releases the walks waiting on p.grown; p.mu is held.
+func (p *Path) wake() {
+	if p.grown != nil {
+		close(p.grown)
+		p.grown = nil
+	}
+}
+
+// Close closes the path, from the goroutine that recorded it: err is the
+// recording's failure, nil when the recording run succeeded. Walks then
+// read the rest of the path, or fail with ErrRecordingFailed. A failed
+// path keeps none of what it recorded.
+func (p *Path) Close(err error) {
+	p.mu.Lock()
+	if err != nil {
+		p.bits, p.n, p.targets, p.output = nil, 0, nil, nil
+	}
+	p.pub = pathView{bits: p.bits, n: p.n, targets: p.targets, closed: true, failed: err != nil}
+	p.wake()
+	p.mu.Unlock()
+}
+
+// view returns the part of the path a walk may read now.
+func (p *Path) view() pathView {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pub
+}
+
+// more extends v, the view of path of a walk that has retired instrs
+// instructions, blocking until the recording publishes more of the path or
+// closes it. It fails with ErrRecordingFailed if the recording failed, with
+// errPathEnded if the path is closed with nothing past v, and with the
+// context's error if ctx is done first.
+func (v *pathView) more(ctx context.Context, path *Path, instrs int64) error {
+	for {
+		path.mu.Lock()
+		pub := path.pub
+		if pub.n > v.n || len(pub.targets) > len(v.targets) || pub.closed != v.closed {
+			path.mu.Unlock()
+			*v = pub
+			if pub.failed {
+				return ErrRecordingFailed
+			}
+			return nil
+		}
+		if pub.closed {
+			path.mu.Unlock()
+			return errPathEnded(instrs)
+		}
+		if path.grown == nil {
+			path.grown = make(chan struct{})
+		}
+		grown := path.grown
+		path.mu.Unlock()
+		select {
+		case <-grown:
+		case <-ctx.Done():
+			return ctxErr(ctx)
+		}
+	}
+}
 
 // appendBits appends the low n (≤ 64) bits of v, which has no higher bit
 // set, in O(1).
@@ -90,16 +186,16 @@ func (p *Path) appendRepeat(v uint64, n, k int64) {
 	}
 }
 
-// peek returns the up to 64 branch outcomes from position pos on, bit i
-// being the outcome at pos+i; bits past the end of the path read 0.
-func (p *Path) peek(pos int64) uint64 {
+// peek returns the up to 64 branch outcomes of bits from position pos on,
+// bit i being the outcome at pos+i; bits past the end of the slice read 0.
+func peek(bits []uint64, pos int64) uint64 {
 	i, off := pos>>6, uint(pos&63)
-	if i >= int64(len(p.bits)) {
+	if i >= int64(len(bits)) {
 		return 0
 	}
-	w := p.bits[i] >> off
-	if off != 0 && i+1 < int64(len(p.bits)) {
-		w |= p.bits[i+1] << (64 - off)
+	w := bits[i] >> off
+	if off != 0 && i+1 < int64(len(bits)) {
+		w |= bits[i+1] << (64 - off)
 	}
 	return w
 }
@@ -118,23 +214,37 @@ func timingOnly(opts Options) error {
 }
 
 // RecordIntoCtx is RunIntoCtx on a cache-free, hook-free machine that also
-// records the run's control path. The run itself is an ordinary fast-path
+// records the run's control path into path, an open path from NewPath for
+// p's length that nothing has recorded into yet, and publishes it to
+// following walks as the run goes. The run itself is an ordinary fast-path
 // run, and res is exactly what RunIntoCtx would fill; the recorder appends
-// only at control transfers and trace exits. A run that fails records no
-// path.
-func (e *Engine) RecordIntoCtx(ctx context.Context, p *isa.Program, opts Options, res *Result) (*Path, error) {
+// only at control transfers and trace exits. RecordIntoCtx leaves path
+// open: the caller closes it with the returned error.
+func (e *Engine) RecordIntoCtx(ctx context.Context, p *isa.Program, opts Options, res *Result, path *Path) error {
 	if err := timingOnly(opts); err != nil {
-		return nil, err
+		return err
 	}
-	path := &Path{instrs: len(p.Instrs)}
+	if path == nil || path.instrs != len(p.Instrs) || path.started {
+		return fmt.Errorf("sim: path is not an unrecorded path for a program of %d instructions", len(p.Instrs))
+	}
+	path.started = true
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ctx.Done() == nil {
+		// The fast path polls, and so publishes, only under a pollable
+		// context.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	e.rec = path
 	defer func() { e.rec = nil }() // a panicking run must not leave a reused engine recording
-	err := e.RunIntoCtx(ctx, p, opts, res)
-	if err != nil {
-		return nil, err
+	if err := e.RunIntoCtx(ctx, p, opts, res); err != nil {
+		return err
 	}
 	path.output = append([]isa.Value(nil), res.Output...)
-	return path, nil
+	return nil
 }
 
 // WalkIntoCtx times p on a cache-free, hook-free machine from the recorded
@@ -144,9 +254,11 @@ func (e *Engine) RecordIntoCtx(ctx context.Context, p *isa.Program, opts Options
 // and each jr's target off the path, picks a trace's exit by reading one
 // outcome per guard, and copies the recorded output. res is then
 // bit-identical to what RunIntoCtx would fill for every program that shares
-// the path, InstrCounts and TakenExits included. A walk fails if the path
-// runs out, or has outcomes or targets left over at halt, and fails on the
-// instruction limit and on cancellation exactly where runFast would.
+// the path, InstrCounts and TakenExits included. On an open path the walk
+// follows the recording, waiting whenever it catches up. A walk fails if
+// the path runs out, or has outcomes or targets left over at halt; it fails
+// with ErrRecordingFailed if the path's recording failed; and it fails on
+// the instruction limit and on cancellation exactly where runFast would.
 func (e *Engine) WalkIntoCtx(ctx context.Context, p *isa.Program, path *Path, opts Options, res *Result) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -163,6 +275,10 @@ func (e *Engine) WalkIntoCtx(ctx context.Context, p *isa.Program, path *Path, op
 	if path == nil || path.instrs != len(p.Instrs) {
 		return fmt.Errorf("sim: path was not recorded from a program of %d instructions", len(p.Instrs))
 	}
+	v := path.view()
+	if v.failed {
+		return ErrRecordingFailed
+	}
 	// Memory and registers are left as the last executing run left them:
 	// the walk reads neither, and the next Reset clears what that run
 	// dirtied.
@@ -173,7 +289,7 @@ func (e *Engine) WalkIntoCtx(ctx context.Context, p *isa.Program, path *Path, op
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstructions
 	}
-	if err := e.walk(ctx, path, maxInstrs); err != nil {
+	if err := e.walk(ctx, path, &v, maxInstrs); err != nil {
 		return err
 	}
 	e.fillResult(res, path.output)
@@ -187,9 +303,11 @@ func errPathEnded(instrs int64) error {
 
 // walk is runFast without semantics, on a cache-free machine: the same
 // issue steps, trace entry and exit bookkeeping and poll points, with every
-// control decision read off path. The comments in runFast explain each
-// step; here they note only where the two differ.
-func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
+// control decision read off path through v, the walk's view of it, which
+// grows (v.more) only where the walk catches up with an open path. The
+// comments in runFast explain each step; here they note only where the
+// two differ.
+func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup
 	redirect := int64(e.cfg.BranchRedirect)
@@ -198,8 +316,7 @@ func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
 	ready := &e.ready
 	enter, exit := e.enter, e.exit
 	scheds := e.scheds
-	bits, nbits := path.bits, path.n
-	targets := path.targets
+	bits, nbits, targets := v.bits, v.n, v.targets
 	var pos int64 // next branch outcome
 	var tpos int  // next jr target
 
@@ -279,8 +396,11 @@ func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
 		// switch, and control transfers read their outcome off the path.
 		switch d.fop {
 		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt:
-			if pos >= nbits {
-				return errPathEnded(instrs)
+			for pos >= nbits {
+				if err := v.more(ctx, path, instrs); err != nil {
+					return err
+				}
+				bits, nbits, targets = v.bits, v.n, v.targets
 			}
 			if bits[pos>>6]>>uint(pos&63)&1 != 0 {
 				taken, next = true, int(d.target)
@@ -291,8 +411,11 @@ func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
 			taken, next = true, int(d.target)
 			goto boundary
 		case isa.OpJr:
-			if tpos >= len(targets) {
-				return errPathEnded(instrs)
+			for tpos >= len(targets) {
+				if err := v.more(ctx, path, instrs); err != nil {
+					return err
+				}
+				bits, nbits, targets = v.bits, v.n, v.targets
 			}
 			t := int(targets[tpos])
 			tpos++
@@ -329,8 +452,11 @@ func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
 				}
 				lastComplete = max(lastComplete, issueB+bd.lat)
 
-				if pos >= nbits {
-					return errPathEnded(instrs)
+				for pos >= nbits {
+					if err := v.more(ctx, path, instrs); err != nil {
+						return err
+					}
+					bits, nbits, targets = v.bits, v.n, v.targets
 				}
 				bTaken := bits[pos>>6]>>uint(pos&63)&1 != 0
 				pos++
@@ -431,9 +557,13 @@ func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
 				kMax := (checkAt - instrs + sEx.n - 1) / sEx.n
 				var k int64
 				for {
-					x, used, ok := tr.pick(path.peek(pos), nbits-pos)
+					x, used, ok := tr.pick(peek(bits, pos), nbits-pos)
 					if !ok {
-						return errPathEnded(instrs + k*sEx.n)
+						if err := v.more(ctx, path, instrs+k*sEx.n); err != nil {
+							return err
+						}
+						bits, nbits, targets = v.bits, v.n, v.targets
+						continue
 					}
 					pos += used
 					if exitIdx = x; exitIdx != stableIdx {
@@ -498,9 +628,13 @@ func (e *Engine) walk(ctx context.Context, path *Path, maxInstrs int64) error {
 				if !ok {
 					break
 				}
-				x, used, ok := tr.pick(path.peek(pos), nbits-pos)
-				if !ok {
-					return errPathEnded(instrs)
+				x, used, ok := tr.pick(peek(bits, pos), nbits-pos)
+				for !ok {
+					if err := v.more(ctx, path, instrs); err != nil {
+						return err
+					}
+					bits, nbits, targets = v.bits, v.n, v.targets
+					x, used, ok = tr.pick(peek(bits, pos), nbits-pos)
 				}
 				pos += used
 				exitIdx = x
@@ -574,9 +708,14 @@ out:
 	e.lastComplete = lastComplete
 	e.instrs, e.groups = instrs, groups
 	e.stalls = stalls
-	if pos != nbits || tpos != len(targets) {
+	for !v.closed {
+		if err := v.more(ctx, path, instrs); err != nil {
+			return err
+		}
+	}
+	if pos != v.n || tpos != len(v.targets) {
 		return fmt.Errorf("sim: program halted with %d branch outcomes and %d jump targets of its recorded path left over",
-			nbits-pos, len(targets)-tpos)
+			v.n-pos, len(v.targets)-tpos)
 	}
 	e.foldCounts()
 	return nil

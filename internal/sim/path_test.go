@@ -13,8 +13,10 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ilp/internal/benchmarks"
 	"ilp/internal/compiler"
@@ -53,12 +55,24 @@ func specialized(t *testing.T, p *isa.Program, cfg *machine.Config) *Code {
 	return spec
 }
 
+// recordPath records p's path on e and closes it, returning no path if the
+// recording failed.
+func recordPath(e *Engine, p *isa.Program, opts Options, res *Result) (*Path, error) {
+	path := NewPath(p)
+	err := e.RecordIntoCtx(context.Background(), p, opts, res, path)
+	path.Close(err)
+	if err != nil {
+		return nil, err
+	}
+	return path, nil
+}
+
 // record records p's path on a dedicated engine and checks the recording
 // run's own result against want.
 func record(t *testing.T, p *isa.Program, opts Options, want *Result) *Path {
 	t.Helper()
 	res := new(Result)
-	path, err := NewEngine().RecordIntoCtx(context.Background(), p, opts, res)
+	path, err := recordPath(NewEngine(), p, opts, res)
 	if err != nil {
 		t.Fatalf("record on %s: %v", opts.Machine.Name, err)
 	}
@@ -87,10 +101,15 @@ func walkChecked(t *testing.T, e *Engine, label string, p *isa.Program, path *Pa
 	compareCounts(t, label+" counted", runChecked(t, NewEngine(), "counted fast", p, copts), counted)
 }
 
-// reduced reports a run that should cover less: -short, or the race
-// detector, under which the walker's single-goroutine differential runs
-// gain nothing but time.
-func reduced() bool { return testing.Short() || raceEnabled }
+// skipUnderRace skips a single-goroutine differential test under the race
+// detector, where it would gain nothing but time; the plain build runs it
+// in full.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("single-goroutine differential test skipped under the race detector")
+	}
+}
 
 // TestWalkMatchesReference records each golden benchmark's path on one
 // cache-free machine of diffMachines and walks every cache-free machine's
@@ -98,8 +117,9 @@ func reduced() bool { return testing.Short() || raceEnabled }
 // each walk must equal the seed reference engine on that machine, counts
 // included. A reduced run keeps base, a superscalar and the superpipeline.
 func TestWalkMatchesReference(t *testing.T) {
+	skipUnderRace(t)
 	cfgs := cacheFree(diffMachines())
-	if reduced() {
+	if testing.Short() {
 		cfgs = []*machine.Config{machine.Base(), machine.IdealSuperscalar(4), machine.Superpipelined(4)}
 	}
 	e := NewEngine()
@@ -138,8 +158,9 @@ func TestWalkMatchesReference(t *testing.T) {
 // TestDifferentialRandomCFG on one cache-free machine and walks it on every
 // cache-free fuzz machine, units that bind included.
 func TestWalkRandomCFG(t *testing.T) {
+	skipUnderRace(t)
 	seeds := 16
-	if reduced() {
+	if testing.Short() {
 		seeds = 4
 	}
 	cfgs := cacheFree(fuzzMachines())
@@ -172,6 +193,7 @@ func TestWalkRandomCFG(t *testing.T) {
 // and O4 (default unrolling), plus careful linpack and livermore. A
 // reduced run checks the O4 fronts on four of the presets.
 func TestFrontInvariance(t *testing.T) {
+	skipUnderRace(t)
 	cfgs := []*machine.Config{
 		machine.Base(), machine.IdealSuperscalar(8), machine.Superpipelined(8), machine.CRAY1(),
 		machine.IdealSuperscalar(2), machine.Superpipelined(3),
@@ -181,7 +203,7 @@ func TestFrontInvariance(t *testing.T) {
 		machine.MultiTitan(),
 		machine.CRAY1Issue(4, true),
 	}
-	if reduced() {
+	if testing.Short() {
 		cfgs = cfgs[:4]
 	}
 	type front struct {
@@ -191,7 +213,7 @@ func TestFrontInvariance(t *testing.T) {
 	var fronts []front
 	for _, b := range benchmarks.All() {
 		for _, lvl := range []compiler.Level{compiler.O0, compiler.O4} {
-			if lvl == compiler.O0 && reduced() {
+			if lvl == compiler.O0 && testing.Short() {
 				continue
 			}
 			fronts = append(fronts, front{b, compiler.Options{Level: lvl, Unroll: b.DefaultUnroll}})
@@ -219,13 +241,13 @@ func TestFrontInvariance(t *testing.T) {
 						t.Fatalf("schedule for %s: %v", cfg.Name, err)
 					}
 					res := new(Result)
-					path, err := e.RecordIntoCtx(context.Background(), sc.Prog, Options{Machine: cfg}, res)
+					path, err := recordPath(e, sc.Prog, Options{Machine: cfg}, res)
 					if err != nil {
 						t.Fatalf("record on %s: %v", cfg.Name, err)
 					}
 					if first == nil {
 						first, firstRes = path, res
-						if path.Branches() == 0 {
+						if path.n == 0 {
 							t.Fatalf("%s recorded no branch outcomes", cfg.Name)
 						}
 						continue
@@ -233,7 +255,7 @@ func TestFrontInvariance(t *testing.T) {
 					label := fmt.Sprintf("%s noSchedule=%v", cfg.Name, noSched)
 					if !samePath(path, first) {
 						t.Errorf("%s: path (%d outcomes, %d targets) differs from %s's (%d, %d)",
-							label, path.Branches(), path.Jumps(), cfgs[0].Name, first.Branches(), first.Jumps())
+							label, path.n, len(path.targets), cfgs[0].Name, first.n, len(first.targets))
 					}
 					if res.Instructions != firstRes.Instructions || res.ClassCounts != firstRes.ClassCounts {
 						t.Errorf("%s: %d instructions, mix %v; want %d, %v", label,
@@ -256,7 +278,7 @@ func samePath(p, q *Path) bool {
 func loopPath(t *testing.T, n int64) (*isa.Program, *Path) {
 	t.Helper()
 	p := tightLoop(n)
-	path, err := NewEngine().RecordIntoCtx(context.Background(), p, Options{Machine: machine.Base()}, new(Result))
+	path, err := recordPath(NewEngine(), p, Options{Machine: machine.Base()}, new(Result))
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -277,22 +299,20 @@ func callPath(t *testing.T) (*isa.Program, *Path) {
 	b.Imm(isa.OpAddi, isa.R(10), isa.R(10), 1)
 	b.Ret()
 	p := b.MustFinish()
-	path, err := NewEngine().RecordIntoCtx(context.Background(), p, Options{Machine: machine.Base()}, new(Result))
+	path, err := recordPath(NewEngine(), p, Options{Machine: machine.Base()}, new(Result))
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	if path.Jumps() != 2 {
-		t.Fatalf("recorded %d jr targets, want 2", path.Jumps())
+	if len(path.targets) != 2 {
+		t.Fatalf("recorded %d jr targets, want 2", len(path.targets))
 	}
 	return p, path
 }
 
-// clonePath copies a path's slices so a test may damage the copy.
+// clonePath copies a closed path's recording into a new, open path, which
+// a test may damage before closing it.
 func clonePath(p *Path) *Path {
-	q := *p
-	q.bits = append([]uint64(nil), p.bits...)
-	q.targets = append([]int32(nil), p.targets...)
-	return &q
+	return &Path{bits: slices.Clone(p.bits), n: p.n, targets: slices.Clone(p.targets), output: p.output, instrs: p.instrs}
 }
 
 func TestWalkRejectsMismatchedPath(t *testing.T) {
@@ -309,6 +329,9 @@ func TestWalkRejectsMismatchedPath(t *testing.T) {
 	noTarget.targets = noTarget.targets[:1]
 	extraTarget := clonePath(cpath)
 	extraTarget.targets = append(extraTarget.targets, extraTarget.targets[0])
+	for _, q := range []*Path{short, extra, noTarget, extraTarget} {
+		q.Close(nil)
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -346,7 +369,7 @@ func TestRecordAndWalkRejectCachesAndHooks(t *testing.T) {
 	hook := Options{Machine: machine.Base(), OnIssue: func(int, *isa.Instr, int64, int64) {}}
 	cached := Options{Machine: ss4Caches()}
 	for _, opts := range []Options{hook, cached} {
-		if _, err := NewEngine().RecordIntoCtx(context.Background(), p, opts, new(Result)); err == nil {
+		if _, err := recordPath(NewEngine(), p, opts, new(Result)); err == nil {
 			t.Errorf("record on %s (hook %v) was not rejected", opts.Machine.Name, opts.OnIssue != nil)
 		}
 		if err := NewEngine().WalkIntoCtx(context.Background(), p, path, opts, new(Result)); err == nil {
@@ -403,14 +426,128 @@ func TestWalkCancelInsideLoop(t *testing.T) {
 }
 
 // TestRecordingFailsWithRunError: a recording whose run fails returns the
-// run's own error and no path.
+// run's own error, and a walk of the path it closes fails with
+// ErrRecordingFailed.
 func TestRecordingFailsWithRunError(t *testing.T) {
 	p := endlessLoop()
-	opts := Options{Machine: machine.Base(), MaxInstructions: 1 << 16}
+	opts := Options{Machine: machine.Base(), MaxInstructions: 1 << 18}
 	_, want := Run(p, opts)
-	path, err := NewEngine().RecordIntoCtx(context.Background(), p, opts, new(Result))
-	if path != nil || err == nil || want == nil || err.Error() != want.Error() {
-		t.Fatalf("record returned (%v, %v), want (nil, %v)", path, err, want)
+	path := NewPath(p)
+	err := NewEngine().RecordIntoCtx(context.Background(), p, opts, new(Result), path)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("record returned %v, want %v", err, want)
+	}
+	path.Close(err)
+	if err := NewEngine().WalkIntoCtx(context.Background(), p, path, opts, new(Result)); !errors.Is(err, ErrRecordingFailed) {
+		t.Fatalf("walk of a failed recording returned %v, want ErrRecordingFailed", err)
+	}
+	if err := NewEngine().RecordIntoCtx(context.Background(), p, opts, new(Result), path); err == nil {
+		t.Fatal("a second recording into one path was not rejected")
+	}
+}
+
+// TestWalkFollowsOpenPath: walks that start on an open path, before its
+// recording runs, follow the recording as it publishes, wait whenever they
+// catch up, and end bit-identical to executing runs on their own machines,
+// counts included. Run with -race -cpu 4.
+func TestWalkFollowsOpenPath(t *testing.T) {
+	cfgs := []*machine.Config{machine.Base(), machine.IdealSuperscalar(4), machine.Superpipelined(4), machine.CRAY1()}
+	for _, name := range []string{"yacc", "whet"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := benchmarks.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			low, err := compiler.Lower(b.Source, compiler.Options{Level: compiler.O4, Unroll: b.DefaultUnroll, Machine: cfgs[0]})
+			if err != nil {
+				t.Fatalf("lower: %v", err)
+			}
+			progs := make([]*isa.Program, len(cfgs))
+			opts := make([]Options, len(cfgs))
+			for i, cfg := range cfgs {
+				sc, err := low.Schedule(cfg, false)
+				if err != nil {
+					t.Fatalf("schedule for %s: %v", cfg.Name, err)
+				}
+				progs[i] = sc.Prog
+				opts[i] = Options{Machine: cfg, Code: specialized(t, sc.Prog, cfg), CountInstrs: true}
+			}
+			path := NewPath(progs[0])
+			got := make([]*Result, len(cfgs))
+			errs := make([]error, len(cfgs))
+			var wg sync.WaitGroup
+			for i := 1; i < len(cfgs); i++ {
+				got[i] = new(Result)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = NewEngine().WalkIntoCtx(context.Background(), progs[i], path, opts[i], got[i])
+				}()
+			}
+			got[0] = new(Result)
+			err = NewEngine().RecordIntoCtx(context.Background(), progs[0], opts[0], got[0], path)
+			path.Close(err)
+			wg.Wait()
+			errs[0] = err
+			for i, cfg := range cfgs {
+				if errs[i] != nil {
+					t.Fatalf("%s: %v", cfg.Name, errs[i])
+				}
+				want := runChecked(t, NewEngine(), "fast "+cfg.Name, progs[i], opts[i])
+				compareResults(t, cfg.Name, want, got[i])
+				compareCounts(t, cfg.Name, want, got[i])
+			}
+		})
+	}
+}
+
+// TestWalkOpenPathCancelAndFailure: a walk waiting on an open path returns
+// its context's error when cancelled, and a walk following a recording
+// that fails returns ErrRecordingFailed.
+func TestWalkOpenPathCancelAndFailure(t *testing.T) {
+	p := tightLoop(600000)
+	// waiting returns once the walk reporting to walkErr waits on path.
+	waiting := func(path *Path, walkErr chan error) {
+		t.Helper()
+		for {
+			path.mu.Lock()
+			w := path.grown != nil
+			path.mu.Unlock()
+			if w {
+				return
+			}
+			select {
+			case err := <-walkErr:
+				t.Fatalf("walk returned %v without waiting on the open path", err)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+
+	path := NewPath(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	walkErr := make(chan error, 1)
+	go func() {
+		walkErr <- NewEngine().WalkIntoCtx(ctx, p, path, Options{Machine: machine.Base()}, new(Result))
+	}()
+	waiting(path, walkErr)
+	cancel()
+	if err := <-walkErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled walk on an open path returned %v, want context.Canceled", err)
+	}
+
+	path = NewPath(p)
+	go func() {
+		walkErr <- NewEngine().WalkIntoCtx(context.Background(), p, path, Options{Machine: machine.IdealSuperscalar(4)}, new(Result))
+	}()
+	waiting(path, walkErr)
+	err := NewEngine().RecordIntoCtx(context.Background(), p, Options{Machine: machine.Base(), MaxInstructions: 300000}, new(Result), path)
+	if err == nil {
+		t.Fatal("recording past its instruction limit succeeded")
+	}
+	path.Close(err)
+	if err := <-walkErr; !errors.Is(err, ErrRecordingFailed) {
+		t.Fatalf("walk following a failed recording returned %v, want ErrRecordingFailed", err)
 	}
 }
 
@@ -447,7 +584,7 @@ func TestPathAppendStraddlesWords(t *testing.T) {
 		t.Fatalf("%d bits recorded, want %d", p.n, len(model))
 	}
 	for pos := int64(0); pos < p.n; pos += int64(rng.Intn(40) + 1) {
-		w := p.peek(pos)
+		w := peek(p.bits, pos)
 		for i := int64(0); i < 64 && pos+i < p.n; i++ {
 			if got := w>>uint(i)&1 != 0; got != model[pos+i] {
 				t.Fatalf("bit %d: got %v, want %v", pos+i, got, model[pos+i])

@@ -25,24 +25,18 @@ const DefaultProfileBudget = 1 << 18
 // memWords sizes the run's memory (0 means DefaultMemWords); budget ≤ 0
 // means DefaultProfileBudget.
 func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
-	e := enginePool.Get().(*Engine)
-	defer func() {
-		e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
-		e.opts = Options{}
-		enginePool.Put(e)
-	}()
-	return e.Profile(ctx, code, memWords, budget)
-}
-
-// Profile is ProfileRun on e instead of a pooled engine, for a caller that
-// holds an idle engine and its memory arena already.
-func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if budget <= 0 {
 		budget = DefaultProfileBudget
 	}
+	e := enginePool.Get().(*Engine)
+	defer func() {
+		e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
+		e.opts = Options{}
+		enginePool.Put(e)
+	}()
 	opts := Options{Machine: code.cfg, MemWords: memWords, Code: code}
 	if err := e.Reset(code.prog, opts); err != nil {
 		return nil, err

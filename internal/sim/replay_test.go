@@ -237,7 +237,7 @@ func TestTraceEntryScan(t *testing.T) {
 			// The walker makes the same entry decision from the same
 			// timing state.
 			opts := Options{Machine: cfg, Code: code}
-			path, err := NewEngine().RecordIntoCtx(context.Background(), p, opts, new(Result))
+			path, err := recordPath(NewEngine(), p, opts, new(Result))
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}

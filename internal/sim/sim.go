@@ -29,7 +29,9 @@
 // executing it: Engine.RecordIntoCtx records a fast-path run's control path
 // (Path), and Engine.WalkIntoCtx times any program that shares the path —
 // every schedule of one compiler front — by walking it with the fast path's
-// exact timing steps and no register, memory or micro-op semantics.
+// exact timing steps and no register, memory or micro-op semantics. A walk
+// may start while the path is still being recorded and follow the
+// recording.
 package sim
 
 import (
