@@ -2,7 +2,7 @@
 # commit. CI-equivalent for this repo; see README "Verification".
 GO ?= go
 
-.PHONY: check fmt vet build test race race-concurrency fuzz-smoke chaos lint cover bench bench-smoke bench-gate bench-quick ilpd-smoke ilpd-loadtest fabric-smoke
+.PHONY: check fmt vet build test race race-concurrency fuzz-smoke chaos lint cover bench bench-smoke bench-gate bench-quick ilpd-smoke fabric-smoke
 
 check: fmt vet lint build race race-concurrency fuzz-smoke chaos bench-smoke
 
@@ -137,9 +137,3 @@ ilpd-smoke:
 # duplicates its experiments force. (~10 s; skipped under -short and -race.)
 fabric-smoke:
 	$(GO) test -run 'TestFabricGolden' -count=1 -v ./cmd/ilpbench/
-
-# Daemon load harness: concurrent clients against an in-process daemon,
-# reporting end-to-end sweeps/sec and how much of the offered load the
-# shared singleflight cache absorbed.
-ilpd-loadtest:
-	$(GO) run ./cmd/ilpd -loadtest -loadtest-clients 8 -loadtest-sweeps 4

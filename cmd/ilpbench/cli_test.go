@@ -54,7 +54,10 @@ func TestCleanSweepExitsZero(t *testing.T) {
 // TestFullSweepPathStats: a full sweep records one path per front (the 67
 // lowerings) and walks every other cache-free run — the 363 cache-free
 // cells after each front's first plus ext-slack's 40 counted runs — at any
-// worker count.
+// worker count. The engine-visible work is pinned too: the traces built,
+// the cells simulated, the profiled cond traces and the mispath exits taken
+// in recordings' and walks' trace replays. Only the worker-goroutine count
+// on the parallel line is left free, since it follows -workers.
 func TestFullSweepPathStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ilpbench sweep skipped in -short mode")
@@ -70,6 +73,8 @@ func TestFullSweepPathStats(t *testing.T) {
 		for _, want := range []string{
 			"cache stats: 67 lowerings, 342 compiles (164 hits), 458 simulations (188 hits)\n",
 			"path stats: 67 paths recorded, 403 runs timed by walking a path\n",
+			"trace stats: 41106 superblock traces specialized, 458 cells simulated on reused slot engines\n",
+			", 14740 profiled cond traces, 792664 mispath exits\n",
 		} {
 			if !strings.Contains(errOut, want) {
 				t.Errorf("-workers %s: stderr lacks %q:\n%s", workers, want, errOut)

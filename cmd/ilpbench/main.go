@@ -189,8 +189,7 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 				st.Paths, st.Walks)
 			fmt.Fprintf(stderr, "run stats: %d live simulations, %d resumed from store, %d retry waits\n",
 				rep.Sims, rep.Resumed, rep.Retries)
-			fmt.Fprintf(stderr, "predecode stats: %d artifacts built, %d simulations on shared predecode\n",
-				rep.Predecodes, rep.PredecodeShared)
+			fmt.Fprintf(stderr, "predecode stats: %d artifacts built\n", rep.Predecodes)
 			fmt.Fprintf(stderr, "trace stats: %d superblock traces specialized, %d cells simulated on reused slot engines\n",
 				rep.Superblocks, rep.BatchedCells)
 			fmt.Fprintf(stderr, "parallel stats: %d sweep worker goroutines, %d profiled cond traces, %d mispath exits\n",

@@ -225,9 +225,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&flagCfg.MaxTimeout, "max-timeout", def.MaxTimeout, "largest per-request deadline admitted (0 = uncapped)")
 	fs.DurationVar(&flagCfg.DrainTimeout, "drain-timeout", def.DrainTimeout, "graceful-shutdown window before in-flight sweeps are cancelled")
 	configPath := fs.String("config", "", "JSON config file (flags explicitly set on the command line win)")
-	loadtest := fs.Bool("loadtest", false, "run the load-test harness against an in-process server and exit")
-	ltClients := fs.Int("loadtest-clients", 8, "loadtest: concurrent clients")
-	ltSweeps := fs.Int("loadtest-sweeps", 4, "loadtest: sweeps submitted per client")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -241,16 +238,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ilpd: %v\n", err)
 		fs.Usage()
 		return 1
-	}
-
-	if *loadtest {
-		rep, err := runLoadTest(context.Background(), cfg, *ltClients, *ltSweeps, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "ilpd: loadtest: %v\n", err)
-			return 1
-		}
-		fmt.Fprint(stdout, rep.String())
-		return 0
 	}
 
 	if err := serve(cfg, stdout, stderr); err != nil {

@@ -198,7 +198,7 @@ func (s *Server) statsSnapshot() serverStats {
 
 // TestAdmissionControl: at the inflight cap, POST is 429 with Retry-After;
 // below it, 202. The counter is forced directly so the test is
-// deterministic — the loadtest exercises the organic path.
+// deterministic; bench's daemon-mixed workload drives the organic path.
 func TestAdmissionControl(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxSweeps = 2
@@ -288,8 +288,16 @@ func TestConcurrentSweepsSingleflight(t *testing.T) {
 
 func fetchStatsT(t *testing.T, base string) statsResponse {
 	t.Helper()
-	st, err := fetchStats(context.Background(), base)
+	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", resp.StatusCode)
+	}
+	var st statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st

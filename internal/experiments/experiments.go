@@ -328,24 +328,23 @@ type compiled struct {
 // (ilpbench -stats) can show how much work the four-level cache eliminated
 // and how the sweep weathered failures.
 type RunnerStats struct {
-	Lowers          int64 // front ends lowered and profiled (once per front key)
-	Paths           int64 // front control paths recorded (once per front key with a cache-free cell)
-	Walks           int64 // cache-free simulations timed by walking their front's path
-	Compiles        int64 // compilations actually performed
-	CompileHits     int64 // compile requests served from (or joined onto) the cache
-	Sims            int64 // simulations actually performed
-	SimHits         int64 // measure requests served from (or joined onto) the cache
-	Predecodes      int64 // predecode artifacts built (once per compile key)
-	PredecodeShared int64 // live simulations that reused a shared predecode
-	Resumed         int64 // sim-cache cells preloaded from the result store
-	Retries         int64 // transient-failure retry waits performed
-	Degraded        int64 // cells whose permanent failure degraded to a placeholder
-	Superblocks     int64 // superblock traces specialized across built predecodes
-	CondTraces      int64 // profile-specialized traces (past likely-taken branches)
-	BatchedCells    int64 // live simulations run on a worker slot's reusable engine
-	ParallelShards  int64 // worker goroutines started by sweeps leading cells
-	MispathExits    int64 // specialized-trace guard exits across live simulations
-	Instructions    int64 // dynamic instructions simulated by live leader sims
+	Lowers         int64 // front ends lowered and profiled (once per front key)
+	Paths          int64 // front control paths recorded (once per front key with a cache-free cell)
+	Walks          int64 // cache-free simulations timed by walking their front's path
+	Compiles       int64 // compilations actually performed
+	CompileHits    int64 // compile requests served from (or joined onto) the cache
+	Sims           int64 // simulations actually performed
+	SimHits        int64 // measure requests served from (or joined onto) the cache
+	Predecodes     int64 // predecode artifacts built (once per compile key)
+	Resumed        int64 // sim-cache cells preloaded from the result store
+	Retries        int64 // transient-failure retry waits performed
+	Degraded       int64 // cells whose permanent failure degraded to a placeholder
+	Superblocks    int64 // superblock traces specialized across built predecodes
+	CondTraces     int64 // profile-specialized traces (past likely-taken branches)
+	BatchedCells   int64 // live simulations run on a worker slot's reusable engine
+	ParallelShards int64 // worker goroutines started by sweeps leading cells
+	MispathExits   int64 // specialized-trace guard exits across live simulations
+	Instructions   int64 // dynamic instructions simulated by live leader sims
 }
 
 // NewRunner builds a runner. When cfg.Store is set, every readable record
@@ -725,9 +724,6 @@ func (r *Runner) measureAttempt(ctx context.Context, e *sim.Engine, bench string
 		return nil, r.simFailure(ctx, bench, m, err)
 	}
 	r.mu.Lock()
-	if c.code != nil {
-		r.stats.PredecodeShared++
-	}
 	r.stats.Instructions += res.Instructions
 	r.stats.BatchedCells++
 	r.stats.MispathExits += e.Mispaths()

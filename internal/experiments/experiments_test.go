@@ -267,8 +267,7 @@ func TestAblations(t *testing.T) {
 // TestPredecodeSharedOnce pins the predecode-once contract: machines that
 // share a schedule fingerprint (here: identical Base schedules under
 // different names, so each gets its own sim-cache cell) must share one
-// compilation AND one predecoded artifact, with every live simulation
-// running on it read-only.
+// compilation AND one predecoded artifact.
 func TestPredecodeSharedOnce(t *testing.T) {
 	r := NewRunner(Config{})
 	const variants = 3
@@ -289,13 +288,8 @@ func TestPredecodeSharedOnce(t *testing.T) {
 	if st.Sims != variants {
 		t.Fatalf("Sims = %d, want %d distinct cells", st.Sims, variants)
 	}
-	if st.PredecodeShared != variants {
-		t.Errorf("PredecodeShared = %d, want %d (every live sim on the shared artifact)", st.PredecodeShared, variants)
-	}
-	rep := r.Report()
-	if rep.Predecodes != st.Predecodes || rep.PredecodeShared != st.PredecodeShared {
-		t.Errorf("SweepReport predecode counters %d/%d do not mirror stats %d/%d",
-			rep.Predecodes, rep.PredecodeShared, st.Predecodes, st.PredecodeShared)
+	if rep := r.Report(); rep.Predecodes != st.Predecodes {
+		t.Errorf("SweepReport Predecodes = %d does not mirror stats %d", rep.Predecodes, st.Predecodes)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestRunCtxDeadlineStopsInstrumentedPath(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	// An OnIssue hook selects the instrumented loop.
+	// A hooked run polls its context like any other.
 	_, err := RunCtx(ctx, p, Options{
 		Machine: cfg,
 		OnIssue: func(int, *isa.Instr, int64, int64) {},

@@ -1,19 +1,20 @@
 package sim
 
 // Differential equivalence suite: every golden benchmark, compiled per
-// machine configuration, is simulated three ways — with the preserved seed
-// engine (reference_test.go), the predecoded fast path, and the instrumented
-// path (forced by installing a no-op OnIssue hook, on a cache machine's
-// cache-free copy, since Reset rejects hooks on a cache machine) — and all
-// observable results must be bit-identical. This is the proof that the performance
-// rewrite changed no semantics and no timing. Every run of the matrix uses
-// a dedicated engine, so the suite also checks the scoreboard invariant the
-// trace entry relies on (checkReadyBound) after each one.
+// machine configuration, is simulated with the preserved seed engine
+// (reference_test.go) and with the predecoded engine, unhooked and with both
+// OnIssue and OnTrace hooks, and all observable results must be
+// bit-identical, the hooks' event streams included. This is the proof that
+// the performance rewrite changed no semantics and no timing. Every run of
+// the matrix uses a dedicated engine, so the suite also checks the
+// scoreboard invariant the trace entry relies on (checkReadyBound) after
+// each one.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -76,30 +77,49 @@ func ss4Caches() *machine.Config {
 // hasCache reports whether the machine models an instruction or data cache.
 func hasCache(cfg *machine.Config) bool { return cfg.ICache != nil || cfg.DCache != nil }
 
-// hookedOpts returns the options of p's instrumented runs, forced by a
-// no-op OnIssue hook, and the seed reference result they must match. On a
-// cache-free machine those are opts with the hook and want. Reset rejects
-// a hook on a cache machine, which hookedOpts asserts on e; the hooked runs
-// then use the machine's cache-free copy, which keeps its schedule (so p
-// and opts.Code suit it), against the reference on that copy.
-func hookedOpts(t *testing.T, e *Engine, p *isa.Program, opts Options, want *Result) (Options, *Result) {
+// events folds a run's hook events into a running hash, so two runs' event
+// streams compare without keeping either: every OnIssue (idx, issue,
+// complete) and OnTrace (idx, addr) event in order. Each step is a
+// bijection of the hash for a given event word, so two streams that differ
+// in one word always hash differently, and any other difference almost
+// always does.
+type events struct {
+	n   int64 // OnIssue events
+	h   uint64
+	bad int64 // OnIssue events whose instruction pointer was not the program's
+}
+
+// hooked returns opts with both hooks reporting into ev, a fresh stream for
+// runs of p. The hooks run once per retired instruction on both engines, so
+// they keep their work, which the race detector multiplies, to a minimum.
+func (ev *events) hooked(p *isa.Program, opts Options) Options {
+	*ev = events{h: 14695981039346656037}
+	instrs := p.Instrs
+	opts.OnIssue = func(idx int, in *isa.Instr, issue, complete int64) {
+		if in != &instrs[idx] {
+			ev.bad++
+		}
+		ev.n++
+		ev.h = mix(mix(mix(mix(ev.h, 1), uint64(idx)), uint64(issue)), uint64(complete))
+	}
+	opts.OnTrace = func(idx int, _ *isa.Instr, addr int64) {
+		ev.h = mix(mix(mix(ev.h, 2), uint64(idx)), uint64(addr))
+	}
+	return opts
+}
+
+// mix folds one event word into an FNV-style running hash.
+func mix(h, w uint64) uint64 { return (h ^ w) * 1099511628211 }
+
+// compareEvents requires got's event stream to equal want's.
+func compareEvents(t *testing.T, path string, want, got *events) {
 	t.Helper()
-	iopts := opts
-	iopts.OnIssue = func(int, *isa.Instr, int64, int64) {}
-	if !hasCache(opts.Machine) {
-		return iopts, want
+	if got.bad != 0 {
+		t.Errorf("%s: %d OnIssue events passed an instruction pointer that is not the program's", path, got.bad)
 	}
-	if err := e.RunInto(p, iopts, new(Result)); err == nil {
-		t.Errorf("hooked run on cache machine %s was not rejected", opts.Machine.Name)
+	if got.n != want.n || got.h != want.h {
+		t.Errorf("%s: %d hook events hashing to %#x, want %d hashing to %#x", path, got.n, got.h, want.n, want.h)
 	}
-	free := *opts.Machine
-	free.ICache, free.DCache = nil, nil
-	iopts.Machine = &free
-	ref, err := refRun(p, Options{Machine: &free})
-	if err != nil {
-		t.Fatalf("reference engine, cache-free copy: %v", err)
-	}
-	return iopts, ref
 }
 
 // runChecked runs p on the dedicated engine e, failing the test (labelled
@@ -174,9 +194,9 @@ func compareResults(t *testing.T, path string, want, got *Result) {
 	}
 }
 
-// compareCounts pins the per-instruction counters: the fast path's fold of
-// the block enter/exit counters and the instrumented path's direct bumps
-// must agree index by index.
+// compareCounts pins the per-instruction counters, folded from the block
+// enter/exit counters: a run that replays traces and one that executes
+// every instruction must agree index by index.
 func compareCounts(t *testing.T, path string, want, got *Result) {
 	t.Helper()
 	if len(got.InstrCounts) != len(want.InstrCounts) {
@@ -319,7 +339,8 @@ func fuzzMachines() []*machine.Config {
 // TestDifferentialRandomCFG fuzzes the block-fused engine against the
 // preserved seed engine on randomized control-flow graphs: cycles, stalls,
 // class counts, and printed output must be bit-identical on every machine,
-// for the fast path, the shared-predecode path, and the instrumented path.
+// for the engine's own predecode, a shared predecode, and a hooked run on
+// the shared predecode, whose event stream must be the reference's.
 func TestDifferentialRandomCFG(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
@@ -332,7 +353,8 @@ func TestDifferentialRandomCFG(t *testing.T) {
 		for _, cfg := range cfgs {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.Name), func(t *testing.T) {
 				opts := Options{Machine: cfg}
-				want, err := refRun(p, opts)
+				var refEv events
+				want, err := refRun(p, refEv.hooked(p, opts))
 				if err != nil {
 					t.Fatalf("reference engine: %v", err)
 				}
@@ -349,21 +371,22 @@ func TestDifferentialRandomCFG(t *testing.T) {
 				got = runChecked(t, e, "shared-code", p, copts)
 				compareResults(t, "shared-code", want, got)
 
-				iopts, iwant := hookedOpts(t, e, p, opts, want)
-				got = runChecked(t, e, "instrumented", p, iopts)
-				compareResults(t, "instrumented", iwant, got)
+				var ev events
+				got = runChecked(t, e, "hooked", p, ev.hooked(p, copts))
+				compareResults(t, "hooked", want, got)
+				compareEvents(t, "hooked", &refEv, &ev)
 
-				// Counted runs: CountInstrs must not perturb timing, the
-				// two paths' counters must agree (they are architectural,
-				// so a cache-free copy counts the same), and the static
+				// Counted runs: CountInstrs must not perturb timing, a run
+				// that replays traces and a hooked run, which executes
+				// every instruction, must count alike, and the static
 				// bounds oracle must hold for the measured cycle count.
 				copts.CountInstrs = true
 				fastC := runChecked(t, e, "counted-fast", p, copts)
 				compareResults(t, "counted-fast", want, fastC)
-				iopts.CountInstrs = true
-				instC := runChecked(t, e, "counted-instrumented", p, iopts)
-				compareResults(t, "counted-instrumented", iwant, instC)
-				compareCounts(t, "counted", fastC, instC)
+				hookC := runChecked(t, e, "counted-hooked", p, ev.hooked(p, copts))
+				compareResults(t, "counted-hooked", want, hookC)
+				compareEvents(t, "counted-hooked", &refEv, &ev)
+				compareCounts(t, "counted", fastC, hookC)
 				checkStaticBounds(t, p, cfg, fastC)
 			})
 		}
@@ -432,7 +455,8 @@ func TestDifferentialEngines(t *testing.T) {
 					t.Fatalf("compile: %v", err)
 				}
 				opts := Options{Machine: cfg}
-				want, err := refRun(c.Prog, opts)
+				var refEv events
+				want, err := refRun(c.Prog, refEv.hooked(c.Prog, opts))
 				if err != nil {
 					t.Fatalf("reference engine: %v", err)
 				}
@@ -471,10 +495,12 @@ func TestDifferentialEngines(t *testing.T) {
 					}
 				}
 
-				// Instrumented path, forced via a no-op hook.
-				iopts, iwant := hookedOpts(t, e, c.Prog, opts, want)
-				got = runChecked(t, e, "instrumented", c.Prog, iopts)
-				compareResults(t, "instrumented", iwant, got)
+				// Hooked run, caches included: the reference's result and
+				// event stream.
+				var ev events
+				got = runChecked(t, e, "hooked", c.Prog, ev.hooked(c.Prog, opts))
+				compareResults(t, "hooked", want, got)
+				compareEvents(t, "hooked", &refEv, &ev)
 
 				// Static bounds oracle on the real benchmark programs.
 				copts := opts
@@ -484,6 +510,57 @@ func TestDifferentialEngines(t *testing.T) {
 				checkStaticBounds(t, c.Prog, cfg, counted)
 			})
 		}
+	}
+}
+
+// TestHookedRunReportsFusedPairs: on a Code whose predecode fuses an
+// ALU+ALU pair and an ALU+branch pair, a hooked run reports both halves of
+// each pair, in program order, with the reference engine's issue and
+// completion cycles.
+func TestHookedRunReportsFusedPairs(t *testing.T) {
+	b := isa.NewBuilder()
+	b.Li(isa.R(10), 0).Li(isa.R(11), 3)
+	b.Label("loop")
+	b.Imm(isa.OpAddi, isa.R(12), isa.R(12), 5).Op(isa.OpXor, isa.R(13), isa.R(12), isa.R(10))
+	b.Imm(isa.OpAddi, isa.R(10), isa.R(10), 1).Branch(isa.OpBlt, isa.R(10), isa.R(11), "loop")
+	b.Print(isa.R(13)).Halt()
+	p := b.MustFinish()
+	cfg := machine.IdealSuperscalar(4)
+	code, err := Predecode(p, cfg)
+	if err != nil {
+		t.Fatalf("predecode: %v", err)
+	}
+	for idx, fop := range map[int]isa.Opcode{0: opFusedAluAlu, 2: opFusedAluAlu, 4: opFusedAluBr} {
+		if code.dec[idx].fop != fop {
+			t.Fatalf("instruction %d dispatches as %v, want the fused opcode %v", idx, code.dec[idx].fop, fop)
+		}
+	}
+
+	type event struct {
+		idx             int
+		issue, complete int64
+	}
+	hook := func(evs *[]event) func(int, *isa.Instr, int64, int64) {
+		return func(idx int, _ *isa.Instr, issue, complete int64) {
+			*evs = append(*evs, event{idx, issue, complete})
+		}
+	}
+	var ref, got []event
+	want, err := refRun(p, Options{Machine: cfg, OnIssue: hook(&ref)})
+	if err != nil {
+		t.Fatalf("reference engine: %v", err)
+	}
+	res := runChecked(t, NewEngine(), "hooked", p, Options{Machine: cfg, Code: code, OnIssue: hook(&got)})
+	compareResults(t, "hooked", want, res)
+	var idxs []int
+	for _, ev := range got {
+		idxs = append(idxs, ev.idx)
+	}
+	if wantIdx := []int{0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 2, 3, 4, 5, 6, 7}; !slices.Equal(idxs, wantIdx) {
+		t.Errorf("hooked run reported instructions %v, want %v", idxs, wantIdx)
+	}
+	if !slices.Equal(got, ref) {
+		t.Errorf("hooked run reported %v, the reference engine %v", got, ref)
 	}
 }
 

@@ -57,15 +57,12 @@ type Engine struct {
 	// per-class counts at run end — replacing the seed engine's
 	// per-instruction counter store with two array bumps per *block*.
 	enter, exit []int64
-	// classCounts accumulates dynamic instruction counts per class: folded
-	// from enter/exit on the fast path, bumped per instruction on the
-	// instrumented path.
+	// classCounts accumulates dynamic instruction counts per class, folded
+	// from enter/exit at halt.
 	classCounts [isa.NumClasses]int64
-	// instrCnt and takenExit are the per-instruction counters behind
-	// Options.CountInstrs on the instrumented (hook) path; the fast path,
-	// caches or not, folds the same numbers from enter/exit at fillResult
-	// and leaves these nil.
-	instrCnt, takenExit []int64
+	// hookDec is a hooked run's own copy of dec, in which every instruction
+	// dispatches through opHooked (see arm).
+	hookDec []decoded
 
 	// regs and ready are sized 256 (not isa.NumRegs) so that indexing by
 	// a Reg (uint8) needs no bounds check in the inner loop.
@@ -149,9 +146,6 @@ func validate(p *isa.Program, opts Options) (memWords int, stackTop int64, err e
 	cfg := opts.Machine
 	if err := cfg.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("sim: %w", err)
-	}
-	if (opts.OnIssue != nil || opts.OnTrace != nil) && (cfg.ICache != nil || cfg.DCache != nil) {
-		return 0, 0, fmt.Errorf("sim: machine %s models caches; OnIssue and OnTrace hooks need a cache-free machine", cfg.Name)
 	}
 	if err := p.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("sim: %w", err)
@@ -239,13 +233,17 @@ func (e *Engine) arm(p *isa.Program, opts Options) error {
 		e.exit = make([]int64, n)
 	}
 	e.classCounts = [isa.NumClasses]int64{}
-	e.instrCnt, e.takenExit = nil, nil
-	if opts.CountInstrs && (opts.OnIssue != nil || opts.OnTrace != nil) {
-		// Only the instrumented (hook) path needs live counters; the fast
-		// path, caches or not, folds InstrCounts/TakenExits from enter/exit
-		// at fillResult.
-		e.instrCnt = make([]int64, n-1)
-		e.takenExit = make([]int64, n-1)
+	if opts.OnIssue != nil || opts.OnTrace != nil {
+		// A hooked run executes its own copy of the program, in which every
+		// instruction but the sentinel dispatches through opHooked, and
+		// replays no traces, so the hooks see each retired instruction in
+		// program order and a fused pair as its two halves. The shared
+		// dispatch of unhooked runs carries no hook test.
+		e.hookDec = append(e.hookDec[:0], e.dec...)
+		for i := range n - 1 {
+			e.hookDec[i].fop = opHooked
+		}
+		e.dec, e.scheds = e.hookDec, nil
 	}
 
 	e.cycle, e.inCycle = 0, 0
@@ -316,15 +314,7 @@ func (e *Engine) RunIntoCtx(ctx context.Context, p *isa.Program, opts Options, r
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstructions
 	}
-	// The fast path runs every sweep cell, caches included; only the
-	// OnIssue/OnTrace hooks select the instrumented path.
-	var err error
-	if opts.OnIssue == nil && opts.OnTrace == nil {
-		err = e.runFast(ctx, maxInstrs, maxInstrs)
-	} else {
-		err = e.runInstrumented(ctx, maxInstrs)
-	}
-	if err != nil {
+	if err := e.runFast(ctx, maxInstrs, maxInstrs); err != nil {
 		return err
 	}
 	e.fillResult(res, e.output)
@@ -341,14 +331,13 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 	return min(instrs+cancelCheckInterval, maxInstrs)
 }
 
-// runFast is the uninstrumented inner loop: every run without an OnIssue or
-// OnTrace hook, and the only one that models caches (Reset rejects a hook
-// on a cache machine). On a cache-free machine its timing semantics are
-// identical to runInstrumented with both hooks absent, and the inlined
-// semantic switch matches exec case for case (the differential suite pins
-// both paths to the reference engine). A machine with a cache replays no
-// traces: each trace's timing was proven on the assumption that no fetch
-// or access misses.
+// runFast is the engine's one executing loop: every run, caches and hooks
+// included (the differential suite pins it, hooked and unhooked, to the
+// reference engine). A machine with a cache replays no traces: each trace's
+// timing was proven on the assumption that no fetch or access misses. A
+// hooked run replays none either, and dispatches every instruction through
+// opHooked on its own copy of the program (see arm), so the hooks cost an
+// unhooked run nothing per instruction.
 //
 // Relative to the seed engine the loop works at basic-block granularity:
 // dynamic instruction counts are two array bumps per contiguous execution
@@ -517,12 +506,14 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		}
 		lastComplete = max(lastComplete, complete)
 
-		// 6. Execute (program order, at issue) — exec's switch, inlined to
-		// spare a function call (and the spill of all the locals above)
-		// per dynamic instruction. Control transfers leave through the
-		// boundary epilogue below; straight-line ops fall out of the
-		// switch into the two-instruction epilogue.
-		switch d.fop {
+		// 6. Execute (program order, at issue), inlined to spare a function
+		// call (and the spill of all the locals above) per dynamic
+		// instruction. Control transfers leave through the boundary
+		// epilogue below; straight-line ops fall out of the switch into the
+		// two-instruction epilogue.
+		op := d.fop
+	dispatch:
+		switch op {
 		case isa.OpNop:
 		case isa.OpAdd:
 			e.setReg(d.dst, regs[d.src1]+regs[d.src2])
@@ -959,6 +950,12 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			e.halted = true
 			pc = idx
 			goto out
+		case opHooked:
+			// A hooked run's instruction (see arm): report it, then
+			// execute it under its architectural opcode.
+			e.hook(idx, d, issue, complete, memAddr)
+			op = d.op
+			goto dispatch
 		case opOutOfRange:
 			return fmt.Errorf("sim: pc %d out of range", idx)
 		default:
@@ -1242,155 +1239,20 @@ func (e *Engine) foldCounts() {
 	}
 }
 
-// runInstrumented is the slow path: runFast's discipline on a cache-free
-// machine plus the OnIssue/OnTrace callbacks, which only it serves. It is
-// selected once at RunInto, never per instruction. It dispatches on the
-// architectural opcode, so fused superinstructions do not exist here, and
-// class counts are bumped per instruction (the callbacks already cost far
-// more than the counter).
-func (e *Engine) runInstrumented(ctx context.Context, maxInstrs int64) error {
-	width := int64(e.cfg.IssueWidth)
-	takenEnds := e.cfg.TakenBranchEndsGroup
-	redirect := int64(e.cfg.BranchRedirect)
-	onIssue, onTrace := e.opts.OnIssue, e.opts.OnTrace
-	cnts, exits := e.instrCnt, e.takenExit
-	dec := e.dec[:len(e.dec)-1] // drop the fast path's sentinel entry
-	memLen := int64(len(e.mem))
-	done := ctx.Done()
-	checkAt := nextCheck(done, e.instrs, maxInstrs)
-	for !e.halted {
-		if e.pc < 0 || e.pc >= len(dec) {
-			return fmt.Errorf("sim: pc %d out of range", e.pc)
-		}
-		if e.instrs >= checkAt {
-			if e.instrs >= maxInstrs {
-				return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
-			}
-			select {
-			case <-done:
-				return ctxErr(ctx)
-			default:
-			}
-			checkAt = nextCheck(done, e.instrs, maxInstrs)
-		}
-		idx := e.pc
-		d := &dec[idx]
-		e.classCounts[d.class]++
-
-		// 1. Earliest slot under the in-order, width-limited discipline.
-		slot := e.cycle
-		if int64(e.inCycle) >= width {
-			slot = e.cycle + 1
-			e.stalls.Width++
-		}
-		if e.barrier > slot {
-			if e.barrierIsBr {
-				e.stalls.Branch += e.barrier - slot
-			}
-			slot = e.barrier
-		}
-
-		issue := slot
-
-		// 2. Operand availability (RAW through the scoreboard).
-		if d.flags&fSrc1 != 0 {
-			if t := e.ready[d.src1]; t > issue {
-				e.stalls.Data += t - issue
-				issue = t
-			}
-		}
-		if d.flags&fSrc2 != 0 {
-			if t := e.ready[d.src2]; t > issue {
-				e.stalls.Data += t - issue
-				issue = t
-			}
-		}
-
-		// 3. Operation latency, and a memory access's address.
-		lat := d.lat
-		var memAddr int64
-		if d.flags&fMem != 0 {
-			memAddr = e.regs[d.src1] + d.imm
-			if memAddr < 0 || memAddr >= memLen {
-				return fmt.Errorf("sim: pc %d (%s): address %d out of range", idx, &e.prog.Instrs[idx], memAddr)
-			}
-		}
-
-		// 4. Write-order (WAW).
-		if d.flags&fDst != 0 {
-			if t := e.ready[d.dst] - lat; t > issue {
-				e.stalls.Write += t - issue
-				issue = t
-			}
-		}
-
-		// 5. Functional-unit availability (class conflicts).
-		best := int(d.unitOff)
-		for i := best + 1; i < int(d.unitOff)+int(d.unitLen); i++ {
-			if e.unitFree[i] < e.unitFree[best] {
-				best = i
-			}
-		}
-		if t := e.unitFree[best]; t > issue {
-			e.stalls.Unit += t - issue
-			issue = t
-		}
-
-		// Commit the issue slot.
-		if issue > e.cycle {
-			e.cycle = issue
-			e.inCycle = 1
-			e.groups++
-		} else {
-			if e.inCycle == 0 {
-				e.groups++ // very first issue slot
-			}
-			e.inCycle++
-		}
-		e.unitFree[best] = issue + d.issueLat
-		complete := issue + lat
-		if d.flags&fDst != 0 {
-			e.ready[d.dst] = complete
-		}
-		if complete > e.lastComplete {
-			e.lastComplete = complete
-		}
-
-		// 6. Execute (program order, at issue).
-		taken, err := e.exec(idx, d, memAddr)
-		if err != nil {
-			return err
-		}
-		e.instrs++
-		if cnts != nil {
-			cnts[idx]++
-			if taken || e.halted {
-				exits[idx]++
-			}
-		}
-		if onIssue != nil {
-			onIssue(idx, &e.prog.Instrs[idx], issue, complete)
-		}
-		if onTrace != nil {
-			a := int64(-1)
-			if d.flags&fMem != 0 {
-				a = memAddr
-			}
-			onTrace(idx, &e.prog.Instrs[idx], a)
-		}
-		if taken && takenEnds {
-			// A taken branch ends its issue group, and the target may
-			// not issue until the branch's operation latency has
-			// elapsed — one base cycle on the ideal machines, so a
-			// degree-m superpipeline pays m minor cycles, which is the
-			// §4.1 startup transient at every branch target.
-			if b := issue + lat + redirect; b > e.barrier {
-				e.barrier = b
-				e.barrierIsBr = true
-			}
-		}
+// hook reports the instruction at idx, issued at issue and complete at
+// complete, to the run's OnIssue and OnTrace hooks; memAddr is its data
+// address if it accesses memory.
+func (e *Engine) hook(idx int, d *decoded, issue, complete, memAddr int64) {
+	in := &e.prog.Instrs[idx]
+	if f := e.opts.OnIssue; f != nil {
+		f(idx, in, issue, complete)
 	}
-	return nil
+	if f := e.opts.OnTrace; f != nil {
+		if d.flags&fMem == 0 {
+			memAddr = -1
+		}
+		f(idx, in, memAddr)
+	}
 }
 
 // The cache timing rules of runFast, the only path that models caches. Each
@@ -1447,162 +1309,6 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// exec performs the semantic effect of the instruction and advances the pc.
-// It reports whether a control transfer was taken.
-func (e *Engine) exec(idx int, d *decoded, memAddr int64) (taken bool, err error) {
-	regs := &e.regs
-	next := idx + 1
-
-	switch d.op {
-	case isa.OpNop:
-	case isa.OpAdd:
-		e.setReg(d.dst, regs[d.src1]+regs[d.src2])
-	case isa.OpAddi:
-		e.setReg(d.dst, regs[d.src1]+d.imm)
-	case isa.OpSub:
-		e.setReg(d.dst, regs[d.src1]-regs[d.src2])
-	case isa.OpMul:
-		e.setReg(d.dst, regs[d.src1]*regs[d.src2])
-	case isa.OpDiv:
-		dv := regs[d.src2]
-		if dv == 0 {
-			return false, fmt.Errorf("sim: pc %d (%s): integer division by zero", idx, &e.prog.Instrs[idx])
-		}
-		e.setReg(d.dst, regs[d.src1]/dv)
-	case isa.OpRem:
-		dv := regs[d.src2]
-		if dv == 0 {
-			return false, fmt.Errorf("sim: pc %d (%s): integer remainder by zero", idx, &e.prog.Instrs[idx])
-		}
-		e.setReg(d.dst, regs[d.src1]%dv)
-	case isa.OpSlt:
-		e.setReg(d.dst, b2i(regs[d.src1] < regs[d.src2]))
-	case isa.OpSle:
-		e.setReg(d.dst, b2i(regs[d.src1] <= regs[d.src2]))
-	case isa.OpSeq:
-		e.setReg(d.dst, b2i(regs[d.src1] == regs[d.src2]))
-	case isa.OpSne:
-		e.setReg(d.dst, b2i(regs[d.src1] != regs[d.src2]))
-	case isa.OpAnd:
-		e.setReg(d.dst, regs[d.src1]&regs[d.src2])
-	case isa.OpOr:
-		e.setReg(d.dst, regs[d.src1]|regs[d.src2])
-	case isa.OpXor:
-		e.setReg(d.dst, regs[d.src1]^regs[d.src2])
-	case isa.OpAndi:
-		e.setReg(d.dst, regs[d.src1]&d.imm)
-	case isa.OpOri:
-		e.setReg(d.dst, regs[d.src1]|d.imm)
-	case isa.OpXori:
-		e.setReg(d.dst, regs[d.src1]^d.imm)
-	case isa.OpSll:
-		e.setReg(d.dst, regs[d.src1]<<(uint64(regs[d.src2])&63))
-	case isa.OpSrl:
-		e.setReg(d.dst, int64(uint64(regs[d.src1])>>(uint64(regs[d.src2])&63)))
-	case isa.OpSra:
-		e.setReg(d.dst, regs[d.src1]>>(uint64(regs[d.src2])&63))
-	case isa.OpSlli:
-		e.setReg(d.dst, regs[d.src1]<<(uint64(d.imm)&63))
-	case isa.OpSrli:
-		e.setReg(d.dst, int64(uint64(regs[d.src1])>>(uint64(d.imm)&63)))
-	case isa.OpSrai:
-		e.setReg(d.dst, regs[d.src1]>>(uint64(d.imm)&63))
-	case isa.OpLi:
-		e.setReg(d.dst, d.imm)
-	case isa.OpMov:
-		e.setReg(d.dst, regs[d.src1])
-	case isa.OpFli:
-		e.setRegF(d.dst, d.fimm)
-	case isa.OpFmov:
-		e.setReg(d.dst, regs[d.src1])
-	case isa.OpLw, isa.OpLf:
-		e.setReg(d.dst, e.mem[memAddr])
-	case isa.OpSw, isa.OpSf:
-		e.mem[memAddr] = regs[d.src2]
-		if a := int(memAddr); a < e.dirtyLo && a >= e.dataLen {
-			e.dirtyLo = a
-		}
-		if a := int(memAddr); a > e.dirtyHi {
-			e.dirtyHi = a
-		}
-	case isa.OpBeq:
-		taken = regs[d.src1] == regs[d.src2]
-	case isa.OpBne:
-		taken = regs[d.src1] != regs[d.src2]
-	case isa.OpBlt:
-		taken = regs[d.src1] < regs[d.src2]
-	case isa.OpBge:
-		taken = regs[d.src1] >= regs[d.src2]
-	case isa.OpBle:
-		taken = regs[d.src1] <= regs[d.src2]
-	case isa.OpBgt:
-		taken = regs[d.src1] > regs[d.src2]
-	case isa.OpJ:
-		taken = true
-	case isa.OpJal:
-		e.setReg(d.dst, int64(idx+1))
-		taken = true
-	case isa.OpJr:
-		next = int(regs[d.src1])
-		taken = true
-	case isa.OpFadd:
-		e.setRegF(d.dst, e.regF(d.src1)+e.regF(d.src2))
-	case isa.OpFsub:
-		e.setRegF(d.dst, e.regF(d.src1)-e.regF(d.src2))
-	case isa.OpFneg:
-		e.setRegF(d.dst, -e.regF(d.src1))
-	case isa.OpFabs:
-		e.setRegF(d.dst, math.Abs(e.regF(d.src1)))
-	case isa.OpFmul:
-		e.setRegF(d.dst, e.regF(d.src1)*e.regF(d.src2))
-	case isa.OpFdiv:
-		e.setRegF(d.dst, e.regF(d.src1)/e.regF(d.src2))
-	case isa.OpCvtif:
-		e.setRegF(d.dst, float64(regs[d.src1]))
-	case isa.OpCvtfi:
-		f := e.regF(d.src1)
-		if math.IsNaN(f) || f >= 9.3e18 || f <= -9.3e18 {
-			return false, fmt.Errorf("sim: pc %d (%s): float-to-int overflow (%g)", idx, &e.prog.Instrs[idx], f)
-		}
-		e.setReg(d.dst, int64(f))
-	case isa.OpFslt:
-		e.setReg(d.dst, b2i(e.regF(d.src1) < e.regF(d.src2)))
-	case isa.OpFsle:
-		e.setReg(d.dst, b2i(e.regF(d.src1) <= e.regF(d.src2)))
-	case isa.OpFseq:
-		e.setReg(d.dst, b2i(e.regF(d.src1) == e.regF(d.src2)))
-	case isa.OpFsne:
-		e.setReg(d.dst, b2i(e.regF(d.src1) != e.regF(d.src2)))
-	case isa.OpFsqrt:
-		e.setRegF(d.dst, math.Sqrt(e.regF(d.src1)))
-	case isa.OpFsin:
-		e.setRegF(d.dst, math.Sin(e.regF(d.src1)))
-	case isa.OpFcos:
-		e.setRegF(d.dst, math.Cos(e.regF(d.src1)))
-	case isa.OpFatn:
-		e.setRegF(d.dst, math.Atan(e.regF(d.src1)))
-	case isa.OpFexp:
-		e.setRegF(d.dst, math.Exp(e.regF(d.src1)))
-	case isa.OpFlog:
-		e.setRegF(d.dst, math.Log(e.regF(d.src1)))
-	case isa.OpPrinti:
-		e.output = append(e.output, isa.IntValue(regs[d.src1]))
-	case isa.OpPrintf:
-		e.output = append(e.output, isa.FloatValue(e.regF(d.src1)))
-	case isa.OpHalt:
-		e.halted = true
-		return false, nil
-	default:
-		return false, fmt.Errorf("sim: pc %d: unimplemented opcode %v", idx, d.op)
-	}
-
-	if taken && d.op != isa.OpJr {
-		next = int(d.target)
-	}
-	e.pc = next
-	return taken, nil
-}
-
 // regF reads a register as a float64.
 func (e *Engine) regF(reg isa.Reg) float64 {
 	return math.Float64frombits(uint64(e.regs[reg]))
@@ -1621,24 +1327,19 @@ func (e *Engine) fillResult(res *Result, output []isa.Value) {
 	res.Stalls = e.stalls
 	res.InstrCounts, res.TakenExits = nil, nil
 	if e.opts.CountInstrs {
+		// Fold the block entry/exit counters, exactly as foldCounts does
+		// for the class mix. exit already counts both taken transfers and
+		// the final halt.
 		n := len(e.dec) - 1
 		counts := make([]int64, n)
 		exits := make([]int64, n)
-		if e.instrCnt != nil {
-			copy(counts, e.instrCnt)
-			copy(exits, e.takenExit)
-		} else {
-			// Fast path: fold the block entry/exit counters, exactly as
-			// foldCounts does for the class mix. exit already counts both
-			// taken transfers and the final halt.
-			var live int64
-			for i := 0; i < n; i++ {
-				live += e.enter[i]
-				counts[i] = live
-				live -= e.exit[i]
-			}
-			copy(exits, e.exit[:n])
+		var live int64
+		for i := 0; i < n; i++ {
+			live += e.enter[i]
+			counts[i] = live
+			live -= e.exit[i]
 		}
+		copy(exits, e.exit[:n])
 		res.InstrCounts, res.TakenExits = counts, exits
 	}
 	res.ICacheStats, res.DCacheStats = nil, nil

@@ -201,8 +201,8 @@ func peek(bits []uint64, pos int64) uint64 {
 }
 
 // timingOnly rejects the options a recording or a walk cannot serve: the
-// walker models no caches and calls no hooks, and a recording must run on
-// the fast path.
+// walker models no caches and calls no hooks, and a recording takes the
+// options of the walks that follow it.
 func timingOnly(opts Options) error {
 	if opts.OnIssue != nil || opts.OnTrace != nil {
 		return fmt.Errorf("sim: a recorded or walked run takes no OnIssue or OnTrace hook")
@@ -304,9 +304,10 @@ func errPathEnded(instrs int64) error {
 // walk is runFast without semantics, on a cache-free machine: the same
 // issue steps, trace entry and exit bookkeeping and poll points, with every
 // control decision read off path through v, the walk's view of it, which
-// grows (v.more) only where the walk catches up with an open path. The
-// comments in runFast explain each step; here they note only where the
-// two differ.
+// grows (v.more) only where the walk catches up with an open path. It
+// stays a loop of its own: folded into runFast as a mode, it slowed both
+// the walks and the executing runs. The comments in runFast explain each
+// step; here they note only where the two differ.
 func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup
@@ -394,7 +395,9 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 
 		// 6. No semantics: straight-line instructions fall out of the
 		// switch, and control transfers read their outcome off the path.
-		switch d.fop {
+		// The walk dispatches on the architectural opcode, so a pair that
+		// runFast fuses walks as its two instructions, with the same timing.
+		switch d.op {
 		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt:
 			for pos >= nbits {
 				if err := v.more(ctx, path, instrs); err != nil {
@@ -424,94 +427,6 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 			}
 			taken, next = true, t
 			goto boundary
-		case opFusedAluBr:
-			{
-				bd := &dec[idx+1]
-				var overB int64
-				if inCycle >= width {
-					overB = 1
-				}
-				slotB := cycle + overB
-				stalls.Width += overB
-				if barrier > slotB {
-					if barrierIsBr {
-						stalls.Branch += barrier - slotB
-					}
-					slotB = barrier
-				}
-				issueB := slotB
-				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
-				stalls.Data += m - issueB
-				issueB = m
-				if issueB > cycle {
-					cycle = issueB
-					inCycle = 1
-					groups++
-				} else {
-					inCycle++
-				}
-				lastComplete = max(lastComplete, issueB+bd.lat)
-
-				for pos >= nbits {
-					if err := v.more(ctx, path, instrs); err != nil {
-						return err
-					}
-					bits, nbits, targets = v.bits, v.n, v.targets
-				}
-				bTaken := bits[pos>>6]>>uint(pos&63)&1 != 0
-				pos++
-				instrs += 2
-				if bTaken {
-					pc = int(bd.target)
-					exit[idx+1]++
-					enter[pc]++
-					if takenEnds {
-						if b := issueB + bd.lat + redirect; b > barrier {
-							barrier, barrierIsBr = b, true
-						}
-					}
-				} else {
-					pc = idx + 2
-				}
-			}
-			goto check
-		case opFusedAluAlu:
-			{
-				bd := &dec[idx+1]
-				var overB int64
-				if inCycle >= width {
-					overB = 1
-				}
-				slotB := cycle + overB
-				stalls.Width += overB
-				if barrier > slotB {
-					if barrierIsBr {
-						stalls.Branch += barrier - slotB
-					}
-					slotB = barrier
-				}
-				issueB := slotB
-				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
-				stalls.Data += m - issueB
-				issueB = m
-				latB := bd.lat
-				m = max(issueB, ready[bd.dst]-latB)
-				stalls.Write += m - issueB
-				issueB = m
-				if issueB > cycle {
-					cycle = issueB
-					inCycle = 1
-					groups++
-				} else {
-					inCycle++
-				}
-				completeB := issueB + latB
-				ready[bd.dst] = completeB
-				lastComplete = max(lastComplete, completeB)
-			}
-			pc = idx + 2
-			instrs += 2
-			continue
 		case isa.OpHalt:
 			instrs++
 			exit[idx]++
@@ -538,7 +453,6 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 			}
 		}
 
-	check:
 		// Trace replay under runFast's entry conditions; the path's guard
 		// outcomes pick the exit in O(1) instead of traceExecU.
 		for scheds != nil && barrierIsBr && barrier > cycle {

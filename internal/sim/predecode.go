@@ -42,8 +42,8 @@ const (
 // bytes — purely static facts, no per-run state — so a predecoded program
 // (see Code) is immutable and can be shared read-only across engines.
 type decoded struct {
-	op  isa.Opcode // architectural opcode (instrumented path, errors)
-	fop isa.Opcode // fast-path dispatch opcode: op, or a fused superinstruction
+	op  isa.Opcode // architectural opcode (hooked runs, walks, errors)
+	fop isa.Opcode // runFast's dispatch opcode: op, a fused superinstruction or opHooked
 	// class is the instruction's isa.Class; dynamic per-class counts are
 	// kept per-engine (folded from block entry/exit counters on the fast
 	// path), never here.
@@ -76,8 +76,8 @@ const opOutOfRange = isa.Opcode(isa.NumOpcodes)
 // compare+branch and induction-increment+branch idioms that close almost
 // every loop). The head entry dispatches the pair as one case; the branch's
 // own entry at i+1 stays intact, so jumps that land on the branch directly
-// still execute it standalone, and the instrumented path (which dispatches
-// on the architectural op) is unaffected.
+// still execute it standalone. Hooked runs and walks dispatch on the
+// architectural op, so they run a fused pair as its two instructions.
 const opFusedAluBr = isa.Opcode(isa.NumOpcodes + 1)
 
 // opFusedAluAlu is the fast-path dispatch opcode of a fused pair of integer
@@ -86,6 +86,11 @@ const opFusedAluBr = isa.Opcode(isa.NumOpcodes + 1)
 // epilogue) on the sequential bodies between branches. As with
 // opFusedAluBr, the second entry stays intact for direct jumps.
 const opFusedAluAlu = isa.Opcode(isa.NumOpcodes + 2)
+
+// opHooked is the dispatch opcode of every instruction of a hooked run's own
+// copy of the program (see Engine.arm): runFast reports the instruction to
+// the OnIssue/OnTrace hooks, then dispatches on its architectural opcode.
+const opHooked = isa.Opcode(isa.NumOpcodes + 3)
 
 // Code is an immutable predecoded program: the translation of one
 // isa.Program against one machine schedule. It carries no per-run state, so

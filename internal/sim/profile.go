@@ -55,7 +55,7 @@ func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*s
 		Count: make([]int64, n),
 		Taken: make([]int64, n),
 	}
-	// The same prefix fold as fillResult's fast path: the number of open
+	// The same prefix fold as fillResult's: the number of open
 	// contiguous execution runs covering pc is its execution count, and
 	// exit[pc] is its taken-transfer count.
 	var live int64

@@ -3,7 +3,7 @@ package sim
 // This file preserves the original (pre-predecode) engine verbatim as a
 // reference implementation. It is compiled only into tests and exists so the
 // differential suite (differential_test.go) can prove that the rewritten
-// fast and instrumented paths are bit-identical to the original semantics
+// engine, hooked and unhooked, is bit-identical to the original semantics
 // and timing on every golden benchmark × machine configuration. Apart from
 // renames (engine→refEngine, Run→refRun) and the removal of the public
 // wrappers, the code is unchanged from the seed.

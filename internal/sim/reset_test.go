@@ -43,7 +43,7 @@ func zeroProbe(n int64) *isa.Program {
 }
 
 // TestResetClearsOnlyDirtiedMemory: after each paper benchmark, on the fast
-// path (with trace replay) and on the instrumented path, the engine's next
+// path (with trace replay) and on a hooked run, the engine's next
 // Reset zeroes the benchmark's data segment plus its few dirtied stack
 // words — not the whole 2^21-word arena, which a store into the data
 // segment used to drag into the dirty range. A second program on the same
@@ -71,7 +71,7 @@ func TestResetClearsOnlyDirtiedMemory(t *testing.T) {
 		opts Options
 	}{
 		{"fast", Options{Machine: cfg}},
-		{"instrumented", Options{Machine: cfg, OnIssue: func(int, *isa.Instr, int64, int64) {}}},
+		{"hooked", Options{Machine: cfg, OnIssue: func(int, *isa.Instr, int64, int64) {}}},
 	}
 	e := NewEngine()
 	for i, b := range suite {

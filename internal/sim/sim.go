@@ -17,12 +17,12 @@
 // is "compile once per configuration, simulate billions of instructions":
 // at Reset the program is predecoded against the machine description into a
 // flat array of per-instruction facts (operand flags, resolved functional
-// unit, base latency), and the inner loop is split once into a fast path,
-// which runs every simulation without callbacks (cache machines included),
-// and an instrumented path, which runs only when an OnIssue or OnTrace hook
-// is set. Engines are reusable and pooled, so repeated runs recycle the
-// memory arena instead of allocating and zeroing 16 MB per simulation. See
-// Engine.
+// unit, base latency), and one inner loop executes every run, cache
+// machines and OnIssue/OnTrace hooks included; a hooked run dispatches each
+// instruction through the hooks on its own copy of that array, so runs
+// without hooks pay nothing for them. Engines are reusable and pooled, so
+// repeated runs recycle the memory arena instead of allocating and zeroing
+// 16 MB per simulation. See Engine.
 //
 // On a cache-free machine, semantics reach timing only through branch
 // outcomes, jr targets and faults, so a run can also be timed without
@@ -60,26 +60,24 @@ type Options struct {
 	// number of concurrent runs — the experiments runner predecodes once
 	// per (program, schedule) pair and shares it across sweep workers.
 	Code *Code
-	// OnIssue, if set, is called for every instruction with its index in
-	// the program, its issue minor cycle and its completion minor cycle.
-	// Used by ilpsim -pipeline's issue timeline and by tests. Setting it
-	// selects the instrumented engine path, which models no caches: Reset
-	// rejects a hook on a machine with an I- or D-cache. Without it and
-	// OnTrace, every run takes the fast path.
+	// OnIssue, if set, is called for every retired instruction, in program
+	// order, with its index in the program, its issue minor cycle and its
+	// completion minor cycle; caches included. Used by ilpsim -pipeline's
+	// issue timeline and by tests. A hooked run replays no traces and fuses
+	// no pairs, so it reports every instruction, both halves of a pair
+	// that unhooked runs fuse, control transfers and the halt included. An
+	// instruction that faults may be reported before the run fails.
 	OnIssue func(idx int, in *isa.Instr, issue, complete int64)
-	// OnTrace, if set, receives the dynamic instruction trace with the
-	// resolved data-memory address (-1 for non-memory instructions).
-	// Used by the trace-limit analysis (package trace). Setting it
-	// selects the instrumented engine path, as OnIssue does, and needs a
-	// cache-free machine too.
+	// OnTrace, if set, receives the dynamic instruction trace, as OnIssue
+	// does, with the resolved data-memory address (-1 for non-memory
+	// instructions). Used by the trace-limit analysis (package trace).
 	OnTrace func(idx int, in *isa.Instr, addr int64)
 	// CountInstrs, if set, reports per-instruction dynamic execution and
 	// taken-exit counts in Result.InstrCounts / Result.TakenExits — the
 	// inputs the static timing oracle (internal/statictime,
-	// verify.CheckTiming) needs to bound a run's cycle count. On the fast
-	// path (cache machines included) the counts are folded from the block
-	// entry/exit counters the engine already keeps, so the run itself is
-	// unaffected; only hook runs count per instruction.
+	// verify.CheckTiming) needs to bound a run's cycle count. Every run,
+	// hooked or not, folds the counts from the block entry/exit counters
+	// the engine already keeps, so the run itself is unaffected.
 	CountInstrs bool
 }
 

@@ -28,6 +28,8 @@
 package trace
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"ilp/internal/isa"
@@ -74,6 +76,10 @@ type Options struct {
 // DefaultMaxTrace bounds trace length.
 const DefaultMaxTrace = 2_000_000
 
+// errTraceFull is the cause with which Analyze stops the simulation once the
+// trace is full: nothing past MaxTrace is analyzed.
+var errTraceFull = errors.New("trace: trace full")
+
 // Analyze executes the program (on a base machine; timing of the host
 // simulation is irrelevant) and computes the two limits from its trace.
 func Analyze(p *isa.Program, opts Options) (*Limits, error) {
@@ -97,9 +103,17 @@ func Analyze(p *isa.Program, opts Options) (*Limits, error) {
 	// Output (print) order.
 	var outB, outO int64
 
+	// The hook stops the run once the trace is full. The engine notices at
+	// its next context poll, so the hook ignores the instructions it still
+	// reports until then.
+	ctx, stop := context.WithCancelCause(context.Background())
+	defer stop(nil)
 	hook := func(idx int, in *isa.Instr, addr int64) {
 		if l.Instructions >= maxTrace {
-			l.Truncated = true
+			if !l.Truncated {
+				l.Truncated = true
+				stop(errTraceFull)
+			}
 			return
 		}
 		l.Instructions++
@@ -178,11 +192,11 @@ func Analyze(p *isa.Program, opts Options) (*Limits, error) {
 		}
 	}
 
-	_, err := sim.Run(p, sim.Options{
+	_, err := sim.RunCtx(ctx, p, sim.Options{
 		Machine: machine.Base(),
 		OnTrace: hook,
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errTraceFull) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return l, nil

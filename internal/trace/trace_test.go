@@ -143,3 +143,26 @@ func TestTruncation(t *testing.T) {
 		t.Errorf("truncation: %+v", l)
 	}
 }
+
+// TestTruncationStopsSimulating: the analysis stops simulating once the
+// trace is full. The program runs MaxTrace + 2^17 instructions — past the
+// engine's next context poll — and then divides by zero, a fault only a run
+// that went on after the trace filled would reach.
+func TestTruncationStopsSimulating(t *testing.T) {
+	const maxTrace = 1000
+	b := isa.NewBuilder()
+	b.Li(isa.R(10), 0)
+	b.Li(isa.R(11), (maxTrace+1<<17)/2+1)
+	b.Label("loop")
+	b.Imm(isa.OpAddi, isa.R(10), isa.R(10), 1)
+	b.Branch(isa.OpBlt, isa.R(10), isa.R(11), "loop")
+	b.Op(isa.OpDiv, isa.R(12), isa.R(10), isa.RZero)
+	b.Halt()
+	l, err := Analyze(b.MustFinish(), Options{MaxTrace: maxTrace})
+	if err != nil {
+		t.Fatalf("a full trace ran on to the fault: %v", err)
+	}
+	if !l.Truncated || l.Instructions != maxTrace {
+		t.Errorf("truncation: %+v", l)
+	}
+}
