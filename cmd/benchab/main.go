@@ -1,27 +1,32 @@
-// Command benchab compares the benchmark of record (bench/run.sh) between a
-// base revision and the working tree, in alternating pairs.
+// Command benchab compares the benchmark of record (bench/) between a base
+// revision and the working tree, in alternating pairs.
 //
 // Usage:
 //
 //	benchab [-base REV] [-pairs N] [-seed N] [-scratch DIR] workload...
 //
-// It checks the base revision (default HEAD^) out into a fresh clone under
-// the scratch directory, so the base side builds from a clean tree of that
-// commit, and then runs `bash bench/run.sh --workload W --seed S --trace 0`
-// on both sides, at the benchmark's own run length. The clone shares the
-// repository's object store and is removed when the comparison ends; it
-// leaves nothing in the repository itself. Pair i uses the fresh seed
-// seed+i on both sides, and the side that runs first alternates from pair
-// to pair, so a drift in the host's speed lands on both sides equally. For
-// each end-to-end metric that BENCHMARK.json declares, it prints each
+// It checks the base revision (default HEAD^) out into a fresh clone under the
+// scratch directory, so the base side builds from a clean tree of that commit.
+// It builds each side's bench binary once, with `go build -trimpath` under
+// bench/run.sh's environment (the build cache and temporary files in the
+// checkout's .bench_build/), so two clean checkouts of one commit give
+// byte-identical binaries, and then runs the binaries directly in their
+// checkouts with `--workload W --seed S --trace 0`, at the benchmark's own run
+// length. The clone shares the repository's object store and is removed when
+// the comparison ends; it leaves nothing in the repository itself. Pair i uses
+// the fresh seed seed+i on both sides, and the side that runs first alternates
+// from pair to pair, so a drift in the host's speed lands on both sides
+// equally. For each end-to-end metric that BENCHMARK.json declares, and for
+// cpu_s, each run's process CPU time (user + system, which includes the
+// children the run waited for, such as ilpd and its build), it prints each
 // side's median [q1, q3], the per-pair change (change − base) / base as a
 // median [q1, q3], how many pairs the change won (by the metric's declared
 // direction), and whether the medians differ by more than the base side's
 // quartile spread. Quartiles use the method of bench --runs (Python's
 // statistics.quantiles, exclusive).
 //
-// Each run's result line goes to stderr as it arrives, so a long
-// comparison can be followed and its raw numbers kept.
+// Each run's CPU time and result line go to stderr as they arrive, so a
+// long comparison can be followed and its raw numbers kept.
 package main
 
 import (
@@ -49,11 +54,13 @@ type metricDecl struct {
 
 // result is the last line a bench run prints.
 type result struct {
-	Correct bool `json:"correct"`
-	Failed  int  `json:"failed"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Correct bool                   `json:"correct"`
+	Failed  int                    `json:"failed"`
+	Metrics map[string]metricValue `json:"metrics"`
+}
+
+type metricValue struct {
+	Value float64 `json:"value"`
 }
 
 // pair holds one pair's value of a metric on each side.
@@ -99,29 +106,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer os.RemoveAll(baseDir)
 	fmt.Fprintf(stderr, "benchab: base %s checked out in %s\n", rev, baseDir)
+	names := [2]string{"base", "change"}
+	var sides [2]side
+	for k, dir := range [2]string{baseDir, root} {
+		if sides[k], err = build(dir); err != nil {
+			fmt.Fprintln(stderr, "benchab:", err)
+			return 1
+		}
+	}
 
+	decls = append(decls, metricDecl{Name: "cpu_s", Unit: "s", Better: "lower"})
 	for _, w := range fs.Args() {
 		values := map[string][]pair{}
 		for i := 0; i < *pairs; i++ {
 			s := *seed + int64(i)
-			sides := []string{baseDir, root}
+			order := []int{0, 1}
 			if i%2 == 1 {
-				sides[0], sides[1] = sides[1], sides[0]
+				order[0], order[1] = 1, 0
 			}
 			var got [2]result
-			for _, dir := range sides {
-				res, line, err := benchRun(dir, w, s)
+			for _, k := range order {
+				res, line, err := sides[k].run(w, s)
 				if err != nil {
-					fmt.Fprintf(stderr, "benchab: %s seed %d in %s: %v\n", w, s, dir, err)
+					fmt.Fprintf(stderr, "benchab: %s seed %d in %s: %v\n", w, s, sides[k].dir, err)
 					return 1
 				}
-				side := "change"
-				k := 1
-				if dir == baseDir {
-					side, k = "base", 0
-				}
 				got[k] = res
-				fmt.Fprintf(stderr, "benchab: %s pair %d seed %d %s: %s\n", w, i+1, s, side, line)
+				fmt.Fprintf(stderr, "benchab: %s pair %d seed %d %s: cpu %.2f s %s\n",
+					w, i+1, s, names[k], res.Metrics["cpu_s"].Value, line)
 			}
 			for _, d := range decls {
 				b, okB := got[0].Metrics[d.Name]
@@ -167,12 +179,43 @@ func checkout(root, rev, scratch string) (string, error) {
 	return dir, nil
 }
 
-// benchRun runs one bench invocation in the checkout at dir and returns its
-// parsed result line.
-func benchRun(dir, workload string, seed int64) (result, string, error) {
-	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
+// side is one checkout's bench binary and the environment it runs in.
+type side struct {
+	dir, bin string
+	env      []string
+}
+
+// build builds the bench binary of the checkout at dir once, under
+// bench/run.sh's environment: the Go build cache, temporary files and
+// configuration in dir's .bench_build/, the local toolchain and no module
+// proxy. The runs keep that environment, so daemon-mixed builds its ilpd
+// with the checkout's own cache as it does under run.sh. -trimpath leaves
+// the checkout's path out of the binary.
+func build(dir string) (side, error) {
+	out := filepath.Join(dir, ".bench_build")
+	if err := os.MkdirAll(filepath.Join(out, "tmp"), 0o755); err != nil {
+		return side{}, err
+	}
+	sd := side{dir: dir, bin: filepath.Join(out, "bench"), env: append(os.Environ(),
+		"GOCACHE="+filepath.Join(out, "gocache"), "GOPATH="+filepath.Join(out, "gopath"),
+		"GOTMPDIR="+filepath.Join(out, "tmp"), "TMPDIR="+filepath.Join(out, "tmp"),
+		"XDG_CONFIG_HOME="+filepath.Join(out, "config"), "GOTOOLCHAIN=local", "GOPROXY=off")}
+	cmd := exec.Command("go", "build", "-trimpath", "-o", sd.bin, ".")
+	cmd.Dir = filepath.Join(dir, "bench")
+	cmd.Env = sd.env
+	if b, err := cmd.CombinedOutput(); err != nil {
+		return side{}, fmt.Errorf("building bench in %s: %v: %s", dir, err, lastLine(string(b)))
+	}
+	return sd, nil
+}
+
+// run runs the side's bench binary once in its checkout and returns the
+// parsed result line, with the process's CPU time added as cpu_s.
+func (sd side) run(workload string, seed int64) (result, string, error) {
+	cmd := exec.Command(sd.bin, "--workload", workload,
 		"--seed", strconv.FormatInt(seed, 10), "--trace", "0")
-	cmd.Dir = dir
+	cmd.Dir = sd.dir
+	cmd.Env = sd.env
 	var errb bytes.Buffer
 	cmd.Stderr = &errb
 	out, err := cmd.Output()
@@ -181,7 +224,15 @@ func benchRun(dir, workload string, seed int64) (result, string, error) {
 	}
 	line := lastLine(string(out))
 	res, err := parseResult(line)
-	return res, line, err
+	if err != nil {
+		return res, line, err
+	}
+	if res.Metrics == nil {
+		res.Metrics = map[string]metricValue{}
+	}
+	ps := cmd.ProcessState
+	res.Metrics["cpu_s"] = metricValue{(ps.UserTime() + ps.SystemTime()).Seconds()}
+	return res, line, nil
 }
 
 func lastLine(s string) string {

@@ -8,7 +8,7 @@
 //	       [-width N] [-pipe M] [-temps N] [-print] <benchmark | file.tl>
 //
 // Machines: base, multititan, cray1, superscalar:N, superpipelined:M,
-// supersuper:N:M, underpipelined.
+// supersuper:N:M, conflicts:N, underpipelined.
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"ilp/internal/benchmarks"
@@ -25,58 +24,6 @@ import (
 	"ilp/internal/machine"
 	"ilp/internal/sim"
 )
-
-// machineByName parses a -machine value. Degrees must be integers ≥ 1,
-// and a name takes no more degree fields than its machine has.
-func machineByName(name string) (*machine.Config, error) {
-	parts := strings.Split(strings.ToLower(name), ":")
-	degrees := func(n int, def ...int) ([]int, error) {
-		if len(parts)-1 > n {
-			return nil, fmt.Errorf("machine %q: %s takes at most %d degree(s)", name, parts[0], n)
-		}
-		out := append([]int(nil), def...)
-		for i, f := range parts[1:] {
-			v, err := strconv.Atoi(f)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("machine %q: degree %q is not an integer ≥ 1", name, f)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	var d []int
-	var err error
-	switch parts[0] {
-	case "base", "":
-		_, err = degrees(0)
-		return machine.Base(), err
-	case "multititan", "titan":
-		_, err = degrees(0)
-		return machine.MultiTitan(), err
-	case "cray1", "cray-1", "cray":
-		_, err = degrees(0)
-		return machine.CRAY1(), err
-	case "underpipelined":
-		_, err = degrees(0)
-		return machine.Underpipelined(), err
-	case "superscalar", "ss":
-		if d, err = degrees(1, 4); err != nil {
-			return nil, err
-		}
-		return machine.IdealSuperscalar(d[0]), nil
-	case "superpipelined", "sp":
-		if d, err = degrees(1, 4); err != nil {
-			return nil, err
-		}
-		return machine.Superpipelined(d[0]), nil
-	case "supersuper", "ssp":
-		if d, err = degrees(2, 2, 2); err != nil {
-			return nil, err
-		}
-		return machine.SuperpipelinedSuperscalar(d[0], d[1]), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q", name)
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -88,7 +35,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	machineName := fs.String("machine", "base", "machine description (base, multititan, cray1, superscalar:N, superpipelined:M, supersuper:N:M, underpipelined)")
+	machineName := fs.String("machine", "base", "machine description (base, multititan, cray1, superscalar:N, superpipelined:M, supersuper:N:M, conflicts:N, underpipelined)")
 	level := fs.Int("level", 4, "optimization level 0..4 (Figure 4-8's axis)")
 	unroll := fs.Int("unroll", 0, "loop unroll factor (0 = benchmark default)")
 	careful := fs.Bool("careful", false, "careful unrolling (reassociation + memory disambiguation)")
@@ -118,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *pipeline < 0:
 		return fail(fmt.Errorf("-pipeline %d is negative", *pipeline))
 	}
-	m, err := machineByName(*machineName)
+	m, err := machine.ByName(*machineName)
 	if err != nil {
 		return fail(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"ilp/internal/benchmarks"
@@ -28,37 +27,6 @@ import (
 	"ilp/internal/statictime"
 	"ilp/internal/verify"
 )
-
-func machineByName(name string) (*machine.Config, error) {
-	parts := strings.Split(strings.ToLower(name), ":")
-	arg := func(i, def int) int {
-		if len(parts) > i {
-			if v, err := strconv.Atoi(parts[i]); err == nil {
-				return v
-			}
-		}
-		return def
-	}
-	switch parts[0] {
-	case "base", "":
-		return machine.Base(), nil
-	case "multititan", "titan":
-		return machine.MultiTitan(), nil
-	case "cray1", "cray-1", "cray":
-		return machine.CRAY1(), nil
-	case "superscalar", "ss":
-		return machine.IdealSuperscalar(arg(1, 4)), nil
-	case "superpipelined", "sp":
-		return machine.Superpipelined(arg(1, 4)), nil
-	case "supersuper", "ssp":
-		return machine.SuperpipelinedSuperscalar(arg(1, 2), arg(2, 2)), nil
-	case "conflicts":
-		return machine.SuperscalarWithConflicts(arg(1, 4)), nil
-	case "underpipelined":
-		return machine.Underpipelined(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q", name)
-}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilpstat", flag.ContinueOnError)
@@ -74,6 +42,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: ilpstat [flags] <benchmark|file.tl>; benchmarks:", strings.Join(benchmarks.Names(), " "))
 		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ilpstat:", err)
+		return 1
+	}
+	switch {
+	case *level < int(compiler.O0) || *level > int(compiler.O4):
+		return fail(fmt.Errorf("-level %d is outside 0..4", *level))
+	case *unroll < 0:
+		return fail(fmt.Errorf("-unroll %d is negative", *unroll))
+	}
+	m, err := machine.ByName(*machineName)
+	if err != nil {
+		return fail(err)
+	}
 	target := fs.Arg(0)
 
 	var src string
@@ -86,29 +68,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		data, ferr := os.ReadFile(target)
 		if ferr != nil {
-			fmt.Fprintf(stderr, "ilpstat: %q is neither a benchmark (%s) nor a readable file: %v\n",
-				target, strings.Join(benchmarks.Names(), " "), ferr)
-			return 1
+			return fail(fmt.Errorf("%q is neither a benchmark (%s) nor a readable file: %v",
+				target, strings.Join(benchmarks.Names(), " "), ferr))
 		}
 		src = string(data)
 	}
 
-	m, err := machineByName(*machineName)
-	if err != nil {
-		fmt.Fprintln(stderr, "ilpstat:", err)
-		return 1
-	}
 	c, err := compiler.Compile(src, compiler.Options{
 		Machine: m, Level: compiler.Level(*level), Unroll: unrollFactor,
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, "ilpstat:", err)
-		return 1
+		return fail(err)
 	}
 	a, err := statictime.Analyze(c.Prog, m)
 	if err != nil {
-		fmt.Fprintln(stderr, "ilpstat:", err)
-		return 1
+		return fail(err)
 	}
 	fmt.Fprint(stdout, a.Format())
 
@@ -117,8 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := sim.Run(c.Prog, sim.Options{Machine: m, CountInstrs: true})
 	if err != nil {
-		fmt.Fprintln(stderr, "ilpstat:", err)
-		return 1
+		return fail(err)
 	}
 	lo := a.LowerBound(res.InstrCounts, res.TakenExits)
 	hi := a.UpperBound(res.InstrCounts)

@@ -700,7 +700,7 @@ func (r *Runner) measureAttempt(ctx context.Context, e *sim.Engine, bench string
 	if ctx.Err() != nil {
 		return nil, cause(ctx)
 	}
-	c, err := r.compile(ctx, bench, copts, m, ckey)
+	c, err := r.compile(ctx, e, bench, copts, m, ckey)
 	if err != nil {
 		return nil, err
 	}
@@ -915,28 +915,29 @@ func (r *Runner) simFailure(ctx context.Context, bench string, m *machine.Config
 
 // compile returns the compiled program for the key, compiling at most once.
 // Every caller runs inside a runCells cell, so the leader already holds a
-// worker slot and waiters (who hold their own slots) can never starve it.
+// worker slot and waiters (who hold their own slots) can never starve it;
+// e is that slot's engine, on which a front's leader profiles.
 // A machine that fails validation fails here, before it could lead — and
 // fail — a compile entry or front it would share with valid machines:
 // neither key covers all of a description.
-func (r *Runner) compile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
+func (r *Runner) compile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
 	if err := m.Validate(); err != nil {
 		return compiled{}, r.compileFailure(ctx, bench, m, err)
 	}
 	return once(ctx, r, r.compiles, ckey, &r.stats.CompileHits, &r.stats.Compiles, func() (compiled, error) {
-		return r.doCompile(ctx, bench, copts, m, ckey)
+		return r.doCompile(ctx, e, bench, copts, m, ckey)
 	})
 }
 
 // doCompile is the compile-cache miss path: it runs compileAttempt under
 // the same transient-failure retry policy as measure.
-func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
+func (r *Runner) doCompile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
 	var (
 		c   compiled
 		err error
 	)
 	for attempt := 0; ; attempt++ {
-		c, err = r.compileAttempt(ctx, bench, copts, m, ckey, attempt)
+		c, err = r.compileAttempt(ctx, e, bench, copts, m, ckey, attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
 			break
 		}
@@ -954,7 +955,7 @@ func (r *Runner) doCompile(ctx context.Context, bench string, copts compiler.Opt
 // hook). It takes the benchmark's front from the front cache, schedules it
 // for m, and predecodes the result with its traces specialized from the
 // front's branch profile.
-func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (c compiled, err error) {
+func (r *Runner) compileAttempt(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string, attempt int) (c compiled, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			c, err = compiled{}, &CompileError{
@@ -983,7 +984,7 @@ func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compile
 	// profile the front); its compile reuses that work.
 	var own compiled
 	fr, err := once(ctx, r, r.fronts, frontKey(bench, copts, m), nil, &r.stats.Lowers, func() (*front, error) {
-		fr, c, err := r.lower(ctx, b.Source, copts)
+		fr, c, err := r.lower(ctx, e, b.Source, copts)
 		own = c
 		return fr, err
 	})
@@ -1023,18 +1024,19 @@ func (r *Runner) compileAttempt(ctx context.Context, bench string, copts compile
 	return c, nil
 }
 
-// lower is the front-cache miss path. It lowers src for the register split
-// of copts.Machine, schedules and predecodes the result for that machine,
-// and records the front's branch profile with a short budgeted pre-run of
-// that code; the scheduled program and its predecode are returned for the
-// leader's own compile. One profile serves every machine sharing the
-// front: the scheduler permutes instructions only within regions bounded
-// by block leaders and control transfers, so every branch keeps its pc,
-// and the counts are architectural. Profiling is best-effort — a pre-run
-// that errors leaves the profile nil, and a wrong profile could cost speed,
-// never timing — but a cancelled pre-run fails the front, so a truncated
-// profile is never published.
-func (r *Runner) lower(ctx context.Context, src string, copts compiler.Options) (*front, compiled, error) {
+// lower is the front-cache miss path. It lowers src for the register split of
+// copts.Machine, schedules and predecodes the result for that machine, and
+// records the front's branch profile with a short budgeted pre-run of that
+// code on the leader's slot engine e, whose memory arena the cell's simulation
+// reuses next; the scheduled program and its predecode are returned for the
+// leader's own compile. One profile serves every machine sharing the front:
+// the scheduler permutes instructions only within regions bounded by block
+// leaders and control transfers, so every branch keeps its pc, and the counts
+// are architectural. Profiling is best-effort — a pre-run that errors leaves
+// the profile nil, and a wrong profile could cost speed, never timing — but a
+// cancelled pre-run fails the front, so a truncated profile is never
+// published.
+func (r *Runner) lower(ctx context.Context, e *sim.Engine, src string, copts compiler.Options) (*front, compiled, error) {
 	low, err := compiler.Lower(src, copts)
 	if err != nil {
 		return nil, compiled{}, err
@@ -1048,7 +1050,7 @@ func (r *Runner) lower(ctx context.Context, src string, copts compiler.Options) 
 		return nil, compiled{}, err
 	}
 	fr := &front{low: low}
-	prof, err := sim.ProfileRun(ctx, code, 0, 0)
+	prof, err := e.Profile(ctx, code, 0, 0)
 	if err == nil {
 		fr.prof = prof
 	} else if isCancellation(ctx, err) {

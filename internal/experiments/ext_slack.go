@@ -53,7 +53,7 @@ func runExtSlack(ctx context.Context, r *Runner) (*Result, error) {
 	ratios := make([]float64, len(jobs))
 	err = r.runCells(ctx, jobs, func(ctx context.Context, e *sim.Engine, i int) error {
 		j := jobs[i]
-		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		c, err := r.compile(ctx, e, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}

@@ -44,13 +44,13 @@ func runExtLimits(ctx context.Context, r *Runner) (*Result, error) {
 		cells[i] = jobs[2*i]
 	}
 	lims := make([]*trace.Limits, len(suite))
-	err = r.runCells(ctx, cells, func(ctx context.Context, _ *sim.Engine, i int) error {
+	err = r.runCells(ctx, cells, func(ctx context.Context, e *sim.Engine, i int) error {
 		j := cells[i]
-		c, err := r.compile(ctx, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
+		c, err := r.compile(ctx, e, j.bench, j.copts, j.m, compileKey(j.bench, j.copts, j.m))
 		if err != nil {
 			return err
 		}
-		if lims[i], err = trace.Analyze(c.prog, trace.Options{MaxTrace: 1_500_000}); err != nil {
+		if lims[i], err = trace.AnalyzeOn(ctx, e, c.prog, trace.Options{MaxTrace: 1_500_000}); err != nil {
 			return r.simFailure(ctx, j.bench, j.m, err)
 		}
 		return nil

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ilp/internal/isa"
 )
@@ -252,4 +254,64 @@ func CRAY1Issue(n int, unitLatencies bool) *Config {
 // whose average degree of superpipelining the paper reports.
 func TableMachines() []*Config {
 	return []*Config{MultiTitan(), CRAY1()}
+}
+
+// ByName parses a command line's machine name: base, multititan (titan),
+// cray1 (cray-1, cray), underpipelined, superscalar:N (ss), superpipelined:M
+// (sp), supersuper:N:M (ssp) or conflicts:N, case-insensitively. Omitted
+// degrees default to 4 (2 and 2 for supersuper). A degree must be an
+// integer ≥ 1, and a name takes no more degrees than its machine has.
+func ByName(name string) (*Config, error) {
+	parts := strings.Split(strings.ToLower(name), ":")
+	degrees := func(n int, def ...int) ([]int, error) {
+		if len(parts)-1 > n {
+			return nil, fmt.Errorf("machine %q: %s takes at most %d degree(s)", name, parts[0], n)
+		}
+		out := append([]int(nil), def...)
+		for i, f := range parts[1:] {
+			v, err := strconv.Atoi(f)
+			if err != nil || v < 1 {
+				return nil, fmt.Errorf("machine %q: degree %q is not an integer ≥ 1", name, f)
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	var d []int
+	var err error
+	switch parts[0] {
+	case "base", "":
+		_, err = degrees(0)
+		return Base(), err
+	case "multititan", "titan":
+		_, err = degrees(0)
+		return MultiTitan(), err
+	case "cray1", "cray-1", "cray":
+		_, err = degrees(0)
+		return CRAY1(), err
+	case "underpipelined":
+		_, err = degrees(0)
+		return Underpipelined(), err
+	case "superscalar", "ss":
+		if d, err = degrees(1, 4); err != nil {
+			return nil, err
+		}
+		return IdealSuperscalar(d[0]), nil
+	case "superpipelined", "sp":
+		if d, err = degrees(1, 4); err != nil {
+			return nil, err
+		}
+		return Superpipelined(d[0]), nil
+	case "supersuper", "ssp":
+		if d, err = degrees(2, 2, 2); err != nil {
+			return nil, err
+		}
+		return SuperpipelinedSuperscalar(d[0], d[1]), nil
+	case "conflicts":
+		if d, err = degrees(1, 4); err != nil {
+			return nil, err
+		}
+		return SuperscalarWithConflicts(d[0]), nil
+	}
+	return nil, fmt.Errorf("unknown machine %q", name)
 }

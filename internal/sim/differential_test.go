@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -32,9 +31,8 @@ import (
 // fast path runs with fetch and data-miss modeling and without trace
 // replay: MultiTitan with both caches, ext-icache's I-cache alone on an
 // 8-wide superscalar, a D-cache alone on the base machine, and sec5-1's
-// caches on a 4-wide ideal superscalar, whose Code carries traces and
-// fused pairs (so its runs show the traces skipped and both halves of
-// each fused pair fetched).
+// caches on a 4-wide ideal superscalar, whose Code carries traces (so its
+// runs show the traces skipped).
 func diffMachines() []*machine.Config {
 	ss8i := machine.IdealSuperscalar(8)
 	ss8i.Name += "-icache"
@@ -336,11 +334,11 @@ func fuzzMachines() []*machine.Config {
 	)
 }
 
-// TestDifferentialRandomCFG fuzzes the block-fused engine against the
-// preserved seed engine on randomized control-flow graphs: cycles, stalls,
-// class counts, and printed output must be bit-identical on every machine,
-// for the engine's own predecode, a shared predecode, and a hooked run on
-// the shared predecode, whose event stream must be the reference's.
+// TestDifferentialRandomCFG fuzzes the engine against the preserved seed
+// engine on randomized control-flow graphs: cycles, stalls, class counts,
+// and printed output must be bit-identical on every machine, for the
+// engine's own predecode, a shared predecode, and a hooked run on the
+// shared predecode, whose event stream must be the reference's.
 func TestDifferentialRandomCFG(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
@@ -489,9 +487,8 @@ func TestDifferentialEngines(t *testing.T) {
 					if e.replays != 0 {
 						t.Errorf("specialized: %d trace replays on a cache machine", e.replays)
 					}
-					if cfg.Name == ss4Caches().Name && (spec.Superblocks() == 0 || fusedPairs(spec) == 0) {
-						t.Errorf("%s: Code has %d traces and %d fused pairs, want both > 0",
-							cfg.Name, spec.Superblocks(), fusedPairs(spec))
+					if cfg.Name == ss4Caches().Name && spec.Superblocks() == 0 {
+						t.Errorf("%s: Code has no traces, want some", cfg.Name)
 					}
 				}
 
@@ -511,66 +508,4 @@ func TestDifferentialEngines(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestHookedRunReportsFusedPairs: on a Code whose predecode fuses an
-// ALU+ALU pair and an ALU+branch pair, a hooked run reports both halves of
-// each pair, in program order, with the reference engine's issue and
-// completion cycles.
-func TestHookedRunReportsFusedPairs(t *testing.T) {
-	b := isa.NewBuilder()
-	b.Li(isa.R(10), 0).Li(isa.R(11), 3)
-	b.Label("loop")
-	b.Imm(isa.OpAddi, isa.R(12), isa.R(12), 5).Op(isa.OpXor, isa.R(13), isa.R(12), isa.R(10))
-	b.Imm(isa.OpAddi, isa.R(10), isa.R(10), 1).Branch(isa.OpBlt, isa.R(10), isa.R(11), "loop")
-	b.Print(isa.R(13)).Halt()
-	p := b.MustFinish()
-	cfg := machine.IdealSuperscalar(4)
-	code, err := Predecode(p, cfg)
-	if err != nil {
-		t.Fatalf("predecode: %v", err)
-	}
-	for idx, fop := range map[int]isa.Opcode{0: opFusedAluAlu, 2: opFusedAluAlu, 4: opFusedAluBr} {
-		if code.dec[idx].fop != fop {
-			t.Fatalf("instruction %d dispatches as %v, want the fused opcode %v", idx, code.dec[idx].fop, fop)
-		}
-	}
-
-	type event struct {
-		idx             int
-		issue, complete int64
-	}
-	hook := func(evs *[]event) func(int, *isa.Instr, int64, int64) {
-		return func(idx int, _ *isa.Instr, issue, complete int64) {
-			*evs = append(*evs, event{idx, issue, complete})
-		}
-	}
-	var ref, got []event
-	want, err := refRun(p, Options{Machine: cfg, OnIssue: hook(&ref)})
-	if err != nil {
-		t.Fatalf("reference engine: %v", err)
-	}
-	res := runChecked(t, NewEngine(), "hooked", p, Options{Machine: cfg, Code: code, OnIssue: hook(&got)})
-	compareResults(t, "hooked", want, res)
-	var idxs []int
-	for _, ev := range got {
-		idxs = append(idxs, ev.idx)
-	}
-	if wantIdx := []int{0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 2, 3, 4, 5, 6, 7}; !slices.Equal(idxs, wantIdx) {
-		t.Errorf("hooked run reported instructions %v, want %v", idxs, wantIdx)
-	}
-	if !slices.Equal(got, ref) {
-		t.Errorf("hooked run reported %v, the reference engine %v", got, ref)
-	}
-}
-
-// fusedPairs counts the fused superinstructions in code's predecode.
-func fusedPairs(code *Code) int {
-	n := 0
-	for i := range code.dec {
-		if f := code.dec[i].fop; f == opFusedAluBr || f == opFusedAluAlu {
-			n++
-		}
-	}
-	return n
 }

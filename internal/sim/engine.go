@@ -237,11 +237,11 @@ func (e *Engine) arm(p *isa.Program, opts Options) error {
 		// A hooked run executes its own copy of the program, in which every
 		// instruction but the sentinel dispatches through opHooked, and
 		// replays no traces, so the hooks see each retired instruction in
-		// program order and a fused pair as its two halves. The shared
-		// dispatch of unhooked runs carries no hook test.
+		// program order. The shared dispatch of unhooked runs carries no
+		// hook test.
 		e.hookDec = append(e.hookDec[:0], e.dec...)
 		for i := range n - 1 {
-			e.hookDec[i].fop = opHooked
+			e.hookDec[i].op = opHooked
 		}
 		e.dec, e.scheds = e.hookDec, nil
 	}
@@ -347,10 +347,9 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // all beyond `instrs++`. Any loop must execute a control transfer, so the
 // instruction limit and context polls still fire; the one divergence is a
 // straight-line program longer than the limit, which now completes rather
-// than aborting mid-run. Hot ALU+branch pairs are fused into one
-// superinstruction dispatch (see opFusedAluBr), and conflict-free
-// functional units (multiplicity ≥ width, issue latency 1 — every unit of
-// every ideal machine) are elided from the loop entirely at predecode.
+// than aborting mid-run. Conflict-free functional units (multiplicity ≥
+// width, issue latency 1 — every unit of every ideal machine) are elided
+// from the loop entirely at predecode.
 //
 // All hot state lives in locals for the duration of the loop and is written
 // back once at the halt or yield exit; error exits abandon the run, so only
@@ -369,7 +368,7 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 // same control-transfer points as the instruction limit), the loop writes
 // all state back and returns with halted still false, and a later call picks
 // up exactly where it left off. Whole runs pass stopAt == maxInstrs;
-// ProfileRun passes its instruction budget, so a budgeted pre-run yields
+// Profile passes its instruction budget, so a budgeted pre-run yields
 // its state instead of failing at a limit.
 func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	width := int64(e.cfg.IssueWidth)
@@ -405,7 +404,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	checkAt := min(nextCheck(done, instrs, maxInstrs), stopAt)
 
 	// skipCheck elides the trace-entry register scan across consecutive
-	// iterations of a proven-stable loop trace (see the check label);
+	// iterations of a proven-stable loop trace (see the trace replay below);
 	// stableIdx is the exit that proved it.
 	skipCheck := false
 	stableIdx := 0
@@ -511,7 +510,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		// instruction. Control transfers leave through the boundary
 		// epilogue below; straight-line ops fall out of the switch into the
 		// two-instruction epilogue.
-		op := d.fop
+		op := d.op
 	dispatch:
 		switch op {
 		case isa.OpNop:
@@ -638,268 +637,6 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				rec.targets = append(rec.targets, int32(t))
 			}
 			goto boundary
-		case opFusedAluBr:
-			// A fused ALU+conditional-branch pair. The head (this
-			// entry, architectural op d.op) has fully issued above;
-			// apply its semantics, then inline the branch at idx+1
-			// through the exact timing steps it would take standalone:
-			// width limit, barrier, I-fetch, RAW — no destination, no
-			// memory, and a conflict-free unit (fusion requires it).
-			{
-				var v int64
-				switch d.op {
-				case isa.OpAdd:
-					v = regs[d.src1] + regs[d.src2]
-				case isa.OpAddi:
-					v = regs[d.src1] + d.imm
-				case isa.OpSub:
-					v = regs[d.src1] - regs[d.src2]
-				case isa.OpAnd:
-					v = regs[d.src1] & regs[d.src2]
-				case isa.OpOr:
-					v = regs[d.src1] | regs[d.src2]
-				case isa.OpXor:
-					v = regs[d.src1] ^ regs[d.src2]
-				case isa.OpAndi:
-					v = regs[d.src1] & d.imm
-				case isa.OpOri:
-					v = regs[d.src1] | d.imm
-				case isa.OpXori:
-					v = regs[d.src1] ^ d.imm
-				case isa.OpSlt:
-					v = b2i(regs[d.src1] < regs[d.src2])
-				case isa.OpSle:
-					v = b2i(regs[d.src1] <= regs[d.src2])
-				case isa.OpSeq:
-					v = b2i(regs[d.src1] == regs[d.src2])
-				case isa.OpSne:
-					v = b2i(regs[d.src1] != regs[d.src2])
-				case isa.OpSll:
-					v = regs[d.src1] << (uint64(regs[d.src2]) & 63)
-				case isa.OpSrl:
-					v = int64(uint64(regs[d.src1]) >> (uint64(regs[d.src2]) & 63))
-				case isa.OpSra:
-					v = regs[d.src1] >> (uint64(regs[d.src2]) & 63)
-				case isa.OpSlli:
-					v = regs[d.src1] << (uint64(d.imm) & 63)
-				case isa.OpSrli:
-					v = int64(uint64(regs[d.src1]) >> (uint64(d.imm) & 63))
-				case isa.OpSrai:
-					v = regs[d.src1] >> (uint64(d.imm) & 63)
-				case isa.OpLi:
-					v = d.imm
-				case isa.OpMov:
-					v = regs[d.src1]
-				default:
-					return fmt.Errorf("sim: pc %d: bad fused head opcode %v", idx, d.op)
-				}
-				regs[d.dst] = v // fusion requires fDst, so dst is never r0
-
-				bd := &dec[idx+1]
-				var overB int64
-				if inCycle >= width {
-					overB = 1
-				}
-				slotB := cycle + overB
-				stalls.Width += overB
-				if barrier > slotB {
-					if barrierIsBr {
-						stalls.Branch += barrier - slotB
-					}
-					slotB = barrier
-				}
-				if icache != nil {
-					slotB = fetchMiss(icache, idx+1, slotB, &stalls)
-				}
-				issueB := slotB
-				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
-				stalls.Data += m - issueB
-				issueB = m
-				if issueB > cycle {
-					cycle = issueB
-					inCycle = 1
-					groups++
-				} else {
-					inCycle++ // the head issued, so inCycle >= 1 here
-				}
-				lastComplete = max(lastComplete, issueB+bd.lat)
-
-				var bTaken bool
-				switch bd.op {
-				case isa.OpBeq:
-					bTaken = regs[bd.src1] == regs[bd.src2]
-				case isa.OpBne:
-					bTaken = regs[bd.src1] != regs[bd.src2]
-				case isa.OpBlt:
-					bTaken = regs[bd.src1] < regs[bd.src2]
-				case isa.OpBge:
-					bTaken = regs[bd.src1] >= regs[bd.src2]
-				case isa.OpBle:
-					bTaken = regs[bd.src1] <= regs[bd.src2]
-				case isa.OpBgt:
-					bTaken = regs[bd.src1] > regs[bd.src2]
-				}
-				instrs += 2
-				if rec != nil {
-					rec.appendBit(bTaken)
-				}
-				if bTaken {
-					pc = int(bd.target)
-					exit[idx+1]++
-					enter[pc]++
-					if takenEnds {
-						if b := issueB + bd.lat + redirect; b > barrier {
-							barrier, barrierIsBr = b, true
-						}
-					}
-				} else {
-					pc = idx + 2
-				}
-			}
-			goto check
-		case opFusedAluAlu:
-			// A fused pair of integer ALU instructions: the head has
-			// fully issued above; apply its semantics, then inline the
-			// second ALU op at idx+1 through its standalone issue steps
-			// (width limit, barrier, I-fetch, RAW, WAW, scoreboard write;
-			// a conflict-free unit — fusion requires it). Straight-line,
-			// so no block bookkeeping and no limit compare.
-			{
-				var v int64
-				switch d.op {
-				case isa.OpAdd:
-					v = regs[d.src1] + regs[d.src2]
-				case isa.OpAddi:
-					v = regs[d.src1] + d.imm
-				case isa.OpSub:
-					v = regs[d.src1] - regs[d.src2]
-				case isa.OpAnd:
-					v = regs[d.src1] & regs[d.src2]
-				case isa.OpOr:
-					v = regs[d.src1] | regs[d.src2]
-				case isa.OpXor:
-					v = regs[d.src1] ^ regs[d.src2]
-				case isa.OpAndi:
-					v = regs[d.src1] & d.imm
-				case isa.OpOri:
-					v = regs[d.src1] | d.imm
-				case isa.OpXori:
-					v = regs[d.src1] ^ d.imm
-				case isa.OpSlt:
-					v = b2i(regs[d.src1] < regs[d.src2])
-				case isa.OpSle:
-					v = b2i(regs[d.src1] <= regs[d.src2])
-				case isa.OpSeq:
-					v = b2i(regs[d.src1] == regs[d.src2])
-				case isa.OpSne:
-					v = b2i(regs[d.src1] != regs[d.src2])
-				case isa.OpSll:
-					v = regs[d.src1] << (uint64(regs[d.src2]) & 63)
-				case isa.OpSrl:
-					v = int64(uint64(regs[d.src1]) >> (uint64(regs[d.src2]) & 63))
-				case isa.OpSra:
-					v = regs[d.src1] >> (uint64(regs[d.src2]) & 63)
-				case isa.OpSlli:
-					v = regs[d.src1] << (uint64(d.imm) & 63)
-				case isa.OpSrli:
-					v = int64(uint64(regs[d.src1]) >> (uint64(d.imm) & 63))
-				case isa.OpSrai:
-					v = regs[d.src1] >> (uint64(d.imm) & 63)
-				case isa.OpLi:
-					v = d.imm
-				case isa.OpMov:
-					v = regs[d.src1]
-				default:
-					return fmt.Errorf("sim: pc %d: bad fused head opcode %v", idx, d.op)
-				}
-				regs[d.dst] = v // fusion requires fDst, so dst is never r0
-
-				bd := &dec[idx+1]
-				var overB int64
-				if inCycle >= width {
-					overB = 1
-				}
-				slotB := cycle + overB
-				stalls.Width += overB
-				if barrier > slotB {
-					if barrierIsBr {
-						stalls.Branch += barrier - slotB
-					}
-					slotB = barrier
-				}
-				if icache != nil {
-					slotB = fetchMiss(icache, idx+1, slotB, &stalls)
-				}
-				issueB := slotB
-				m = max(issueB, max(ready[bd.src1], ready[bd.src2]))
-				stalls.Data += m - issueB
-				issueB = m
-				latB := bd.lat
-				m = max(issueB, ready[bd.dst]-latB)
-				stalls.Write += m - issueB
-				issueB = m
-				if issueB > cycle {
-					cycle = issueB
-					inCycle = 1
-					groups++
-				} else {
-					inCycle++ // the head issued, so inCycle >= 1 here
-				}
-				completeB := issueB + latB
-				ready[bd.dst] = completeB
-				lastComplete = max(lastComplete, completeB)
-
-				switch bd.op {
-				case isa.OpAdd:
-					v = regs[bd.src1] + regs[bd.src2]
-				case isa.OpAddi:
-					v = regs[bd.src1] + bd.imm
-				case isa.OpSub:
-					v = regs[bd.src1] - regs[bd.src2]
-				case isa.OpAnd:
-					v = regs[bd.src1] & regs[bd.src2]
-				case isa.OpOr:
-					v = regs[bd.src1] | regs[bd.src2]
-				case isa.OpXor:
-					v = regs[bd.src1] ^ regs[bd.src2]
-				case isa.OpAndi:
-					v = regs[bd.src1] & bd.imm
-				case isa.OpOri:
-					v = regs[bd.src1] | bd.imm
-				case isa.OpXori:
-					v = regs[bd.src1] ^ bd.imm
-				case isa.OpSlt:
-					v = b2i(regs[bd.src1] < regs[bd.src2])
-				case isa.OpSle:
-					v = b2i(regs[bd.src1] <= regs[bd.src2])
-				case isa.OpSeq:
-					v = b2i(regs[bd.src1] == regs[bd.src2])
-				case isa.OpSne:
-					v = b2i(regs[bd.src1] != regs[bd.src2])
-				case isa.OpSll:
-					v = regs[bd.src1] << (uint64(regs[bd.src2]) & 63)
-				case isa.OpSrl:
-					v = int64(uint64(regs[bd.src1]) >> (uint64(regs[bd.src2]) & 63))
-				case isa.OpSra:
-					v = regs[bd.src1] >> (uint64(regs[bd.src2]) & 63)
-				case isa.OpSlli:
-					v = regs[bd.src1] << (uint64(bd.imm) & 63)
-				case isa.OpSrli:
-					v = int64(uint64(regs[bd.src1]) >> (uint64(bd.imm) & 63))
-				case isa.OpSrai:
-					v = regs[bd.src1] >> (uint64(bd.imm) & 63)
-				case isa.OpLi:
-					v = bd.imm
-				case isa.OpMov:
-					v = regs[bd.src1]
-				default:
-					return fmt.Errorf("sim: pc %d: bad fused tail opcode %v", idx+1, bd.op)
-				}
-				regs[bd.dst] = v
-			}
-			pc = idx + 2
-			instrs += 2
-			continue
 		case isa.OpFadd:
 			e.setRegF(d.dst, e.regF(d.src1)+e.regF(d.src2))
 		case isa.OpFsub:
@@ -954,12 +691,12 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			// A hooked run's instruction (see arm): report it, then
 			// execute it under its architectural opcode.
 			e.hook(idx, d, issue, complete, memAddr)
-			op = d.op
+			op = e.prog.Instrs[idx].Op
 			goto dispatch
 		case opOutOfRange:
 			return fmt.Errorf("sim: pc %d out of range", idx)
 		default:
-			return fmt.Errorf("sim: pc %d: unimplemented opcode %v", idx, d.op)
+			return fmt.Errorf("sim: pc %d: unimplemented opcode %v", idx, op)
 		}
 		// Straight-line epilogue: no block bookkeeping, no limit compare.
 		pc = next
@@ -995,15 +732,14 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			}
 		}
 
-	check:
 		// Trace replay: if the instruction at pc roots a superblock trace,
 		// and we arrived behind a fresh taken-branch barrier (so the trace's
 		// first instruction issues exactly at the barrier), and no register
 		// the trace touches is still in flight past the barrier, then the
 		// whole trace's timing is known per exit: apply the semantics
-		// segment by segment (traceExec, resolving each guarded side exit
-		// from live data) and the issue accounting of whichever exit the run
-		// took in O(1), instead of walking the scoreboard per instruction.
+		// (traceExecU, resolving each guarded side exit from live data)
+		// and the issue accounting of whichever exit the run took in O(1),
+		// instead of walking the scoreboard per instruction.
 		// The entry stalls (width, branch) are dynamic and charged exactly
 		// as the per-instruction path would; the trace's internal stalls —
 		// including waits on its own jump-seam barriers — were precomputed.

@@ -395,8 +395,6 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 
 		// 6. No semantics: straight-line instructions fall out of the
 		// switch, and control transfers read their outcome off the path.
-		// The walk dispatches on the architectural opcode, so a pair that
-		// runFast fuses walks as its two instructions, with the same timing.
 		switch d.op {
 		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt:
 			for pos >= nbits {

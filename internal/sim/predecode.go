@@ -42,8 +42,9 @@ const (
 // bytes — purely static facts, no per-run state — so a predecoded program
 // (see Code) is immutable and can be shared read-only across engines.
 type decoded struct {
-	op  isa.Opcode // architectural opcode (hooked runs, walks, errors)
-	fop isa.Opcode // runFast's dispatch opcode: op, a fused superinstruction or opHooked
+	// op is the dispatch opcode: the architectural opcode, opOutOfRange
+	// for the sentinel, or opHooked in a hooked run's copy (see Engine.arm).
+	op isa.Opcode
 	// class is the instruction's isa.Class; dynamic per-class counts are
 	// kept per-engine (folded from block entry/exit counters on the fast
 	// path), never here.
@@ -71,26 +72,11 @@ type decoded struct {
 // jump table by one slot, keeping it dense.
 const opOutOfRange = isa.Opcode(isa.NumOpcodes)
 
-// opFusedAluBr is the fast-path dispatch opcode of a fused superinstruction:
-// an integer ALU op immediately followed by a conditional branch (the
-// compare+branch and induction-increment+branch idioms that close almost
-// every loop). The head entry dispatches the pair as one case; the branch's
-// own entry at i+1 stays intact, so jumps that land on the branch directly
-// still execute it standalone. Hooked runs and walks dispatch on the
-// architectural op, so they run a fused pair as its two instructions.
-const opFusedAluBr = isa.Opcode(isa.NumOpcodes + 1)
-
-// opFusedAluAlu is the fast-path dispatch opcode of a fused pair of integer
-// ALU instructions: straight-line code runs two instructions per dispatch,
-// halving interpreter overhead (the indirect switch branch and the loop
-// epilogue) on the sequential bodies between branches. As with
-// opFusedAluBr, the second entry stays intact for direct jumps.
-const opFusedAluAlu = isa.Opcode(isa.NumOpcodes + 2)
-
 // opHooked is the dispatch opcode of every instruction of a hooked run's own
 // copy of the program (see Engine.arm): runFast reports the instruction to
-// the OnIssue/OnTrace hooks, then dispatches on its architectural opcode.
-const opHooked = isa.Opcode(isa.NumOpcodes + 3)
+// the OnIssue/OnTrace hooks, then dispatches again on the program's own
+// opcode for it.
+const opHooked = isa.Opcode(isa.NumOpcodes + 1)
 
 // Code is an immutable predecoded program: the translation of one
 // isa.Program against one machine schedule. It carries no per-run state, so
@@ -206,33 +192,6 @@ func (c *Code) matches(p *isa.Program, cfg *machine.Config) error {
 	return nil
 }
 
-// fusibleALU reports whether op qualifies as the head of a fused
-// ALU+branch pair: a single-cycle-semantics integer op with no side effects
-// beyond its destination register (no memory, no traps, no control).
-// The set must match the semantic sub-switch in runFast's opFusedAluBr case.
-func fusibleALU(op isa.Opcode) bool {
-	switch op {
-	case isa.OpAdd, isa.OpAddi, isa.OpSub,
-		isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpSlt, isa.OpSle, isa.OpSeq, isa.OpSne,
-		isa.OpSll, isa.OpSrl, isa.OpSra,
-		isa.OpSlli, isa.OpSrli, isa.OpSrai,
-		isa.OpLi, isa.OpMov:
-		return true
-	}
-	return false
-}
-
-// condBranch reports whether op is a conditional branch.
-func condBranch(op isa.Opcode) bool {
-	switch op {
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt:
-		return true
-	}
-	return false
-}
-
 // predecodeInto translates the program against the machine description into
 // dec (plus the trailing sentinel), reusing dec's backing array when it is
 // large enough. The result holds only static facts; engines never write it.
@@ -263,7 +222,7 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 	}
 	// The sentinel issues harmlessly (no operands, no memory, no unit) and
 	// then errors from the semantic switch; the run is abandoned anyway.
-	dec[n] = decoded{op: opOutOfRange, fop: opOutOfRange, unitLen: 1, issueLat: 1, lat: 1}
+	dec[n] = decoded{op: opOutOfRange, unitLen: 1, issueLat: 1, lat: 1}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		info := in.Op.Info()
@@ -301,7 +260,6 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 		}
 		dec[i] = decoded{
 			op:       in.Op,
-			fop:      in.Op,
 			class:    uint8(cl),
 			flags:    f,
 			dst:      in.Dst,
@@ -314,33 +272,6 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 			lat:      int64(cfg.Latency[cl]),
 			imm:      in.Imm,
 			fimm:     in.FImm,
-		}
-	}
-
-	// Fuse hot pairs. Only instructions whose units cannot bind qualify:
-	// the fused cases inline both instructions' issue steps and elide the
-	// lane scan for both. The second entry of a pair is left intact so
-	// direct jumps to it still work. ALU+branch pairs are chosen first
-	// (they also absorb the block-boundary epilogue); remaining adjacent
-	// ALU pairs are then paired greedily without overlap.
-	fused := make([]bool, n+1)
-	for i := 0; i+1 < n; i++ {
-		a, b := &dec[i], &dec[i+1]
-		if fusibleALU(a.op) && a.flags&fDst != 0 && a.flags&fUnit == 0 &&
-			condBranch(b.op) && b.flags&fUnit == 0 {
-			a.fop = opFusedAluBr
-			fused[i], fused[i+1] = true, true
-		}
-	}
-	for i := 0; i+1 < n; i++ {
-		if fused[i] || fused[i+1] {
-			continue
-		}
-		a, b := &dec[i], &dec[i+1]
-		if fusibleALU(a.op) && a.flags&fDst != 0 && a.flags&fUnit == 0 &&
-			fusibleALU(b.op) && b.flags&fDst != 0 && b.flags&fUnit == 0 {
-			a.fop = opFusedAluAlu
-			fused[i], fused[i+1] = true, true
 		}
 	}
 	return dec

@@ -14,7 +14,19 @@ import (
 // on.
 const DefaultProfileBudget = 1 << 18
 
-// ProfileRun executes an instruction-budgeted pre-run of code on the fast
+// ProfileRun is Engine.Profile on an engine borrowed from the package's
+// pool. Safe for concurrent use.
+func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
+	e := enginePool.Get().(*Engine)
+	defer func() {
+		e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
+		e.opts = Options{}
+		enginePool.Put(e)
+	}()
+	return e.Profile(ctx, code, memWords, budget)
+}
+
+// Profile executes an instruction-budgeted pre-run of code on the fast
 // path, without caches and with code's traces, and folds the engine's block
 // entry/exit counters into an execution profile for trace specialization
 // (Code.Specialize, PredecodeProfiled). The run is abandoned cleanly at the
@@ -23,20 +35,15 @@ const DefaultProfileBudget = 1 << 18
 // evidence threshold. The counts are architectural, so the profile is valid
 // for every machine sharing the program, whatever their timing or caches.
 // memWords sizes the run's memory (0 means DefaultMemWords); budget ≤ 0
-// means DefaultProfileBudget.
-func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
+// means DefaultProfileBudget. Like any run, it re-arms the engine, reusing
+// its memory arena.
+func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if budget <= 0 {
 		budget = DefaultProfileBudget
 	}
-	e := enginePool.Get().(*Engine)
-	defer func() {
-		e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
-		e.opts = Options{}
-		enginePool.Put(e)
-	}()
 	opts := Options{Machine: code.cfg, MemWords: memWords, Code: code}
 	if err := e.Reset(code.prog, opts); err != nil {
 		return nil, err

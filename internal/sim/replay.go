@@ -24,9 +24,9 @@ const (
 )
 
 // uopEnd terminates a trace's micro-op stream: leave through exit aux (the
-// final fallthrough). It extends the architectural opcode space the same way
-// the predecoder's fused opcodes do.
-const uopEnd = isa.Opcode(isa.NumOpcodes + 3)
+// final fallthrough). Like the predecoder's opHooked, it takes the value
+// after opOutOfRange, just past the architectural opcodes.
+const uopEnd = isa.Opcode(isa.NumOpcodes + 1)
 
 // regSink is the scratch register index micro-ops write when the
 // architectural destination is the hardwired zero: e.regs is 256 wide (only
@@ -384,6 +384,15 @@ func buildUops(t *statictime.Trace, dec []decoded) []uop {
 	return out
 }
 
+// condBranch reports whether op is a conditional branch.
+func condBranch(op isa.Opcode) bool {
+	switch op {
+	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt:
+		return true
+	}
+	return false
+}
+
 // invertBranch returns the conditional branch opcode testing the negated
 // condition (beq↔bne, blt↔bge, ble↔bgt). Non-branches return unchanged.
 func invertBranch(op isa.Opcode) isa.Opcode {
@@ -406,7 +415,7 @@ func invertBranch(op isa.Opcode) isa.Opcode {
 
 // traceExecU runs a trace's micro-op stream against live register and memory
 // state and returns the index of the exit the run left through. The cases
-// mirror exec's non-control cases exactly — including error messages and
+// mirror runFast's non-control cases exactly — including error messages and
 // dirty-memory tracking — so a replayed run is indistinguishable from an
 // instruction-by-instruction one, error exits included. The timing advance
 // was precomputed per exit and is applied in bulk by the caller; this loop

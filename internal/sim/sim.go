@@ -63,10 +63,9 @@ type Options struct {
 	// OnIssue, if set, is called for every retired instruction, in program
 	// order, with its index in the program, its issue minor cycle and its
 	// completion minor cycle; caches included. Used by ilpsim -pipeline's
-	// issue timeline and by tests. A hooked run replays no traces and fuses
-	// no pairs, so it reports every instruction, both halves of a pair
-	// that unhooked runs fuse, control transfers and the halt included. An
-	// instruction that faults may be reported before the run fails.
+	// issue timeline and by tests. A hooked run replays no traces, so it
+	// reports every instruction, control transfers and the halt included.
+	// An instruction that faults may be reported before the run fails.
 	OnIssue func(idx int, in *isa.Instr, issue, complete int64)
 	// OnTrace, if set, receives the dynamic instruction trace, as OnIssue
 	// does, with the resolved data-memory address (-1 for non-memory

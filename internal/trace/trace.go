@@ -83,6 +83,13 @@ var errTraceFull = errors.New("trace: trace full")
 // Analyze executes the program (on a base machine; timing of the host
 // simulation is irrelevant) and computes the two limits from its trace.
 func Analyze(p *isa.Program, opts Options) (*Limits, error) {
+	return AnalyzeOn(context.Background(), nil, p, opts)
+}
+
+// AnalyzeOn is Analyze on the engine e, reusing its memory arena, or on an
+// engine from package sim's pool when e is nil. A done ctx abandons the
+// run with ctx's cause.
+func AnalyzeOn(ctx context.Context, e *sim.Engine, p *isa.Program, opts Options) (*Limits, error) {
 	maxTrace := opts.MaxTrace
 	if maxTrace <= 0 {
 		maxTrace = DefaultMaxTrace
@@ -106,7 +113,7 @@ func Analyze(p *isa.Program, opts Options) (*Limits, error) {
 	// The hook stops the run once the trace is full. The engine notices at
 	// its next context poll, so the hook ignores the instructions it still
 	// reports until then.
-	ctx, stop := context.WithCancelCause(context.Background())
+	ctx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
 	hook := func(idx int, in *isa.Instr, addr int64) {
 		if l.Instructions >= maxTrace {
@@ -192,10 +199,13 @@ func Analyze(p *isa.Program, opts Options) (*Limits, error) {
 		}
 	}
 
-	_, err := sim.RunCtx(ctx, p, sim.Options{
-		Machine: machine.Base(),
-		OnTrace: hook,
-	})
+	sopts := sim.Options{Machine: machine.Base(), OnTrace: hook}
+	var err error
+	if e == nil {
+		_, err = sim.RunCtx(ctx, p, sopts)
+	} else {
+		err = e.RunIntoCtx(ctx, p, sopts, new(sim.Result))
+	}
 	if err != nil && !errors.Is(err, errTraceFull) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"ilp/internal/isa"
+	"ilp/internal/sim"
 )
 
 func TestIndependentInstructions(t *testing.T) {
@@ -164,5 +168,31 @@ func TestTruncationStopsSimulating(t *testing.T) {
 	}
 	if !l.Truncated || l.Instructions != maxTrace {
 		t.Errorf("truncation: %+v", l)
+	}
+}
+
+// TestAnalyzeOnEngine: an analysis on a caller's engine, run twice so the
+// second reuses the engine, gives Analyze's limits, and a done context
+// abandons it with the context's cause.
+func TestAnalyzeOnEngine(t *testing.T) {
+	want, err := Analyze(loopProgram(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	for i := range 2 {
+		got, err := AnalyzeOn(context.Background(), e, loopProgram(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d on the engine: %+v, want %+v", i, got, want)
+		}
+	}
+	cause := errors.New("stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := AnalyzeOn(ctx, e, loopProgram(), Options{}); !errors.Is(err, cause) {
+		t.Errorf("cancelled analysis returned %v, want the cause", err)
 	}
 }
