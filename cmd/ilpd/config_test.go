@@ -1,94 +1,10 @@
 package main
 
 import (
-	"flag"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-// parseForTest runs the daemon's flag parsing the way run() does, without
-// serving.
-func parseForTest(t *testing.T, args ...string) (*flag.FlagSet, Config) {
-	t.Helper()
-	def := DefaultConfig()
-	fs := flag.NewFlagSet("ilpd", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	var flagCfg Config
-	fs.StringVar(&flagCfg.Addr, "addr", def.Addr, "")
-	fs.IntVar(&flagCfg.Workers, "workers", def.Workers, "")
-	fs.IntVar(&flagCfg.MaxSweeps, "max-sweeps", def.MaxSweeps, "")
-	fs.DurationVar(&flagCfg.DrainTimeout, "drain-timeout", def.DrainTimeout, "")
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	return fs, flagCfg
-}
-
-// TestConfigPrecedence: defaults < config file < explicitly set flags.
-func TestConfigPrecedence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ilpd.json")
-	if err := os.WriteFile(path, []byte(`{
-		"addr": "127.0.0.1:9999",
-		"max_sweeps": 7,
-		"drain_timeout": "90s"
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The -addr flag is set explicitly, so it beats the file; max_sweeps
-	// comes from the file; drain_timeout from the file; workers from the
-	// defaults.
-	fs, flagCfg := parseForTest(t, "-addr", ":1234")
-	cfg, err := loadConfig(fs, flagCfg, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Addr != ":1234" {
-		t.Errorf("explicit flag lost to the file: addr %q", cfg.Addr)
-	}
-	if cfg.MaxSweeps != 7 {
-		t.Errorf("file key ignored: max_sweeps %d", cfg.MaxSweeps)
-	}
-	if cfg.DrainTimeout != 90*time.Second {
-		t.Errorf("file duration ignored: drain_timeout %v", cfg.DrainTimeout)
-	}
-	if cfg.Workers != DefaultConfig().Workers {
-		t.Errorf("default clobbered: workers %d", cfg.Workers)
-	}
-}
-
-// TestConfigFileErrors: unknown keys, bad durations, and unreadable files
-// are startup errors, not silent fallbacks to defaults.
-func TestConfigFileErrors(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		name, body, want string
-	}{
-		{"unknown key", `{"max_sweep": 7}`, "unknown field"},
-		{"bad duration", `{"drain_timeout": "ninety"}`, "drain_timeout"},
-		{"not json", `max_sweeps = 7`, "invalid character"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
-			if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fs, flagCfg := parseForTest(t)
-			if _, err := loadConfig(fs, flagCfg, path); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want mention of %q", err, tc.want)
-			}
-		})
-	}
-	fs, flagCfg := parseForTest(t)
-	if _, err := loadConfig(fs, flagCfg, filepath.Join(dir, "absent.json")); err == nil {
-		t.Error("missing config file accepted")
-	}
-}
 
 // TestValidateConfig: self-contradictory or nonsensical configurations
 // are refused at startup.
@@ -131,7 +47,6 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-no-such-flag"},
 		{"unexpected-arg"},
 		{"-max-sweeps", "0"},
-		{"-config", filepath.Join(t.TempDir(), "absent.json")},
 	}
 	for _, args := range cases {
 		var stdout, stderr strings.Builder

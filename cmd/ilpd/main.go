@@ -26,14 +26,11 @@
 // the store is compacted, and the process exits 0. A second signal kills
 // immediately.
 //
-// Configuration is flags over an optional JSON -config file over built-in
-// defaults (an explicitly set flag always wins).
+// Configuration is flags only, each defaulting to DefaultConfig's value.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,127 +47,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// fileConfig is the JSON shape of -config. Pointers distinguish "absent"
-// from zero values, so a file can set exactly the keys it means to.
-type fileConfig struct {
-	Addr           *string `json:"addr,omitempty"`
-	Store          *string `json:"store,omitempty"`
-	Workers        *int    `json:"workers,omitempty"`
-	Retries        *int    `json:"retries,omitempty"`
-	MaxBackoff     *string `json:"max_backoff,omitempty"`
-	Degrade        *bool   `json:"degrade,omitempty"`
-	MaxSweeps      *int    `json:"max_sweeps,omitempty"`
-	MaxDegree      *int    `json:"max_degree,omitempty"`
-	MaxBudget      *int64  `json:"max_budget,omitempty"`
-	DefaultBudget  *int64  `json:"default_budget,omitempty"`
-	DefaultTimeout *string `json:"default_timeout,omitempty"`
-	MaxTimeout     *string `json:"max_timeout,omitempty"`
-	DrainTimeout   *string `json:"drain_timeout,omitempty"`
-}
-
-func (fc *fileConfig) apply(cfg *Config) error {
-	setDur := func(key string, v *string, into *time.Duration) error {
-		if v == nil {
-			return nil
-		}
-		d, err := time.ParseDuration(*v)
-		if err != nil {
-			return fmt.Errorf("%s: %v", key, err)
-		}
-		*into = d
-		return nil
-	}
-	if fc.Addr != nil {
-		cfg.Addr = *fc.Addr
-	}
-	if fc.Store != nil {
-		cfg.StorePath = *fc.Store
-	}
-	if fc.Workers != nil {
-		cfg.Workers = *fc.Workers
-	}
-	if fc.Retries != nil {
-		cfg.Retries = *fc.Retries
-	}
-	if fc.Degrade != nil {
-		cfg.Degrade = *fc.Degrade
-	}
-	if fc.MaxSweeps != nil {
-		cfg.MaxSweeps = *fc.MaxSweeps
-	}
-	if fc.MaxDegree != nil {
-		cfg.MaxDegree = *fc.MaxDegree
-	}
-	if fc.MaxBudget != nil {
-		cfg.MaxBudget = *fc.MaxBudget
-	}
-	if fc.DefaultBudget != nil {
-		cfg.DefaultBudget = *fc.DefaultBudget
-	}
-	if err := setDur("max_backoff", fc.MaxBackoff, &cfg.MaxBackoff); err != nil {
-		return err
-	}
-	if err := setDur("default_timeout", fc.DefaultTimeout, &cfg.DefaultTimeout); err != nil {
-		return err
-	}
-	if err := setDur("max_timeout", fc.MaxTimeout, &cfg.MaxTimeout); err != nil {
-		return err
-	}
-	return setDur("drain_timeout", fc.DrainTimeout, &cfg.DrainTimeout)
-}
-
-// loadConfig assembles the effective config: defaults, then the -config
-// file's keys, then every flag the command line explicitly set.
-func loadConfig(fs *flag.FlagSet, flagCfg Config, configPath string) (Config, error) {
-	cfg := DefaultConfig()
-	if configPath != "" {
-		buf, err := os.ReadFile(configPath)
-		if err != nil {
-			return cfg, err
-		}
-		var fc fileConfig
-		dec := json.NewDecoder(bytes.NewReader(buf))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&fc); err != nil {
-			return cfg, fmt.Errorf("%s: %v", configPath, err)
-		}
-		if err := fc.apply(&cfg); err != nil {
-			return cfg, fmt.Errorf("%s: %v", configPath, err)
-		}
-	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "addr":
-			cfg.Addr = flagCfg.Addr
-		case "store":
-			cfg.StorePath = flagCfg.StorePath
-		case "workers":
-			cfg.Workers = flagCfg.Workers
-		case "retries":
-			cfg.Retries = flagCfg.Retries
-		case "max-backoff":
-			cfg.MaxBackoff = flagCfg.MaxBackoff
-		case "degrade":
-			cfg.Degrade = flagCfg.Degrade
-		case "max-sweeps":
-			cfg.MaxSweeps = flagCfg.MaxSweeps
-		case "max-degree":
-			cfg.MaxDegree = flagCfg.MaxDegree
-		case "max-budget":
-			cfg.MaxBudget = flagCfg.MaxBudget
-		case "default-budget":
-			cfg.DefaultBudget = flagCfg.DefaultBudget
-		case "default-timeout":
-			cfg.DefaultTimeout = flagCfg.DefaultTimeout
-		case "max-timeout":
-			cfg.MaxTimeout = flagCfg.MaxTimeout
-		case "drain-timeout":
-			cfg.DrainTimeout = flagCfg.DrainTimeout
-		}
-	})
-	return cfg, validateConfig(cfg)
 }
 
 // validateConfig rejects configurations that would admit nothing or spin:
@@ -207,24 +83,22 @@ func validateConfig(cfg Config) error {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	def := DefaultConfig()
+	cfg := DefaultConfig()
 	fs := flag.NewFlagSet("ilpd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var flagCfg Config
-	fs.StringVar(&flagCfg.Addr, "addr", def.Addr, "listen address")
-	fs.StringVar(&flagCfg.StorePath, "store", "", "durable JSONL result store (resumed on boot, compacted on drain)")
-	fs.IntVar(&flagCfg.Workers, "workers", def.Workers, "concurrent simulations across all sweeps (default: GOMAXPROCS)")
-	fs.IntVar(&flagCfg.Retries, "retries", def.Retries, "retries per transiently failed compile/measurement")
-	fs.DurationVar(&flagCfg.MaxBackoff, "max-backoff", def.MaxBackoff, "cap on the exponential retry backoff")
-	fs.BoolVar(&flagCfg.Degrade, "degrade", def.Degrade, "render permanently failed cells as NaN rows instead of failing the experiment")
-	fs.IntVar(&flagCfg.MaxSweeps, "max-sweeps", def.MaxSweeps, "concurrently running sweeps admitted before 429")
-	fs.IntVar(&flagCfg.MaxDegree, "max-degree", def.MaxDegree, "largest per-request machine degree admitted")
-	fs.Int64Var(&flagCfg.MaxBudget, "max-budget", def.MaxBudget, "largest per-request instruction budget admitted (0 = uncapped)")
-	fs.Int64Var(&flagCfg.DefaultBudget, "default-budget", def.DefaultBudget, "instruction budget for requests that name none (0 = unmetered)")
-	fs.DurationVar(&flagCfg.DefaultTimeout, "default-timeout", def.DefaultTimeout, "deadline for requests that name none")
-	fs.DurationVar(&flagCfg.MaxTimeout, "max-timeout", def.MaxTimeout, "largest per-request deadline admitted (0 = uncapped)")
-	fs.DurationVar(&flagCfg.DrainTimeout, "drain-timeout", def.DrainTimeout, "graceful-shutdown window before in-flight sweeps are cancelled")
-	configPath := fs.String("config", "", "JSON config file (flags explicitly set on the command line win)")
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	fs.StringVar(&cfg.StorePath, "store", cfg.StorePath, "durable JSONL result store (resumed on boot, compacted on drain)")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent simulations across all sweeps (default: GOMAXPROCS)")
+	fs.IntVar(&cfg.Retries, "retries", cfg.Retries, "retries per transiently failed compile/measurement")
+	fs.DurationVar(&cfg.MaxBackoff, "max-backoff", cfg.MaxBackoff, "cap on the exponential retry backoff")
+	fs.BoolVar(&cfg.Degrade, "degrade", cfg.Degrade, "render permanently failed cells as NaN rows instead of failing the experiment")
+	fs.IntVar(&cfg.MaxSweeps, "max-sweeps", cfg.MaxSweeps, "concurrently running sweeps admitted before 429")
+	fs.IntVar(&cfg.MaxDegree, "max-degree", cfg.MaxDegree, "largest per-request machine degree admitted")
+	fs.Int64Var(&cfg.MaxBudget, "max-budget", cfg.MaxBudget, "largest per-request instruction budget admitted (0 = uncapped)")
+	fs.Int64Var(&cfg.DefaultBudget, "default-budget", cfg.DefaultBudget, "instruction budget for requests that name none (0 = unmetered)")
+	fs.DurationVar(&cfg.DefaultTimeout, "default-timeout", cfg.DefaultTimeout, "deadline for requests that name none")
+	fs.DurationVar(&cfg.MaxTimeout, "max-timeout", cfg.MaxTimeout, "largest per-request deadline admitted (0 = uncapped)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "graceful-shutdown window before in-flight sweeps are cancelled")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -233,8 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 1
 	}
-	cfg, err := loadConfig(fs, flagCfg, *configPath)
-	if err != nil {
+	if err := validateConfig(cfg); err != nil {
 		fmt.Fprintf(stderr, "ilpd: %v\n", err)
 		fs.Usage()
 		return 1

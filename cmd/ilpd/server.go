@@ -16,8 +16,8 @@ import (
 	"ilp/internal/store"
 )
 
-// Config is the daemon's effective configuration, assembled from defaults,
-// the optional -config file, and explicitly set flags (in that order).
+// Config is the daemon's effective configuration: DefaultConfig with the
+// command-line flags applied.
 type Config struct {
 	// Addr is the listen address.
 	Addr string

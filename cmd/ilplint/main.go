@@ -6,11 +6,14 @@
 // Usage:
 //
 //	ilplint [-level 0..4] [-all-levels] [-unroll N] [-careful]
-//	        [-machine base|multititan|cray1] <file.tl|benchmark|all>
+//	        [-machine name] <file.tl|benchmark|all>
 //
-// The target may be a TL source file, the name of one of the paper's eight
-// benchmarks, or "all" for the whole suite. Exit status is 1 when any
-// error-severity diagnostic is found, 2 on usage errors, and 0 otherwise.
+// Machines are named as for ilpsim: base, multititan, cray1, superscalar:N,
+// superpipelined:M, supersuper:N:M, conflicts:N, underpipelined. The target
+// may be a TL source file, the name of one of the paper's eight benchmarks,
+// or "all" for the whole suite. Exit status is 1 when any error-severity
+// diagnostic is found or a compile fails (a -level outside 0..4 or a
+// negative -unroll included), 2 on usage errors, and 0 otherwise.
 //
 // Example diagnostic:
 //
@@ -21,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ilp/internal/benchmarks"
@@ -30,29 +34,33 @@ import (
 )
 
 func main() {
-	level := flag.Int("level", 4, "optimization level 0..4")
-	allLevels := flag.Bool("all-levels", false, "check every optimization level 0..4")
-	unroll := flag.Int("unroll", 0, "loop unroll factor")
-	careful := flag.Bool("careful", false, "careful unrolling")
-	machineName := flag.String("machine", "base", "machine description: base, multititan, cray1")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ilplint [flags] <file.tl|benchmark|all>")
-		os.Exit(2)
+// run is ilplint with its arguments and output streams passed in, returning
+// the exit status: 0 when no error-severity diagnostic is found, 1 when one
+// is or a compile fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ilplint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	level := fs.Int("level", 4, "optimization level 0..4")
+	allLevels := fs.Bool("all-levels", false, "check every optimization level 0..4")
+	unroll := fs.Int("unroll", 0, "loop unroll factor")
+	careful := fs.Bool("careful", false, "careful unrolling")
+	machineName := fs.String("machine", "base", "machine description (base, multititan, cray1, superscalar:N, superpipelined:M, supersuper:N:M, conflicts:N, underpipelined)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	var cfg *machine.Config
-	switch *machineName {
-	case "base":
-		cfg = machine.Base()
-	case "multititan":
-		cfg = machine.MultiTitan()
-	case "cray1":
-		cfg = machine.CRAY1()
-	default:
-		fmt.Fprintf(os.Stderr, "ilplint: unknown machine %q\n", *machineName)
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ilplint [flags] <file.tl|benchmark|all>")
+		return 2
+	}
+
+	cfg, err := machine.ByName(*machineName)
+	if err != nil {
+		fmt.Fprintln(stderr, "ilplint:", err)
+		return 2
 	}
 
 	type unit struct {
@@ -60,7 +68,7 @@ func main() {
 		src  string
 	}
 	var units []unit
-	target := flag.Arg(0)
+	target := fs.Arg(0)
 	switch {
 	case target == "all":
 		for _, b := range benchmarks.All() {
@@ -72,8 +80,8 @@ func main() {
 		} else {
 			data, ferr := os.ReadFile(target)
 			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "ilplint:", ferr)
-				os.Exit(2)
+				fmt.Fprintln(stderr, "ilplint:", ferr)
+				return 2
 			}
 			units = append(units, unit{target, string(data)})
 		}
@@ -91,19 +99,20 @@ func main() {
 			if *allLevels {
 				where = fmt.Sprintf("%s[O%d]", u.name, int(lvl))
 			}
-			if lint(where, u.src, cfg, lvl, *unroll, *careful) {
+			if lint(stdout, stderr, where, u.src, cfg, lvl, *unroll, *careful) {
 				failed = true
 			}
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // lint compiles one unit with in-pipeline verification on and prints every
 // diagnostic. Returns true if any error-severity diagnostic was found.
-func lint(where, src string, cfg *machine.Config, lvl compiler.Level, unroll int, careful bool) bool {
+func lint(stdout, stderr io.Writer, where, src string, cfg *machine.Config, lvl compiler.Level, unroll int, careful bool) bool {
 	c, err := compiler.Compile(src, compiler.Options{
 		Machine: cfg, Level: lvl, Unroll: unroll, Careful: careful, Verify: true,
 	})
@@ -113,21 +122,21 @@ func lint(where, src string, cfg *machine.Config, lvl compiler.Level, unroll int
 		// with its own line:col locations.
 		var verr *verify.Error
 		if errors.As(err, &verr) {
-			report(where, verr.Diags)
+			report(stdout, where, verr.Diags)
 			return true
 		}
-		fmt.Fprintf(os.Stderr, "%s: %v\n", where, err)
+		fmt.Fprintf(stderr, "%s: %v\n", where, err)
 		return true
 	}
 	// Clean compile: re-run the checker standalone so warnings (which do not
 	// abort compilation) are still reported.
 	diags := verify.Check(c.Prog, verify.Options{Machine: cfg, Mem: c.Mem})
-	report(where, diags)
+	report(stdout, where, diags)
 	return len(verify.Errors(diags)) > 0
 }
 
-func report(where string, diags []verify.Diagnostic) {
+func report(w io.Writer, where string, diags []verify.Diagnostic) {
 	for _, d := range diags {
-		fmt.Printf("%s: %s\n", where, d)
+		fmt.Fprintf(w, "%s: %s\n", where, d)
 	}
 }

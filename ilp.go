@@ -128,13 +128,14 @@ const (
 // Options selects compilation behavior.
 type Options struct {
 	// Level is the optimization level; the zero value means O4, the
-	// paper's standard configuration.
+	// paper's standard configuration. A level outside O0..O4 fails Compile.
 	Level OptLevel
 	// LevelSet must be true for Level O0 to be honored (Go zero-value
 	// ambiguity); use WithLevel to construct.
 	LevelSet bool
-	// Unroll is the loop unroll factor (0 or 1 = none; benchmarks with a
-	// paper-default, i.e. Linpack's 4x, apply it when Unroll is 0).
+	// Unroll is the loop unroll factor (0 or 1 = none, negative fails
+	// Compile; benchmarks with a paper-default, i.e. Linpack's 4x, apply it
+	// when Unroll is 0).
 	Unroll int
 	// Careful enables careful unrolling: reduction reassociation and
 	// scheduler memory disambiguation (§4.4).

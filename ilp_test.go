@@ -114,6 +114,21 @@ func TestBenchmarksListed(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsBadOptions: a level outside O0..O4 and a negative
+// unroll factor are compile errors, not silent O4, O0 or no unrolling.
+func TestCompileRejectsBadOptions(t *testing.T) {
+	for _, opts := range []ilp.Options{
+		ilp.WithLevel(7),
+		ilp.WithLevel(-1),
+		{Level: 7},
+		{Unroll: -2},
+	} {
+		if _, err := ilp.Compile(tiny, ilp.BaseMachine(), opts); err == nil {
+			t.Errorf("Compile with %+v succeeded", opts)
+		}
+	}
+}
+
 func TestOptionLevels(t *testing.T) {
 	// WithLevel(O0) must actually compile at O0 (more instructions than
 	// the default O4).

@@ -77,11 +77,11 @@ type Options struct {
 	// latencies, the register allocator its temporary/home split.
 	// Defaults to machine.Base().
 	Machine *machine.Config
-	// Level is the optimization level (default O4, the paper's standard
-	// configuration for §4.1–4.3).
+	// Level is the optimization level, O0..O4 (O4 is the paper's standard
+	// configuration for §4.1–4.3); the zero value is O0.
 	Level Level
 	// Unroll duplicates eligible innermost loop bodies by this factor
-	// (≤ 1 disables).
+	// (0 or 1 disables; negative is an error).
 	Unroll int
 	// Careful enables the careful-unrolling pipeline: reassociation of
 	// reduction chains and memory disambiguation in the scheduler
@@ -152,10 +152,17 @@ type Lowered struct {
 	c Compiled
 }
 
-// Lower runs every pass before the scheduler. Of opts.Machine it reads
-// only the register split (regalloc.PromoteHomes and regalloc.Allocate);
-// opts.NoSchedule is ignored, since it applies at Schedule.
+// Lower runs every pass before the scheduler. It rejects a Level outside
+// O0..O4 and a negative Unroll. Of opts.Machine it reads only the register
+// split (regalloc.PromoteHomes and regalloc.Allocate); opts.NoSchedule is
+// ignored, since it applies at Schedule.
 func Lower(src string, opts Options) (*Lowered, error) {
+	if opts.Level < O0 || opts.Level > O4 {
+		return nil, fmt.Errorf("compiler: optimization level %d is outside O0..O4", int(opts.Level))
+	}
+	if opts.Unroll < 0 {
+		return nil, fmt.Errorf("compiler: unroll factor %d is negative", opts.Unroll)
+	}
 	cfg := opts.Machine
 	if cfg == nil {
 		cfg = machine.Base()

@@ -172,6 +172,35 @@ func TestLowerConcurrentSchedule(t *testing.T) {
 	}
 }
 
+// TestRejectsBadLevelAndUnroll: a level outside O0..O4 or a negative
+// unroll factor is an error from Lower and from Compile, which goes through
+// it, instead of compiling silently as the nearest level or without
+// unrolling.
+func TestRejectsBadLevelAndUnroll(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Level: Level(5)}, "level 5 is outside O0..O4"},
+		{Options{Level: Level(9)}, "level 9 is outside O0..O4"},
+		{Options{Level: Level(-1)}, "level -1 is outside O0..O4"},
+		{Options{Level: O4, Unroll: -1}, "unroll factor -1 is negative"},
+		{Options{Level: O0, Unroll: -4}, "unroll factor -4 is negative"},
+	} {
+		if _, err := Lower(injectSrc, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Lower(%+v): err = %v, want %q", tc.opts, err, tc.want)
+		}
+		if _, err := Compile(injectSrc, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Compile(%+v): err = %v, want %q", tc.opts, err, tc.want)
+		}
+	}
+	for _, opts := range []Options{{Level: O0}, {Level: O4, Unroll: 1}} {
+		if _, err := Compile(injectSrc, opts); err != nil {
+			t.Errorf("Compile(%+v): %v", opts, err)
+		}
+	}
+}
+
 // TestLowerRejectsOtherRegSplit: a program allocated for one register split
 // cannot be scheduled for a machine that divides its registers differently.
 func TestLowerRejectsOtherRegSplit(t *testing.T) {

@@ -48,7 +48,7 @@ func checkSpecialized(t *testing.T, p *isa.Program, prof *statictime.Profile, mi
 		}
 		e := NewEngine()
 		var got Result
-		if err := e.RunInto(p, Options{Machine: cfg, Code: spec}, &got); err != nil {
+		if err := e.RunIntoCtx(context.Background(), p, Options{Machine: cfg, Code: spec}, &got); err != nil {
 			t.Fatalf("%s: specialized run: %v", cfg.Name, err)
 		}
 		if e.mispaths < minMispath {

@@ -126,7 +126,7 @@ func compareEvents(t *testing.T, path string, want, got *events) {
 func runChecked(t *testing.T, e *Engine, path string, p *isa.Program, opts Options) *Result {
 	t.Helper()
 	res := new(Result)
-	if err := e.RunInto(p, opts, res); err != nil {
+	if err := e.RunIntoCtx(context.Background(), p, opts, res); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
 	checkReadyBound(t, path, e)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"ilp/internal/cache"
 	"ilp/internal/isa"
@@ -11,41 +12,30 @@ import (
 )
 
 // Engine is a reusable simulator instance. A fresh Engine is ready to use;
-// Reset re-arms it for another program/machine pair while recycling every
-// large allocation from the previous run: the memory image (zeroing only the
-// data segment and the store high-water region actually dirtied), the
-// predecoded instruction array, the functional-unit scoreboard, the block
-// entry/exit counters, and the output buffer. The package-level Run draws
-// Engines from a sync.Pool, so even callers that never see the type stop
-// paying a 16 MB allocation and full zeroing per simulation.
+// Reset re-arms it for another run while recycling every large allocation
+// from the previous one: the memory image (zeroing only the data segment and
+// the store high-water region actually dirtied), the functional-unit
+// scoreboard, the block entry/exit counters, and the output buffer. The
+// package-level Run draws Engines from a sync.Pool, so even callers that
+// never see the type stop paying a 16 MB allocation and full zeroing per
+// simulation.
 //
-// An Engine is not safe for concurrent use; use one per goroutine (or just
-// call Run, which pools them). A predecoded Code, by contrast, is immutable
-// and may be shared by any number of engines at once.
+// Every run executes one predecoded Code: the caller's Options.Code, or one
+// the engine builds for a run without it. An Engine is not safe for concurrent
+// use; use one per goroutine (or just call Run, which pools them). A Code,
+// by contrast, is immutable and may be shared by any number of engines at
+// once.
 type Engine struct {
 	cfg  *machine.Config
 	prog *isa.Program
 	opts Options
 
-	// dec is the predecoded program the run executes: either the shared
-	// immutable Options.Code array, or decBuf, the engine's own reusable
-	// translation buffer. Engines never write through dec.
+	// dec and scheds are the run's predecoded program and its superblock
+	// trace schedules, indexed by leader pc: its Code's, except that a
+	// hooked run executes hookDec and replays no traces. Engines never
+	// write through dec.
 	dec    []decoded
-	decBuf []decoded
-	// scheds holds the superblock trace schedules the fast path may replay,
-	// indexed by leader pc: the shared Code's, or the engine's own
-	// (ownScheds) when running without one.
 	scheds []*traceSched
-	// ownProg/ownCfg/ownSchedFP/ownScheds cache the engine's own translation
-	// (decBuf) and trace schedules keyed by (program, machine schedule), so
-	// repeated Code-less runs of the same pair — the dominant pattern for a
-	// pooled engine driving one benchmark — skip both the predecode sweep
-	// and the static trace analysis at Reset. The config pointer is checked
-	// first so a hit costs no fingerprint hash.
-	ownProg    *isa.Program
-	ownCfg     *machine.Config
-	ownSchedFP string
-	ownScheds  []*traceSched
 
 	// enter and exit count, per instruction index, how many contiguous
 	// execution runs began and ended there: enter[i] is bumped when
@@ -119,9 +109,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Mispaths returns the specialized-trace guard exits the last run took.
 func (e *Engine) Mispaths() int64 { return e.mispaths }
 
-// Reset validates the program and machine, predecodes the program (or adopts
-// the shared predecode in opts.Code), and re-arms all run state, reusing the
-// engine's buffers.
+// Reset validates the program and machine, adopts opts.Code (or predecodes
+// the program into a new Code when opts has none), and re-arms all run
+// state, reusing the engine's buffers.
 func (e *Engine) Reset(p *isa.Program, opts Options) error {
 	memWords, stackTop, err := validate(p, opts)
 	if err != nil {
@@ -168,8 +158,8 @@ func validate(p *isa.Program, opts Options) (memWords int, stackTop int64, err e
 }
 
 // arm re-arms everything but the architectural state (memory and
-// registers) for a validated run: the timing state, the caches, the
-// predecoded program and the counters.
+// registers) for a validated run: the timing state, the caches, the run's
+// Code (opts.Code, or one built for p) and the counters.
 func (e *Engine) arm(p *isa.Program, opts Options) error {
 	cfg := opts.Machine
 	e.ready = [256]int64{}
@@ -199,25 +189,13 @@ func (e *Engine) arm(p *isa.Program, opts Options) error {
 	}
 
 	e.cfg, e.prog, e.opts = cfg, p, opts
-	if opts.Code != nil {
-		if err := opts.Code.matches(p, cfg); err != nil {
-			return err
-		}
-		e.dec = opts.Code.dec
-		e.scheds = opts.Code.scheds
-	} else if e.ownProg == p && (e.ownCfg == cfg || e.ownSchedFP == cfg.ScheduleFingerprint()) {
-		// Engine-level translation cache hit: decBuf still holds this exact
-		// (program, schedule) translation — the last Code-less Reset built
-		// it, and Code-based Resets never touch decBuf.
-		e.dec = e.decBuf
-		e.scheds = e.ownScheds
-	} else {
-		e.decBuf = predecodeInto(e.decBuf, p, cfg)
-		e.dec = e.decBuf
-		e.ownScheds = buildScheds(p, cfg, e.decBuf, nil)
-		e.ownProg, e.ownCfg, e.ownSchedFP = p, cfg, cfg.ScheduleFingerprint()
-		e.scheds = e.ownScheds
+	code := opts.Code
+	if code == nil {
+		code = newCode(p, cfg, nil)
+	} else if err := code.matches(p, cfg); err != nil {
+		return err
 	}
+	e.dec, e.scheds = code.dec, code.scheds
 
 	n := len(e.dec) // real instructions + sentinel
 	if cap(e.enter) >= n {
@@ -279,23 +257,9 @@ func (e *Engine) resetMemory(memWords int) {
 	e.mem = make([]int64, memWords)
 }
 
-// Run simulates the program to completion on this engine and returns a
-// freshly allocated result.
-func (e *Engine) Run(p *isa.Program, opts Options) (*Result, error) {
-	res := new(Result)
-	if err := e.RunInto(p, opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunInto is the zero-allocation variant of Run: it resets the engine, runs
-// the program, and fills res in place (reusing res.Output's capacity).
-func (e *Engine) RunInto(p *isa.Program, opts Options, res *Result) error {
-	return e.RunIntoCtx(context.Background(), p, opts, res)
-}
-
-// RunIntoCtx is RunInto with cancellation: the timing loop polls ctx at
+// RunIntoCtx resets the engine, runs the program to completion and fills
+// res in place, reusing res.Output's capacity; a run with a Code allocates
+// nothing once the engine's buffers have grown. The timing loop polls ctx at
 // control transfers, at least every cancelCheckInterval dynamic
 // instructions, so a done context abandons the run (returning the context's
 // cause) within a fraction of a millisecond at typical throughput. A
@@ -329,6 +293,34 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 		return maxInstrs
 	}
 	return min(instrs+cancelCheckInterval, maxInstrs)
+}
+
+// poll is the timing loops' check point, which runFast and walk reach once
+// instrs has retired past their checkAt, at a control transfer or a trace
+// exit: it publishes a recording's progress to following walks, fails a run
+// over the instruction limit, stops one that has reached stopAt, and fails
+// one whose context is done. Otherwise it returns the next check point. It
+// is kept out of line: the loops reach it at most every
+// cancelCheckInterval instructions.
+//
+//go:noinline
+func (e *Engine) poll(ctx context.Context, instrs, maxInstrs, stopAt int64) (checkAt int64, stop bool, err error) {
+	if e.rec != nil {
+		e.rec.publish()
+	}
+	if instrs >= maxInstrs {
+		return 0, false, fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
+	}
+	if instrs >= stopAt {
+		return 0, true, nil
+	}
+	done := ctx.Done()
+	select {
+	case <-done:
+		return 0, false, ctxErr(ctx)
+	default:
+	}
+	return min(nextCheck(done, instrs, maxInstrs), stopAt), false, nil
 }
 
 // runFast is the engine's one executing loop: every run, caches and hooks
@@ -398,10 +390,8 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 
 	// Cancellation polling shares the instruction-limit comparison the
 	// loop performs at control transfers: checkAt is the next instruction
-	// count at which anything needs attention — a context poll, the
-	// instruction limit, or the caller's stop point.
-	done := ctx.Done()
-	checkAt := min(nextCheck(done, instrs, maxInstrs), stopAt)
+	// count at which anything needs attention (see poll).
+	checkAt := min(nextCheck(ctx.Done(), instrs, maxInstrs), stopAt)
 
 	// skipCheck elides the trace-entry register scan across consecutive
 	// iterations of a proven-stable loop trace (see the trace replay below);
@@ -820,21 +810,13 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				if exitIdx < 0 {
 					skipCheck = true
 					if instrs >= checkAt {
-						if rec != nil {
-							rec.publish()
+						var stop bool
+						if checkAt, stop, err = e.poll(ctx, instrs, maxInstrs, stopAt); err != nil {
+							return err
 						}
-						if instrs >= maxInstrs {
-							return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
-						}
-						if instrs >= stopAt {
+						if stop {
 							goto out
 						}
-						select {
-						case <-done:
-							return ctxErr(ctx)
-						default:
-						}
-						checkAt = min(nextCheck(done, instrs, maxInstrs), stopAt)
 					}
 					continue
 				}
@@ -908,40 +890,25 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				stableIdx = exitIdx
 			}
 			if instrs >= checkAt {
-				if rec != nil {
-					rec.publish()
+				var stop bool
+				if checkAt, stop, err = e.poll(ctx, instrs, maxInstrs, stopAt); err != nil {
+					return err
 				}
-				if instrs >= maxInstrs {
-					return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
-				}
-				if instrs >= stopAt {
+				if stop {
 					goto out
 				}
-				select {
-				case <-done:
-					return ctxErr(ctx)
-				default:
-				}
-				checkAt = min(nextCheck(done, instrs, maxInstrs), stopAt)
 			}
 		}
 		skipCheck = false
 		if instrs >= checkAt {
-			if rec != nil {
-				rec.publish()
+			var stop bool
+			var err error
+			if checkAt, stop, err = e.poll(ctx, instrs, maxInstrs, stopAt); err != nil {
+				return err
 			}
-			if instrs >= maxInstrs {
-				return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
-			}
-			if instrs >= stopAt {
+			if stop {
 				goto out
 			}
-			select {
-			case <-done:
-				return ctxErr(ctx)
-			default:
-			}
-			checkAt = min(nextCheck(done, instrs, maxInstrs), stopAt)
 		}
 	}
 
@@ -973,6 +940,23 @@ func (e *Engine) foldCounts() {
 		e.classCounts[dec[i].class] += live
 		live -= exit[i]
 	}
+}
+
+// counts folds the block entry/exit counters into new per-instruction
+// dynamic execution and taken-exit counts, exactly as foldCounts does for
+// the class mix: the number of open contiguous runs covering pc is its
+// execution count, and exit[pc], which counts both taken transfers and the
+// final halt, is its taken-exit count.
+func (e *Engine) counts() (count, taken []int64) {
+	n := len(e.dec) - 1 // drop the sentinel
+	count = make([]int64, n)
+	var live int64
+	for i := range n {
+		live += e.enter[i]
+		count[i] = live
+		live -= e.exit[i]
+	}
+	return count, slices.Clone(e.exit[:n])
 }
 
 // hook reports the instruction at idx, issued at issue and complete at
@@ -1063,20 +1047,7 @@ func (e *Engine) fillResult(res *Result, output []isa.Value) {
 	res.Stalls = e.stalls
 	res.InstrCounts, res.TakenExits = nil, nil
 	if e.opts.CountInstrs {
-		// Fold the block entry/exit counters, exactly as foldCounts does
-		// for the class mix. exit already counts both taken transfers and
-		// the final halt.
-		n := len(e.dec) - 1
-		counts := make([]int64, n)
-		exits := make([]int64, n)
-		var live int64
-		for i := 0; i < n; i++ {
-			live += e.enter[i]
-			counts[i] = live
-			live -= e.exit[i]
-		}
-		copy(exits, e.exit[:n])
-		res.InstrCounts, res.TakenExits = counts, exits
+		res.InstrCounts, res.TakenExits = e.counts()
 	}
 	res.ICacheStats, res.DCacheStats = nil, nil
 	if e.icache != nil {

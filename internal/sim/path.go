@@ -329,8 +329,7 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 	stalls := e.stalls
 	pc := e.pc
 
-	done := ctx.Done()
-	checkAt := nextCheck(done, instrs, maxInstrs)
+	checkAt := nextCheck(ctx.Done(), instrs, maxInstrs)
 	skipCheck := false
 	stableIdx := 0
 
@@ -515,15 +514,10 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 				if exitIdx < 0 {
 					skipCheck = true
 					if instrs >= checkAt {
-						if instrs >= maxInstrs {
-							return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
+						var err error
+						if checkAt, _, err = e.poll(ctx, instrs, maxInstrs, maxInstrs); err != nil {
+							return err
 						}
-						select {
-						case <-done:
-							return ctxErr(ctx)
-						default:
-						}
-						checkAt = nextCheck(done, instrs, maxInstrs)
 					}
 					continue
 				}
@@ -587,28 +581,18 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 				stableIdx = exitIdx
 			}
 			if instrs >= checkAt {
-				if instrs >= maxInstrs {
-					return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
+				var err error
+				if checkAt, _, err = e.poll(ctx, instrs, maxInstrs, maxInstrs); err != nil {
+					return err
 				}
-				select {
-				case <-done:
-					return ctxErr(ctx)
-				default:
-				}
-				checkAt = nextCheck(done, instrs, maxInstrs)
 			}
 		}
 		skipCheck = false
 		if instrs >= checkAt {
-			if instrs >= maxInstrs {
-				return fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
+			var err error
+			if checkAt, _, err = e.poll(ctx, instrs, maxInstrs, maxInstrs); err != nil {
+				return err
 			}
-			select {
-			case <-done:
-				return ctxErr(ctx)
-			default:
-			}
-			checkAt = nextCheck(done, instrs, maxInstrs)
 		}
 	}
 

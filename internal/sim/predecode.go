@@ -114,14 +114,10 @@ func (c *Code) Superblocks() int {
 func (c *Code) CondTraces() int {
 	n := 0
 	for _, t := range c.scheds {
-		if t == nil {
-			continue
-		}
-		for _, st := range t.steps {
-			if st.kind == stepCondTaken {
-				n++
-				break
-			}
+		// guardPass sets a bit for each guard the trace passes on the taken
+		// edge, that is, for each likely-taken branch it continues past.
+		if t != nil && t.guardPass != 0 {
+			n++
 		}
 	}
 	return n
@@ -163,18 +159,21 @@ func PredecodeProfiled(p *isa.Program, cfg *machine.Config, prof *statictime.Pro
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	dec := predecodeInto(nil, p, cfg)
+	return newCode(p, cfg, prof), nil
+}
+
+// newCode translates a validated program against a validated machine
+// description, with its trace schedules built under prof (nil for none).
+func newCode(p *isa.Program, cfg *machine.Config, prof *statictime.Profile) *Code {
+	dec := predecode(p, cfg)
 	return &Code{
 		prog:    p,
 		cfg:     cfg,
 		schedFP: cfg.ScheduleFingerprint(),
 		dec:     dec,
 		scheds:  buildScheds(p, cfg, dec, prof),
-	}, nil
+	}
 }
-
-// Instructions returns the number of (real) instructions predecoded.
-func (c *Code) Instructions() int { return len(c.dec) - 1 }
 
 // matches reports whether the Code can stand in for predecoding p against
 // cfg: it must come from the same program, and from the same machine
@@ -192,10 +191,10 @@ func (c *Code) matches(p *isa.Program, cfg *machine.Config) error {
 	return nil
 }
 
-// predecodeInto translates the program against the machine description into
-// dec (plus the trailing sentinel), reusing dec's backing array when it is
-// large enough. The result holds only static facts; engines never write it.
-func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded {
+// predecode translates the program against the machine description into a
+// new array of decoded instructions plus the trailing sentinel. The result
+// holds only static facts; engines never write it.
+func predecode(p *isa.Program, cfg *machine.Config) []decoded {
 	// Per-class unit facts, derived once (the seed engine derived the
 	// class→unit mapping per engine but still chased OpInfo per dynamic
 	// instruction).
@@ -215,11 +214,7 @@ func predecodeInto(dec []decoded, p *isa.Program, cfg *machine.Config) []decoded
 	}
 
 	n := len(p.Instrs)
-	if cap(dec) >= n+1 {
-		dec = dec[:n+1]
-	} else {
-		dec = make([]decoded, n+1)
-	}
+	dec := make([]decoded, n+1)
 	// The sentinel issues harmlessly (no operands, no memory, no unit) and
 	// then errors from the semantic switch; the run is abandoned anyway.
 	dec[n] = decoded{op: opOutOfRange, unitLen: 1, issueLat: 1, lat: 1}

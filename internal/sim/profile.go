@@ -18,11 +18,7 @@ const DefaultProfileBudget = 1 << 18
 // pool. Safe for concurrent use.
 func ProfileRun(ctx context.Context, code *Code, memWords int, budget int64) (*statictime.Profile, error) {
 	e := enginePool.Get().(*Engine)
-	defer func() {
-		e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
-		e.opts = Options{}
-		enginePool.Put(e)
-	}()
+	defer putEngine(e)
 	return e.Profile(ctx, code, memWords, budget)
 }
 
@@ -57,20 +53,6 @@ func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget i
 	if err := e.runFast(ctx, math.MaxInt64, budget); err != nil {
 		return nil, err
 	}
-	n := len(e.dec) - 1 // drop the sentinel
-	pr := &statictime.Profile{
-		Count: make([]int64, n),
-		Taken: make([]int64, n),
-	}
-	// The same prefix fold as fillResult's: the number of open
-	// contiguous execution runs covering pc is its execution count, and
-	// exit[pc] is its taken-transfer count.
-	var live int64
-	for i := 0; i < n; i++ {
-		live += e.enter[i]
-		pr.Count[i] = live
-		live -= e.exit[i]
-	}
-	copy(pr.Taken, e.exit[:n])
-	return pr, nil
+	count, taken := e.counts()
+	return &statictime.Profile{Count: count, Taken: taken}, nil
 }

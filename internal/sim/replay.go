@@ -15,14 +15,6 @@ import (
 // per-instruction issue steps they replace.
 const replayMinLen = 3
 
-// Step kinds of a traceSched, mirroring statictime.TraceStepKind.
-const (
-	stepCond      = uint8(statictime.StepCond)
-	stepJump      = uint8(statictime.StepJump)
-	stepEnd       = uint8(statictime.StepEnd)
-	stepCondTaken = uint8(statictime.StepCondTaken)
-)
-
 // uopEnd terminates a trace's micro-op stream: leave through exit aux (the
 // final fallthrough). Like the predecoder's opHooked, it takes the value
 // after opOutOfRange, just past the architectural opcodes.
@@ -52,17 +44,6 @@ type uop struct {
 	// imm is the architectural immediate; for fli it holds the float
 	// constant's bit pattern.
 	imm int64
-}
-
-// traceStep is one segment of a superblock trace: the straight-line
-// instructions [lo, hi) followed by the control event at hi. Steps exist for
-// cross-checking the analyzer against the predecoder (traceMatchesCode) and
-// for tests; execution runs off the flattened uops.
-type traceStep struct {
-	lo, hi int32
-	kind   uint8
-	exit   int32 // exit index for stepCond / stepEnd
-	target int32 // jump destination for stepJump
 }
 
 // traceJump is one in-trace unconditional jump's block-counter bookkeeping.
@@ -115,10 +96,8 @@ type traceExit struct {
 // folded into the per-exit offsets.
 type traceSched struct {
 	uops      []uop
-	steps     []traceStep
 	exits     []traceExit
 	checkRegs []isa.Reg
-	blocks    int // block segments covered; >1 means a stitched superblock
 
 	// guardPass holds, in bit g, the branch outcome that lets a run
 	// continue past the trace's guard g (its g-th conditional branch):
@@ -190,16 +169,8 @@ func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *stati
 		}
 		ts := &traceSched{
 			uops:      uops,
-			steps:     make([]traceStep, len(t.Steps)),
 			exits:     make([]traceExit, len(t.Exits)),
 			checkRegs: t.CheckRegs,
-			blocks:    t.Blocks,
-		}
-		for i, st := range t.Steps {
-			ts.steps[i] = traceStep{
-				lo: int32(st.Lo), hi: int32(st.Hi),
-				kind: uint8(st.Kind), exit: int32(st.Exit), target: int32(st.Target),
-			}
 		}
 		if !ts.setGuards(t) {
 			continue // exits out of step order (cannot happen)

@@ -25,16 +25,16 @@ func TestBuildSchedsTightLoop(t *testing.T) {
 		t.Fatal("no trace schedules built for the tight loop on the base machine")
 	}
 	// The loop body leader (instruction 2: first instruction after the two
-	// lis) must carry a trace whose first step is the loop body ending in
-	// the conditional back-edge at pc 6.
+	// lis) must carry a trace whose first guard is the conditional back-edge
+	// at pc 6, passed untaken: guard 0 leaves through exit 0.
 	sp := code.scheds[2]
 	if sp == nil {
 		t.Fatal("loop body leader has no trace")
 	}
-	if len(sp.steps) == 0 || sp.steps[0].kind != stepCond || sp.steps[0].hi != 6 {
-		t.Fatalf("first trace step = %+v, want cond-branch step ending at pc 6", sp.steps[0])
+	if len(sp.exits) < 2 || sp.exits[0].at != 6 || sp.guardPass&1 != 0 {
+		t.Fatalf("trace exits = %+v, guards %#b: want a first guard at pc 6 passed untaken", sp.exits, sp.guardPass)
 	}
-	ex := &sp.exits[sp.steps[0].exit]
+	ex := &sp.exits[0]
 	if ex.n != 5 || ex.target != 2 || !ex.taken {
 		t.Errorf("back-edge exit n/target/taken = %d/%d/%v, want 5/2/true", ex.n, ex.target, ex.taken)
 	}
@@ -72,7 +72,7 @@ func TestReplayFires(t *testing.T) {
 
 		e := NewEngine()
 		var res Result
-		if err := e.RunInto(p, Options{Machine: cfg, Code: code}, &res); err != nil {
+		if err := e.RunIntoCtx(context.Background(), p, Options{Machine: cfg, Code: code}, &res); err != nil {
 			t.Fatalf("%s: replay run: %v", cfg.Name, err)
 		}
 		if e.replays == 0 {
@@ -119,7 +119,7 @@ func TestReplaySkippedWhenDirty(t *testing.T) {
 	}
 	e := NewEngine()
 	var res Result
-	if err := e.RunInto(p, Options{Machine: cfg, Code: code}, &res); err != nil {
+	if err := e.RunIntoCtx(context.Background(), p, Options{Machine: cfg, Code: code}, &res); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	if e.replays != 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"ilp/internal/benchmarks"
@@ -74,17 +75,18 @@ func TestResetClearsOnlyDirtiedMemory(t *testing.T) {
 		{"hooked", Options{Machine: cfg, OnIssue: func(int, *isa.Instr, int64, int64) {}}},
 	}
 	e := NewEngine()
+	ctx := context.Background()
 	for i, b := range suite {
 		for _, path := range paths {
-			if _, err := e.Run(progs[i], path.opts); err != nil {
+			if err := e.RunIntoCtx(ctx, progs[i], path.opts, new(Result)); err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, path.name, err)
 			}
 			if got, limit := e.resetSpan(), len(progs[i].Data)+1024; got > limit {
 				t.Errorf("%s/%s: next Reset zeroes %d words, want at most %d (data segment %d + 1024)",
 					b.Name, path.name, got, limit, len(progs[i].Data))
 			}
-			got, err := e.Run(probe, Options{Machine: cfg})
-			if err != nil {
+			got := new(Result)
+			if err := e.RunIntoCtx(ctx, probe, Options{Machine: cfg}, got); err != nil {
 				t.Fatalf("%s/%s: probe: %v", b.Name, path.name, err)
 			}
 			if len(got.Output) != len(want) || !got.Output[0].Equal(want[0]) || !got.Output[1].Equal(want[1]) {

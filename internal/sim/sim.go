@@ -15,9 +15,11 @@
 //
 // The simulator is throughput-oriented, because the paper's whole evaluation
 // is "compile once per configuration, simulate billions of instructions":
-// at Reset the program is predecoded against the machine description into a
-// flat array of per-instruction facts (operand flags, resolved functional
-// unit, base latency), and one inner loop executes every run, cache
+// a run executes its program predecoded against the machine description
+// into a Code, a flat array of per-instruction facts (operand flags,
+// resolved functional unit, base latency) built once per program and
+// schedule and shared by every run that passes it in Options.Code, or built
+// for a run without one. One inner loop executes every run, cache
 // machines and OnIssue/OnTrace hooks included; a hooked run dispatches each
 // instruction through the hooks on its own copy of that array, so runs
 // without hooks pay nothing for them. Engines are reusable and pooled, so
@@ -108,8 +110,8 @@ var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
 // Run simulates the program to completion and returns the result. It is the
 // thin compatibility wrapper over Engine: each call borrows a pooled engine,
-// so successive runs reuse the memory arena and predecode buffers instead of
-// allocating per simulation. Safe for concurrent use.
+// so successive runs reuse the memory arena and the run-state buffers
+// instead of allocating per simulation. Safe for concurrent use.
 func Run(p *isa.Program, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), p, opts)
 }
@@ -121,16 +123,17 @@ func RunCtx(ctx context.Context, p *isa.Program, opts Options) (*Result, error) 
 	e := enginePool.Get().(*Engine)
 	res := new(Result)
 	err := e.RunIntoCtx(ctx, p, opts, res)
-	// Drop references to caller data before pooling so a cached engine
-	// does not pin a shared predecode alive. The engine's own translation
-	// cache (decBuf/ownProg/ownScheds) is deliberately kept: it pins the
-	// last Code-less (program, machine) pair so repeat runs skip predecode
-	// and trace analysis — the dominant pooled-engine pattern.
-	e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
-	e.opts = Options{}
-	enginePool.Put(e)
+	putEngine(e)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// putEngine returns e to the pool, first dropping its references to the
+// run's program, machine and Code so that a pooled engine pins none of them.
+func putEngine(e *Engine) {
+	e.cfg, e.prog, e.dec, e.scheds = nil, nil, nil, nil
+	e.opts = Options{}
+	enginePool.Put(e)
 }

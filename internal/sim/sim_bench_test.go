@@ -209,18 +209,23 @@ func BenchmarkSimulatorCondTrace(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkSimulatorEngineReuse drives a dedicated Engine through RunInto
-// with a reused Result — the zero-allocation steady state a long measurement
-// sweep reaches once the pool is warm.
+// BenchmarkSimulatorEngineReuse drives a dedicated Engine through
+// RunIntoCtx with a shared predecoded Code and a reused Result, as the
+// experiments runner does — the zero-allocation steady state a long
+// measurement sweep reaches once the engine's buffers have grown.
 func BenchmarkSimulatorEngineReuse(b *testing.B) {
 	p := tightLoop(600_000)
 	cfg := machine.Base()
+	code, err := Predecode(p, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	e := NewEngine()
 	var res Result
 	b.ResetTimer()
 	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if err := e.RunInto(p, Options{Machine: cfg}, &res); err != nil {
+		if err := e.RunIntoCtx(context.Background(), p, Options{Machine: cfg, Code: code}, &res); err != nil {
 			b.Fatal(err)
 		}
 		instrs += res.Instructions

@@ -8,6 +8,7 @@ package sim
 // statistically; these pin each exit shape by construction.
 
 import (
+	"context"
 	"testing"
 
 	"ilp/internal/isa"
@@ -41,7 +42,7 @@ func checkAgainstReference(t *testing.T, p *isa.Program, minReplays int64) {
 		}
 		e := NewEngine()
 		var got Result
-		if err := e.RunInto(p, Options{Machine: cfg, Code: code}, &got); err != nil {
+		if err := e.RunIntoCtx(context.Background(), p, Options{Machine: cfg, Code: code}, &got); err != nil {
 			t.Fatalf("%s: replay run: %v", cfg.Name, err)
 		}
 		if e.replays < minReplays {
@@ -105,17 +106,21 @@ func TestSuperblockJumpSeamFallthrough(t *testing.T) {
 	b.Halt()
 	p := b.MustFinish()
 
-	// The body leader's trace must genuinely cross the jump seam: more than
-	// one block segment, and an exit that books the in-trace jump's counter
-	// bumps.
+	// The body leader's trace must genuinely cross the jump seam: an exit
+	// past the seam books the in-trace jump's counter bumps.
 	code, err := Predecode(p, machine.Base())
 	if err != nil {
 		t.Fatalf("predecode: %v", err)
 	}
 	stitched := false
 	for _, tr := range code.scheds {
-		if tr != nil && tr.blocks > 1 {
-			stitched = true
+		if tr == nil {
+			continue
+		}
+		for _, ex := range tr.exits {
+			if len(ex.jumps) > 0 {
+				stitched = true
+			}
 		}
 	}
 	if !stitched {

@@ -31,10 +31,14 @@
 // (multiplicity ≥ issue width and issue latency 1 — every unit of every
 // ideal machine), entry state cannot perturb the schedule once the entry
 // registers are quiescent: the analyzer then computes an exact clean-entry
-// schedule (Schedule) for the block's straight-line prefix. The simulator's
-// predecoder attaches these to proven blocks so the fast path can replay
-// them — bulk-advancing the timing state instead of walking the scoreboard
-// instruction by instruction (see sim's replay path).
+// schedule (Block.Sched) for the block's straight-line prefix, which
+// verify.CheckTiming's self-check and Format read. What the simulator
+// replays are superblock traces (Traces, ProfiledTraces in trace.go):
+// chains of conflict-free blocks stitched across jumps and conditional
+// branches, with an exact timing advance per exit. The predecoder attaches
+// them to their leaders so the fast path and the walk can bulk-advance the
+// timing state instead of walking the scoreboard instruction by instruction
+// (see sim's replay path).
 package statictime
 
 import (
