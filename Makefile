@@ -42,11 +42,15 @@ race-concurrency:
 	$(GO) test -race -count=1 -cpu 4 -run 'TestLower|TestFront' ./internal/compiler/ ./internal/experiments/
 
 # A quick pass of the randomized differential harness (with the static
-# verifier enabled in-pipeline) as a smoke test, plus a short burst of the
-# result-store loader fuzzer; the full 60-seed run is part of `make test`.
+# verifier enabled in-pipeline) as a smoke test, plus short bursts of the
+# result-store loader fuzzer and of the simulator's random-CFG fuzzer
+# (random programs and possibly wrong profiles against the seed reference
+# engine); the full 60-seed run and both seed corpora are part of
+# `make test`.
 fuzz-smoke:
 	$(GO) test -short -run 'TestRandomPrograms' ./internal/compiler/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzRandomCFG' -fuzztime 10s ./internal/sim/
 
 # Chaos suite: the deterministic fault-injection harness under the race
 # detector, at full schedule counts — 300 randomized runner schedules

@@ -166,10 +166,13 @@ type Result = sim.Result
 type Value = isa.Value
 
 // Program is a compiled TL program together with the metadata the
-// scheduler and simulator need.
+// scheduler and simulator need: its own copy of the machine it was compiled
+// for, so later changes to the caller's Machine do not reach it, and the
+// program predecoded for that machine, which every Run shares.
 type Program struct {
 	compiled *compiler.Compiled
 	machine  *Machine
+	code     *sim.Code
 }
 
 // Compile compiles TL source text for the machine. Failures are reported
@@ -192,7 +195,11 @@ func Compile(source string, m *Machine, opts Options) (*Program, error) {
 			Phase: ilperr.PhaseCompile, Err: err,
 		}
 	}
-	return &Program{compiled: c, machine: m}, nil
+	m = m.Clone()
+	// A program the simulator rejects keeps no Code, so Run reports the
+	// same SimError it would have without one.
+	code, _ := sim.Predecode(c.Prog, m)
+	return &Program{compiled: c, machine: m, code: code}, nil
 }
 
 // Disassemble returns the final scheduled machine code.
@@ -211,7 +218,7 @@ func (p *Program) Run() (*Result, error) {
 // and abandons the run with the context's cause error once ctx is done,
 // so a long simulation embedded in a service can be bounded or aborted.
 func (p *Program) RunCtx(ctx context.Context) (*Result, error) {
-	res, err := sim.RunCtx(ctx, p.compiled.Prog, sim.Options{Machine: p.machine})
+	res, err := sim.RunCtx(ctx, p.compiled.Prog, sim.Options{Machine: p.machine, Code: p.code})
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err // cancellation, not a simulator fault

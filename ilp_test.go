@@ -156,6 +156,65 @@ func TestOptionLevels(t *testing.T) {
 	}
 }
 
+// maxRunAllocs bounds the allocations of a repeated Program.Run: its result
+// and output take two, and an engine the pool dropped (the race detector
+// drops some on purpose) about a dozen more.
+const maxRunAllocs = 32
+
+// TestRepeatedRunAllocatesLittle: a Program is predecoded once, at Compile,
+// so a repeated Run pays only for the simulation and allocates a small
+// constant, however large the program.
+func TestRepeatedRunAllocatesLittle(t *testing.T) {
+	for _, name := range []string{"whet", "linpack", "yacc"} {
+		src, err := ilp.BenchmarkSource(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ilp.Compile(src, ilp.Superscalar(4), ilp.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var runErr error
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := p.Run(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", name, runErr)
+		}
+		t.Logf("%s: %.0f allocations per Run", name, allocs)
+		if allocs > maxRunAllocs {
+			t.Errorf("%s: %.0f allocations per Run, want at most %d", name, allocs, maxRunAllocs)
+		}
+	}
+}
+
+// TestProgramKeepsItsMachine: a Program simulates the machine it was
+// compiled for, so a later change to the caller's Machine reaches neither
+// its schedule nor its timing.
+func TestProgramKeepsItsMachine(t *testing.T) {
+	m := ilp.Superscalar(2)
+	p, err := ilp.Compile(tiny, m, ilp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Latency[ilp.ClassAddSub] = 7
+	m.IssueWidth = 1
+	got, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MinorCycles != want.MinorCycles || got.Stalls != want.Stalls {
+		t.Errorf("after changing the caller's machine: %d minor cycles, stalls %+v; want %d, %+v",
+			got.MinorCycles, got.Stalls, want.MinorCycles, want.Stalls)
+	}
+}
+
 func TestHarmonicMeanExported(t *testing.T) {
 	if hm := ilp.HarmonicMean([]float64{2, 2}); hm != 2 {
 		t.Errorf("HarmonicMean = %v", hm)

@@ -313,25 +313,6 @@ func (g *emitter) emitEpilogue() {
 	g.emit(isa.Instr{Op: isa.OpJr, Dst: isa.NoReg, Src1: isa.RRA, Src2: isa.NoReg}, ir.MemRef{})
 }
 
-// invertBranch returns the opposite condition.
-func invertBranch(op isa.Opcode) isa.Opcode {
-	switch op {
-	case isa.OpBeq:
-		return isa.OpBne
-	case isa.OpBne:
-		return isa.OpBeq
-	case isa.OpBlt:
-		return isa.OpBge
-	case isa.OpBge:
-		return isa.OpBlt
-	case isa.OpBle:
-		return isa.OpBgt
-	case isa.OpBgt:
-		return isa.OpBle
-	}
-	panic("codegen: not a conditional branch")
-}
-
 func (g *emitter) emitInstr(f *ir.Func, in *ir.Instr, next *ir.Block) error {
 	switch in.Kind {
 	case ir.KOp:
@@ -497,7 +478,7 @@ func (g *emitter) emitInstr(f *ir.Func, in *ir.Instr, next *ir.Block) error {
 		s1, s2 := g.phys(in.Src1), g.phys(in.Src2)
 		if taken == next {
 			// Invert so the machine branch targets the other arm.
-			idx := g.emit(isa.Instr{Op: invertBranch(op), Dst: isa.NoReg, Src1: s1, Src2: s2,
+			idx := g.emit(isa.Instr{Op: op.Inverted(), Dst: isa.NoReg, Src1: s1, Src2: s2,
 				Sym: g.blockLabel(fall)}, ir.MemRef{})
 			g.fixups[idx] = g.blockLabel(fall)
 			return nil

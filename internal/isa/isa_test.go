@@ -223,3 +223,31 @@ func TestClassMix(t *testing.T) {
 		t.Errorf("mix = %v", mix)
 	}
 }
+
+// TestInvertedBranches: each conditional branch inverts to another whose
+// inversion is itself, and whose condition is the negation on every pair of
+// operands.
+func TestInvertedBranches(t *testing.T) {
+	holds := map[Opcode]func(a, b int64) bool{
+		OpBeq: func(a, b int64) bool { return a == b },
+		OpBne: func(a, b int64) bool { return a != b },
+		OpBlt: func(a, b int64) bool { return a < b },
+		OpBge: func(a, b int64) bool { return a >= b },
+		OpBle: func(a, b int64) bool { return a <= b },
+		OpBgt: func(a, b int64) bool { return a > b },
+	}
+	for op := range Opcode(NumOpcodes) {
+		if !op.Info().Cond {
+			continue
+		}
+		inv := op.Inverted()
+		if !inv.Info().Cond || inv.Inverted() != op {
+			t.Errorf("%s inverts to %s, which inverts to %s", op, inv, inv.Inverted())
+		}
+		for _, ab := range [][2]int64{{1, 2}, {2, 2}, {3, 2}} {
+			if holds[op](ab[0], ab[1]) == holds[inv](ab[0], ab[1]) {
+				t.Errorf("%s and %s agree on %v", op, inv, ab)
+			}
+		}
+	}
+}

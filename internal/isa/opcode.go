@@ -194,3 +194,24 @@ func (op Opcode) String() string { return op.Info().Name }
 
 // Class returns the instruction class of the opcode.
 func (op Opcode) Class() Class { return op.Info().Class }
+
+// Inverted returns the conditional branch that tests the negated condition
+// of op (beq↔bne, blt↔bge, ble↔bgt). It panics if op is not a conditional
+// branch.
+func (op Opcode) Inverted() Opcode {
+	switch op {
+	case OpBeq:
+		return OpBne
+	case OpBne:
+		return OpBeq
+	case OpBlt:
+		return OpBge
+	case OpBge:
+		return OpBlt
+	case OpBle:
+		return OpBgt
+	case OpBgt:
+		return OpBle
+	}
+	panic("isa: " + op.String() + " is not a conditional branch")
+}

@@ -46,6 +46,35 @@ func (p *Program) Validate() error {
 	return nil
 }
 
+// Leaders marks the basic-block leaders of a validated program: the entry,
+// every direct transfer target, every instruction after a transfer or halt,
+// and every index in Blocks. (Blocks is informational and may be absent, so
+// the rest is re-derived; an extra leader from it can only split a block.)
+func (p *Program) Leaders() []bool {
+	n := len(p.Instrs)
+	leader := make([]bool, n)
+	leader[0], leader[p.Entry] = true, true
+	for _, b := range p.Blocks {
+		if b >= 0 && b < n {
+			leader[b] = true
+		}
+	}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		info := in.Op.Info()
+		if !info.Branch && in.Op != OpHalt {
+			continue
+		}
+		if i+1 < n {
+			leader[i+1] = true
+		}
+		if info.Branch && in.Op != OpJr {
+			leader[in.Target] = true
+		}
+	}
+	return leader
+}
+
 // Disassemble renders the whole program as assembly text with labels.
 func (p *Program) Disassemble() string {
 	var b strings.Builder

@@ -145,7 +145,7 @@ func TestCondTraceWrongProfile(t *testing.T) {
 	prof := &statictime.Profile{Count: make([]int64, n), Taken: make([]int64, n)}
 	for i := range p.Instrs {
 		prof.Count[i] = 1 << 20
-		if condBranch(p.Instrs[i].Op) {
+		if p.Instrs[i].Op.Info().Cond {
 			prof.Taken[i] = 1 << 20
 		}
 	}

@@ -334,22 +334,83 @@ func fuzzMachines() []*machine.Config {
 	)
 }
 
-// TestDifferentialRandomCFG fuzzes the engine against the preserved seed
-// engine on randomized control-flow graphs: cycles, stalls, class counts,
-// and printed output must be bit-identical on every machine, for the
-// engine's own predecode, a shared predecode, and a hooked run on the
-// shared predecode, whose event stream must be the reference's.
-func TestDifferentialRandomCFG(t *testing.T) {
+// flipProfile returns a profile of p whose likely-taken marks are prof's,
+// except that the mark of p's k-th conditional branch is inverted for every
+// bit k set in flip: a profile that may be wrong, which may cost a trace
+// mispath exits but never timing.
+func flipProfile(p *isa.Program, prof *statictime.Profile, flip uint64) *statictime.Profile {
+	n := len(p.Instrs)
+	out := &statictime.Profile{Count: make([]int64, n), Taken: make([]int64, n)}
+	k := 0
+	for pc := range p.Instrs {
+		if !p.Instrs[pc].Op.Info().Cond {
+			continue
+		}
+		likely := prof.LikelyTaken(pc)
+		if k < 64 && flip>>uint(k)&1 != 0 {
+			likely = !likely
+		}
+		k++
+		out.Count[pc] = 1 << 20
+		if likely {
+			out.Taken[pc] = out.Count[pc]
+		}
+	}
+	return out
+}
+
+// FuzzRandomCFG checks the engine against the preserved seed engine on the
+// random control-flow graph of seed, on every fuzz machine. Cycles, stalls,
+// class counts and printed output must be bit-identical for the engine's
+// own Code, a shared Code, and a Code specialized under a profile whose
+// likely-taken marks are the program's own with those flip selects
+// inverted. A hooked run must report the reference's event stream; counted
+// runs must count alike, hooked or replaying, and satisfy the static bounds
+// oracle. On the cache-free machines, a path recorded on one of them with
+// the specialized Code must walk each to the reference's result, on plain
+// and specialized Code; the race detector skips the walks, which are
+// single-goroutine. The seed corpus is seeds 0–15 (0–3 under -short) with
+// their own profiles, plus a few wrong ones.
+func FuzzRandomCFG(f *testing.F) {
 	seeds := 16
 	if testing.Short() {
 		seeds = 4
 	}
+	for seed := range seeds {
+		f.Add(int64(seed), uint64(0))
+	}
+	f.Add(int64(1), ^uint64(0))
+	f.Add(int64(2), uint64(0x5555555555555555))
+	f.Add(int64(3), uint64(0b1001))
 	cfgs := fuzzMachines()
+	walkCfgs := cacheFree(cfgs)
 	e := NewEngine() // one dedicated engine, re-armed by every run's Reset
-	for seed := 0; seed < seeds; seed++ {
-		p := randomCFGProgram(rand.New(rand.NewSource(int64(seed))))
+	f.Fuzz(func(t *testing.T, seed int64, flip uint64) {
+		p := randomCFGProgram(rand.New(rand.NewSource(seed)))
+		base, err := Predecode(p, machine.Base())
+		if err != nil {
+			t.Fatalf("predecode: %v", err)
+		}
+		own, err := ProfileRun(context.Background(), base, 0, 0)
+		if err != nil {
+			t.Fatalf("profile run: %v", err)
+		}
+		prof := flipProfile(p, own, flip)
+		var path *Path
+		if !raceEnabled {
+			rec := walkCfgs[uint64(seed)%uint64(len(walkCfgs))]
+			want, err := refRun(p, Options{Machine: rec})
+			if err != nil {
+				t.Fatalf("reference engine: %v", err)
+			}
+			spec, err := PredecodeProfiled(p, rec, prof)
+			if err != nil {
+				t.Fatalf("profiled predecode: %v", err)
+			}
+			path = record(t, p, Options{Machine: rec, Code: spec}, want)
+		}
 		for _, cfg := range cfgs {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.Name), func(t *testing.T) {
+			t.Run(cfg.Name, func(t *testing.T) {
 				opts := Options{Machine: cfg}
 				var refEv events
 				want, err := refRun(p, refEv.hooked(p, opts))
@@ -369,15 +430,25 @@ func TestDifferentialRandomCFG(t *testing.T) {
 				got = runChecked(t, e, "shared-code", p, copts)
 				compareResults(t, "shared-code", want, got)
 
+				spec, err := PredecodeProfiled(p, cfg, prof)
+				if err != nil {
+					t.Fatalf("profiled predecode: %v", err)
+				}
+				sopts := opts
+				sopts.Code = spec
+				got = runChecked(t, e, "specialized", p, sopts)
+				compareResults(t, "specialized", want, got)
+
 				var ev events
 				got = runChecked(t, e, "hooked", p, ev.hooked(p, copts))
 				compareResults(t, "hooked", want, got)
 				compareEvents(t, "hooked", &refEv, &ev)
 
-				// Counted runs: CountInstrs must not perturb timing, a run
-				// that replays traces and a hooked run, which executes
-				// every instruction, must count alike, and the static
-				// bounds oracle must hold for the measured cycle count.
+				// Counted runs: CountInstrs must not perturb timing, runs
+				// that replay traces, specialized or not, and a hooked run,
+				// which executes every instruction, must count alike, and
+				// the static bounds oracle must hold for the measured cycle
+				// count.
 				copts.CountInstrs = true
 				fastC := runChecked(t, e, "counted-fast", p, copts)
 				compareResults(t, "counted-fast", want, fastC)
@@ -385,10 +456,18 @@ func TestDifferentialRandomCFG(t *testing.T) {
 				compareResults(t, "counted-hooked", want, hookC)
 				compareEvents(t, "counted-hooked", &refEv, &ev)
 				compareCounts(t, "counted", fastC, hookC)
+				sopts.CountInstrs = true
+				compareCounts(t, "counted-specialized", hookC, runChecked(t, e, "counted-specialized", p, sopts))
 				checkStaticBounds(t, p, cfg, fastC)
+
+				if path != nil && !hasCache(cfg) {
+					walkChecked(t, e, "walk", p, path, opts, want)
+					sopts.CountInstrs = false
+					walkChecked(t, e, "walk specialized", p, path, sopts, want)
+				}
 			})
 		}
-	}
+	})
 }
 
 // TestSharedCodeConcurrent proves the immutability contract: one predecoded

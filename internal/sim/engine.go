@@ -159,7 +159,8 @@ func validate(p *isa.Program, opts Options) (memWords int, stackTop int64, err e
 
 // arm re-arms everything but the architectural state (memory and
 // registers) for a validated run: the timing state, the caches, the run's
-// Code (opts.Code, or one built for p) and the counters.
+// Code (opts.Code, or one built for p; without traces for a hooked run) and
+// the counters.
 func (e *Engine) arm(p *isa.Program, opts Options) error {
 	cfg := opts.Machine
 	e.ready = [256]int64{}
@@ -189,11 +190,18 @@ func (e *Engine) arm(p *isa.Program, opts Options) error {
 	}
 
 	e.cfg, e.prog, e.opts = cfg, p, opts
+	hooked := opts.OnIssue != nil || opts.OnTrace != nil
 	code := opts.Code
-	if code == nil {
+	switch {
+	case code != nil:
+		if err := code.matches(p, cfg); err != nil {
+			return err
+		}
+	case hooked:
+		// A hooked run replays no traces (below), so its own Code has none.
+		code = &Code{dec: predecode(p, cfg)}
+	default:
 		code = newCode(p, cfg, nil)
-	} else if err := code.matches(p, cfg); err != nil {
-		return err
 	}
 	e.dec, e.scheds = code.dec, code.scheds
 
@@ -211,7 +219,7 @@ func (e *Engine) arm(p *isa.Program, opts Options) error {
 		e.exit = make([]int64, n)
 	}
 	e.classCounts = [isa.NumClasses]int64{}
-	if opts.OnIssue != nil || opts.OnTrace != nil {
+	if hooked {
 		// A hooked run executes its own copy of the program, in which every
 		// instruction but the sentinel dispatches through opHooked, and
 		// replays no traces, so the hooks see each retired instruction in
@@ -792,7 +800,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 					}
 					sLast := barrier - sEx.barrierOff
 					for _, w := range sEx.writes {
-						ready[w.Reg] = sLast + w.Off
+						ready[w.reg] = sLast + w.off
 					}
 					lastComplete = max(lastComplete, sLast+sEx.maxComplete)
 					if sEx.taken {
@@ -863,7 +871,7 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 			inCycle = ex.inCycle
 			groups += ex.groups
 			for _, w := range ex.writes {
-				ready[w.Reg] = s + w.Off
+				ready[w.reg] = s + w.off
 			}
 			lastComplete = max(lastComplete, s+ex.maxComplete)
 			instrs += ex.n

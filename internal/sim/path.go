@@ -499,7 +499,7 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 					e.replays += k
 					sLast := barrier - sEx.barrierOff
 					for _, w := range sEx.writes {
-						ready[w.Reg] = sLast + w.Off
+						ready[w.reg] = sLast + w.off
 					}
 					lastComplete = max(lastComplete, sLast+sEx.maxComplete)
 					if sEx.taken {
@@ -560,7 +560,7 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 			inCycle = ex.inCycle
 			groups += ex.groups
 			for _, w := range ex.writes {
-				ready[w.Reg] = s + w.Off
+				ready[w.reg] = s + w.off
 			}
 			lastComplete = max(lastComplete, s+ex.maxComplete)
 			instrs += ex.n

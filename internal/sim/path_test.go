@@ -37,7 +37,7 @@ func cacheFree(cfgs []*machine.Config) []*machine.Config {
 
 // specialized predecodes p for cfg with traces built under p's own
 // profile, as the experiments runner builds every compile's Code, so walks
-// meet profiled guards (StepCondTaken) and mispath exits.
+// meet profiled guards and mispath exits.
 func specialized(t *testing.T, p *isa.Program, cfg *machine.Config) *Code {
 	t.Helper()
 	code, err := Predecode(p, cfg)
@@ -151,38 +151,6 @@ func TestWalkMatchesReference(t *testing.T) {
 				walkChecked(t, e, "walk specialized "+cfg.Name, progs[i], path, opts, wants[i])
 			}
 		})
-	}
-}
-
-// TestWalkRandomCFG records each random control-flow graph of
-// TestDifferentialRandomCFG on one cache-free machine and walks it on every
-// cache-free fuzz machine, units that bind included.
-func TestWalkRandomCFG(t *testing.T) {
-	skipUnderRace(t)
-	seeds := 16
-	if testing.Short() {
-		seeds = 4
-	}
-	cfgs := cacheFree(fuzzMachines())
-	e := NewEngine()
-	for seed := 0; seed < seeds; seed++ {
-		p := randomCFGProgram(rand.New(rand.NewSource(int64(seed))))
-		rec := cfgs[seed%len(cfgs)]
-		want, err := refRun(p, Options{Machine: rec})
-		if err != nil {
-			t.Fatalf("reference engine: %v", err)
-		}
-		path := record(t, p, Options{Machine: rec, Code: specialized(t, p, rec)}, want)
-		for _, cfg := range cfgs {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.Name), func(t *testing.T) {
-				want, err := refRun(p, Options{Machine: cfg})
-				if err != nil {
-					t.Fatalf("reference engine: %v", err)
-				}
-				walkChecked(t, e, "walk", p, path, Options{Machine: cfg}, want)
-				walkChecked(t, e, "walk specialized", p, path, Options{Machine: cfg, Code: specialized(t, p, cfg)}, want)
-			})
-		}
 	}
 }
 

@@ -88,8 +88,8 @@ type Code struct {
 	cfg     *machine.Config
 	schedFP string
 	dec     []decoded
-	// scheds are the static-timing superblock trace schedules
-	// (internal/statictime), indexed by trace-root pc; nil when the machine
+	// scheds are the superblock trace schedules built from dec (see
+	// buildScheds), indexed by trace-root pc; nil when the machine
 	// qualifies no trace. Like dec they are immutable static facts, valid
 	// for any machine the schedule fingerprint accepts.
 	scheds []*traceSched

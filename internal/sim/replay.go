@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"ilp/internal/isa"
 	"ilp/internal/machine"
@@ -14,6 +15,11 @@ import (
 // precondition scan and bulk writeback cost about as much as the
 // per-instruction issue steps they replace.
 const replayMinLen = 3
+
+// maxTraceLen caps the instructions one trace covers, which bounds both the
+// build cost per leader and the distance between two instruction-limit and
+// cancellation polls in a replaying engine.
+const maxTraceLen = 64
 
 // uopEnd terminates a trace's micro-op stream: leave through exit aux (the
 // final fallthrough). Like the predecoder's opHooked, it takes the value
@@ -51,26 +57,38 @@ type traceJump struct {
 	at, target int32
 }
 
+// regWrite is one final scoreboard write of a trace exit: register reg
+// becomes ready off minor cycles after the trace's entry slot.
+type regWrite struct {
+	reg isa.Reg
+	off int64
+}
+
 // traceExit is one way control leaves a trace: the exact cumulative timing
 // advance, relative to the entry slot s = barrier, of the n instructions
-// executed when the run leaves here (see statictime.TraceExit).
+// executed when the run leaves here.
 type traceExit struct {
-	at     int32 // taken branch pc (side exits), -1 for the fallthrough
+	at     int32 // branch pc (side exits), -1 for the fallthrough
 	target int32 // pc the engine resumes at
+	// taken reports a taken transfer: the engine bumps the block counters
+	// exit[at] and enter[target]. An untaken side exit is a specialized
+	// guard that fired (a mispath).
 	taken  bool
-	stable bool // taken back-edge to the trace start, precondition self-renewing
+	stable bool // back-edge to the trace start, precondition self-renewing
 	n      int64
-	// Bulk timing advance.
-	cycleAdv     int64
+	// Bulk timing advance. The stalls are the trace's internal ones: the
+	// first instruction's width and branch stalls depend on the entry state
+	// and are charged by the engine.
+	cycleAdv     int64 // the engine's cycle becomes s+cycleAdv
 	inCycle      int64
-	groups       int64
-	widthStalls  int64 // internal stalls (first instruction's are dynamic)
+	groups       int64 // issue groups opened, the entry group included
+	widthStalls  int64
 	branchStalls int64
 	dataStalls   int64
 	writeStalls  int64
-	maxComplete  int64
-	barrierOff   int64
-	writes       []statictime.RegWrite
+	maxComplete  int64       // lastComplete advances to at least s+maxComplete
+	barrierOff   int64       // the barrier after the exit is s+barrierOff
+	writes       []regWrite  // every register written, ascending
 	jumps        []traceJump // in-trace jumps passed before this exit
 	// pathBits holds, in its low pathLen bits, the conditional-branch
 	// outcomes a run leaving here implies, in path order (bit i is the i-th
@@ -81,10 +99,8 @@ type traceExit struct {
 	pathLen  int64
 }
 
-// traceSched is the engine-ready form of a statictime superblock trace: a
-// chain of straight-line segments stitched across block seams (unconditional
-// jumps) with guarded side exits at each conditional branch, whose timing —
-// for every possible exit — was proven exact by the static analyzer.
+// traceSched is one superblock trace as the engine replays it: the
+// micro-ops, and for every way out the exact timing advance.
 //
 // Validity at runtime needs exactly two facts the engine checks on entry:
 // the barrier is a fresh taken-branch barrier (barrier > cycle, so the first
@@ -97,14 +113,14 @@ type traceExit struct {
 type traceSched struct {
 	uops      []uop
 	exits     []traceExit
-	checkRegs []isa.Reg
+	checkRegs []isa.Reg // every register the trace reads or writes, r0 excluded, ascending
 
 	// guardPass holds, in bit g, the branch outcome that lets a run
 	// continue past the trace's guard g (its g-th conditional branch):
-	// untaken for a StepCond, taken for a StepCondTaken. The analyzer
-	// numbers exits in step order, so guard g leaves through exit g and
-	// the final fallthrough is the last exit, len(exits)-1, which is also
-	// the guard count. A trace covers at most 64 instructions, so its
+	// untaken for an ordinary guard, taken for one the profile specialized.
+	// Exits are numbered in walk order, so guard g leaves through exit g
+	// and the final fallthrough is the last exit, len(exits)-1, which is
+	// also the guard count. A trace covers at most 64 instructions, so its
 	// guards fit one word.
 	guardPass uint64
 }
@@ -131,257 +147,329 @@ func (t *traceSched) pick(w uint64, avail int64) (exit int, used int64, ok bool)
 	return int(n), n, true
 }
 
-// buildScheds converts the analyzer's proven superblock traces into
-// per-leader replay entries, indexed by pc over len(dec) (so the sentinel pc
-// indexes safely; its entry is nil). Only machines whose taken branches end
-// their issue group qualify: the trace entry condition (a fresh taken-branch
-// barrier) exists only under that discipline — statictime.Traces returns nil
-// for the rest.
-//
-// Under an execution profile, conditional branches the profile marks
-// likely-taken continue their traces along the taken edge, guarded by an
-// inverted-condition micro-op whose firing (a mispath) falls back to the
-// block interpreter at the branch's fallthrough. A nil profile builds the
-// unspecialized schedules.
+// buildScheds builds the superblock trace of every block leader of p from
+// its predecoded form dec, indexed by pc over len(dec) (so the sentinel pc
+// indexes safely; its entry is nil), or returns nil when no leader keeps
+// one. A trace follows the leader's straight-line continuation through
+// unconditional jumps, stitched across the seam, and past conditional
+// branches, each a guarded side exit. Past a branch the execution profile
+// prof (nil for none) marks likely-taken, it follows the taken edge instead,
+// and the untaken direction becomes the guarded exit: the profile only
+// selects which traces exist, so a wrong one costs mispath exits, never
+// timing. Machines whose taken branches do not end their issue group get
+// no traces: the entry condition, a fresh taken-branch barrier, exists only
+// under that discipline.
 func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *statictime.Profile) []*traceSched {
-	traces, err := statictime.ProfiledTraces(p, cfg, prof)
-	if err != nil || traces == nil {
-		return nil // p and cfg are pre-validated; analysis cannot fail
-	}
-	var out []*traceSched
-	for start, t := range traces {
-		if t == nil || t.Exits[len(t.Exits)-1].N < replayMinLen {
-			continue
-		}
-		// Cross-check the analyzer's conflict-freedom proof against the
-		// predecoder's own unit-elision facts; any disagreement (there can
-		// be none — both apply the same rule) drops the trace rather than
-		// risking a lane booking the replay would skip. The control shape
-		// is re-verified too: segments must be straight-line, cond steps
-		// must sit on a conditional branch, jump steps on an unconditional
-		// jump, all with matching targets.
-		if !traceMatchesCode(t, p, dec) {
-			continue
-		}
-		uops := buildUops(t, dec)
-		if uops == nil {
-			continue // an op outside the micro-op set (cannot happen)
-		}
-		ts := &traceSched{
-			uops:      uops,
-			exits:     make([]traceExit, len(t.Exits)),
-			checkRegs: t.CheckRegs,
-		}
-		if !ts.setGuards(t) {
-			continue // exits out of step order (cannot happen)
-		}
-		for i, ex := range t.Exits {
-			te := traceExit{
-				at: int32(ex.At), target: int32(ex.Target),
-				taken: ex.Taken, stable: ex.Stable, n: ex.N,
-				cycleAdv: ex.CycleAdv, inCycle: ex.InCycle, groups: ex.Groups,
-				widthStalls: ex.WidthStalls, branchStalls: ex.BranchStalls,
-				dataStalls: ex.DataStalls, writeStalls: ex.WriteStalls,
-				maxComplete: ex.MaxComplete, barrierOff: ex.BarrierOff,
-				writes: ex.Writes,
-			}
-			if len(ex.Jumps) > 0 {
-				te.jumps = make([]traceJump, 0, len(ex.Jumps))
-			}
-			for _, j := range ex.Jumps {
-				te.jumps = append(te.jumps, traceJump{at: int32(j.At), target: int32(j.Target)})
-			}
-			ts.exits[i] = te
-		}
-		n := len(ts.exits) - 1 // guards
-		for g := range n {
-			ex := &ts.exits[g]
-			ex.pathBits = ts.guardPass&(1<<uint(g)-1) | ^ts.guardPass&(1<<uint(g))
-			ex.pathLen = int64(g) + 1
-		}
-		end := &ts.exits[n]
-		end.pathBits = ts.guardPass
-		if n < 64 {
-			end.pathBits &= 1<<uint(n) - 1
-		}
-		end.pathLen = int64(n)
-		if out == nil {
-			out = make([]*traceSched, len(dec))
-		}
-		out[start] = ts
-	}
-	return out
-}
-
-// setGuards sets t's guardPass from the analyzer's trace and reports
-// whether its exits follow the numbering pick relies on: the g-th guard
-// step leaves through exit g, and the end step through the last exit.
-func (t *traceSched) setGuards(tr *statictime.Trace) bool {
-	g := 0
-	for _, st := range tr.Steps {
-		switch statictime.TraceStepKind(st.Kind) {
-		case statictime.StepCond, statictime.StepCondTaken:
-			if st.Exit != g || g >= 64 {
-				return false
-			}
-			if st.Kind == statictime.StepCondTaken {
-				t.guardPass |= 1 << uint(g)
-			}
-			g++
-		case statictime.StepEnd:
-			if st.Exit != g || g != len(tr.Exits)-1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// traceMatchesCode re-derives, from the predecoded program alone, the facts
-// the trace replay relies on. A mismatch means the analyzer and predecoder
-// disagree about the program — impossible by construction, but a dropped
-// trace only costs speed while a wrong one corrupts timing.
-func traceMatchesCode(t *statictime.Trace, p *isa.Program, dec []decoded) bool {
-	n := len(dec) - 1 // drop the sentinel
-	for _, st := range t.Steps {
-		if st.Lo < 0 || st.Hi < st.Lo || st.Hi > n {
-			return false
-		}
-		for j := st.Lo; j < st.Hi; j++ {
-			if dec[j].flags&fUnit != 0 || dec[j].op.Info().Branch || dec[j].op == isa.OpHalt {
-				return false
-			}
-		}
-		switch statictime.TraceStepKind(st.Kind) {
-		case statictime.StepCond:
-			if st.Hi >= n || !condBranch(dec[st.Hi].op) || dec[st.Hi].flags&fUnit != 0 {
-				return false
-			}
-			ex := &t.Exits[st.Exit]
-			if ex.At != st.Hi || ex.Target != int(dec[st.Hi].target) {
-				return false
-			}
-		case statictime.StepCondTaken:
-			if st.Hi >= n || !condBranch(dec[st.Hi].op) || dec[st.Hi].flags&fUnit != 0 ||
-				st.Target != int(dec[st.Hi].target) {
-				return false
-			}
-			ex := &t.Exits[st.Exit]
-			if ex.At != st.Hi || ex.Target != st.Hi+1 || ex.Taken {
-				return false
-			}
-		case statictime.StepJump:
-			if st.Hi >= n || dec[st.Hi].op != isa.OpJ || dec[st.Hi].flags&fUnit != 0 ||
-				st.Target != int(dec[st.Hi].target) {
-				return false
-			}
-		case statictime.StepEnd:
-			if t.Exits[st.Exit].Target != st.Hi {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// buildUops flattens a verified trace into its micro-op stream: each
-// segment's instructions in order (nops dropped, r0 destinations remapped to
-// the sink), each conditional branch as a guard micro-op carrying its exit,
-// jumps elided entirely, and a terminal uopEnd for the final fallthrough.
-// Returns nil if any instruction falls outside the executor's switch.
-func buildUops(t *statictime.Trace, dec []decoded) []uop {
-	// Exact-size bound: every segment instruction plus one control micro-op
-	// per non-jump step (dropped nops only leave slack capacity).
-	n := 0
-	for _, st := range t.Steps {
-		n += st.Hi - st.Lo
-		if st.Kind != statictime.StepJump {
-			n++
-		}
-	}
-	out := make([]uop, 0, n)
-	for _, st := range t.Steps {
-		for j := st.Lo; j < st.Hi; j++ {
-			d := &dec[j]
-			u := uop{op: d.op, dst: d.dst, s1: d.src1, s2: d.src2, aux: int32(j), imm: d.imm}
-			switch d.op {
-			case isa.OpNop:
-				continue
-			case isa.OpAdd, isa.OpAddi, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,
-				isa.OpSlt, isa.OpSle, isa.OpSeq, isa.OpSne,
-				isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpAndi, isa.OpOri, isa.OpXori,
-				isa.OpSll, isa.OpSrl, isa.OpSra, isa.OpSlli, isa.OpSrli, isa.OpSrai,
-				isa.OpLi, isa.OpMov, isa.OpFmov,
-				isa.OpLw, isa.OpLf, isa.OpCvtfi,
-				isa.OpFslt, isa.OpFsle, isa.OpFseq, isa.OpFsne:
-				// Integer-file destination: honor the hardwired zero by
-				// diverting the write to the sink slot.
-				if u.dst == isa.RZero {
-					u.dst = regSink
-				}
-			case isa.OpFli:
-				u.imm = int64(math.Float64bits(d.fimm))
-			case isa.OpFadd, isa.OpFsub, isa.OpFneg, isa.OpFabs, isa.OpFmul, isa.OpFdiv,
-				isa.OpCvtif, isa.OpFsqrt, isa.OpFsin, isa.OpFcos, isa.OpFatn,
-				isa.OpFexp, isa.OpFlog,
-				isa.OpSw, isa.OpSf, isa.OpPrinti, isa.OpPrintf:
-				// Float destinations never alias r0; stores and prints have
-				// no register destination.
-			default:
-				return nil
-			}
-			out = append(out, u)
-		}
-		switch statictime.TraceStepKind(st.Kind) {
-		case statictime.StepCond:
-			d := &dec[st.Hi]
-			out = append(out, uop{op: d.op, s1: d.src1, s2: d.src2, aux: int32(st.Exit)})
-		case statictime.StepCondTaken:
-			// Specialized guard: the trace continues on the taken edge, so
-			// the micro-op tests the inverted condition — firing exactly when
-			// the architectural branch is untaken — and leaves through the
-			// untaken side exit. traceExecU needs no new cases.
-			d := &dec[st.Hi]
-			out = append(out, uop{op: invertBranch(d.op), s1: d.src1, s2: d.src2, aux: int32(st.Exit)})
-		case statictime.StepEnd:
-			out = append(out, uop{op: uopEnd, aux: int32(st.Exit)})
-		}
-	}
-	if len(out) == 0 || out[len(out)-1].op != uopEnd {
+	if !cfg.TakenBranchEndsGroup {
 		return nil
 	}
+	b := &traceBuilder{
+		dec:      dec,
+		prof:     prof,
+		width:    int64(cfg.IssueWidth),
+		redirect: int64(cfg.BranchRedirect),
+		seen:     make([]int32, len(dec)-1),
+	}
+	var out []*traceSched
+	// The engine attempts a replay only at taken-transfer targets, all of
+	// them leaders.
+	for pc, leader := range p.Leaders() {
+		if !leader {
+			continue
+		}
+		if t := b.build(pc); t != nil {
+			if out == nil {
+				out = make([]*traceSched, len(dec))
+			}
+			out[pc] = t
+		}
+	}
 	return out
 }
 
-// condBranch reports whether op is a conditional branch.
-func condBranch(op isa.Opcode) bool {
-	switch op {
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBle, isa.OpBgt:
-		return true
-	}
-	return false
+// traceBuilder is buildScheds' state. Each trace is built into the scratch
+// slices, which every leader reuses, and copied out only if kept.
+type traceBuilder struct {
+	dec             []decoded
+	prof            *statictime.Profile
+	width, redirect int64
+	// seen[pc] == stamp marks pc as on the trace being built. Each leader
+	// has its own stamp, so the buffer is never cleared.
+	seen []int32
+
+	uops []uop
+	// exits' writes and jumps point into writes and jumps until the trace
+	// is copied out. Both only grow while a trace is built, so a slice
+	// taken earlier keeps its contents even where append has moved on.
+	exits  []traceExit
+	writes []regWrite
+	jumps  []traceJump // the in-trace jumps so far: each exit's are a prefix
+
+	// The registers the trace being built reads or writes; those it
+	// writes, ascending; and their scoreboard times. Latencies are at least
+	// one, so a register is written once its time is positive.
+	touched regSet
+	written []isa.Reg
+	avail   [isa.NumRegs]int64
+	traceState
 }
 
-// invertBranch returns the conditional branch opcode testing the negated
-// condition (beq↔bne, blt↔bge, ble↔bgt). Non-branches return unchanged.
-func invertBranch(op isa.Opcode) isa.Opcode {
-	switch op {
-	case isa.OpBeq:
-		return isa.OpBne
-	case isa.OpBne:
-		return isa.OpBeq
-	case isa.OpBlt:
-		return isa.OpBge
-	case isa.OpBge:
-		return isa.OpBlt
-	case isa.OpBle:
-		return isa.OpBgt
-	case isa.OpBgt:
-		return isa.OpBle
+// regSet is a set of registers: bit r%64 of word r/64 stands for r.
+type regSet [isa.NumRegs / 64]uint64
+
+func (s *regSet) add(r isa.Reg) { s[r/64] |= 1 << (r % 64) }
+
+// slice returns the registers in s in ascending order, or nil if s is
+// empty.
+func (s *regSet) slice() []isa.Reg {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
 	}
-	return op
+	if n == 0 {
+		return nil
+	}
+	rs := make([]isa.Reg, 0, n)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			rs = append(rs, isa.Reg(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return rs
+}
+
+// traceState is the symbolic issue state of the trace being built, as
+// offsets from its entry slot.
+type traceState struct {
+	start                          int
+	n                              int64 // instructions issued
+	cycle, inCycle, groups         int64
+	widthS, branchS, dataS, writeS int64
+	maxComplete, barrierOff        int64
+	guardPass                      uint64
+}
+
+// build walks the straight-line continuation from the leader start,
+// applying runFast's issue steps symbolically with every quantity an offset
+// from the entry slot s: the first instruction issues at 0, and a stitched
+// seam raises the barrier to its issue + latency + redirect, as the
+// taken-transfer epilogue would. So one walk yields every exit's exact
+// timing and the micro-ops that move the trace's values (DESIGN.md §6.4
+// states the argument). It returns the trace, or nil when the trace covers
+// fewer than replayMinLen instructions. The walk stops at the first
+// instruction whose unit binds, that transfers control unpredictably (jal,
+// jr) or halts, that is already on the trace, or that would exceed
+// maxTraceLen.
+func (b *traceBuilder) build(start int) *traceSched {
+	b.reset(start)
+	dec := b.dec
+	n := len(dec) - 1 // drop the sentinel
+	stamp := int32(start) + 1
+	pos := start
+	for pos < n && b.seen[pos] != stamp && b.n < maxTraceLen {
+		d := &dec[pos]
+		if d.flags&fUnit != 0 || d.op == isa.OpJal || d.op == isa.OpJr || d.op == isa.OpHalt {
+			break
+		}
+		b.seen[pos] = stamp
+		b.touched.add(d.src1)
+		b.touched.add(d.src2)
+		dst := isa.NoReg
+		if d.flags&fDst != 0 {
+			dst = d.dst
+			b.touched.add(dst)
+		}
+		issue := b.issue(d, dst)
+		switch {
+		case d.op.Info().Cond && b.prof.LikelyTaken(pos):
+			// Specialized: the profile says this branch is almost always
+			// taken, so the trace follows the taken edge. Its guard tests
+			// the inverted condition and leaves through the untaken side
+			// exit, recorded before the seam's barrier and jump because an
+			// untaken branch neither ends its issue group nor bumps block
+			// counters.
+			x := b.addExit(pos, pos+1, false, b.barrierOff)
+			b.uops = append(b.uops, uop{op: d.op.Inverted(), s1: d.src1, s2: d.src2, aux: x})
+			b.guardPass |= 1 << uint(x)
+			b.seam(pos, d, issue)
+			pos = int(d.target)
+		case d.op.Info().Cond:
+			x := b.addExit(pos, int(d.target), true, max(b.barrierOff, issue+d.lat+b.redirect))
+			b.uops = append(b.uops, uop{op: d.op, s1: d.src1, s2: d.src2, aux: x})
+			pos++
+		case d.op == isa.OpJ:
+			b.seam(pos, d, issue)
+			pos = int(d.target)
+		default:
+			if d.op != isa.OpNop {
+				b.uops = append(b.uops, segmentUop(pos, d))
+			}
+			pos++
+		}
+	}
+	if b.n < replayMinLen {
+		return nil
+	}
+	x := b.addExit(-1, pos, false, b.barrierOff)
+	b.uops = append(b.uops, uop{op: uopEnd, aux: x})
+	return b.keep()
+}
+
+// reset clears the scratch state for a trace rooted at start.
+func (b *traceBuilder) reset(start int) {
+	for _, r := range b.written {
+		b.avail[r] = 0
+	}
+	b.touched, b.written = regSet{}, b.written[:0]
+	b.uops, b.exits, b.writes, b.jumps = b.uops[:0], b.exits[:0], b.writes[:0], b.jumps[:0]
+	b.traceState = traceState{start: start}
+}
+
+// issue applies runFast's issue steps to d, whose scoreboarded destination
+// is dst (NoReg for none), and returns its issue offset. No unit step: no
+// trace instruction's unit binds.
+func (b *traceBuilder) issue(d *decoded, dst isa.Reg) int64 {
+	var issue int64
+	if b.n == 0 {
+		// The entry slot: by the precondition the first instruction issues
+		// exactly at the barrier, offset 0. Its width and branch stalls
+		// depend on the entry state and are charged by the engine.
+		b.inCycle, b.groups = 1, 1
+	} else {
+		var over int64
+		if b.inCycle >= b.width {
+			over = 1
+		}
+		slot := b.cycle + over
+		b.widthS += over
+		if b.barrierOff > slot {
+			// An in-trace barrier is always a taken-branch barrier, so the
+			// engine books the wait as a branch stall.
+			b.branchS += b.barrierOff - slot
+			slot = b.barrierOff
+		}
+		issue = max(slot, b.avail[d.src1], b.avail[d.src2])
+		b.dataS += issue - slot
+		if dst != isa.NoReg {
+			m := max(issue, b.avail[dst]-d.lat)
+			b.writeS += m - issue
+			issue = m
+		}
+		if issue > b.cycle {
+			b.cycle, b.inCycle = issue, 1
+			b.groups++
+		} else {
+			b.inCycle++
+		}
+	}
+	complete := issue + d.lat
+	if dst != isa.NoReg {
+		if b.avail[dst] == 0 {
+			i, _ := slices.BinarySearch(b.written, dst)
+			b.written = slices.Insert(b.written, i, dst)
+		}
+		b.avail[dst] = complete
+	}
+	b.maxComplete = max(b.maxComplete, complete)
+	b.n++
+	return issue
+}
+
+// seam stitches the trace across the taken transfer d at pc, issued at
+// issue: the target may not issue before the transfer's barrier, and the
+// transfer's block counters are bumped when the run leaves the trace.
+func (b *traceBuilder) seam(pc int, d *decoded, issue int64) {
+	b.barrierOff = max(b.barrierOff, issue+d.lat+b.redirect)
+	b.jumps = append(b.jumps, traceJump{at: int32(pc), target: d.target})
+}
+
+// addExit records a way out of the trace with the state the walk has
+// reached: through the branch at pc at, or at -1 for the final fallthrough,
+// to target, taken or not, leaving the barrier at offset bOff. It returns
+// the exit's index, which for a guard's exit is the guard's index.
+func (b *traceBuilder) addExit(at, target int, taken bool, bOff int64) int32 {
+	g := len(b.exits)
+	ex := traceExit{
+		at: int32(at), target: int32(target), taken: taken, n: b.n,
+		cycleAdv: b.cycle, inCycle: b.inCycle, groups: b.groups,
+		widthStalls: b.widthS, branchStalls: b.branchS,
+		dataStalls: b.dataS, writeStalls: b.writeS,
+		maxComplete: b.maxComplete, barrierOff: bOff,
+		// The earlier guards passed; a guard's own exit means it fired, and
+		// it fires on the outcome that leaves: taken for an ordinary guard,
+		// untaken for a specialized one.
+		pathBits: b.guardPass, pathLen: int64(g),
+	}
+	if at >= 0 {
+		if taken {
+			ex.pathBits |= 1 << uint(g)
+		}
+		ex.pathLen++
+	}
+	if len(b.jumps) > 0 {
+		ex.jumps = b.jumps
+	}
+	// A back-edge to the trace's start is stable, so that re-entry needs no
+	// register check, when it re-enters behind a fresh barrier with every
+	// write ready by it. Every in-trace barrier comes from a taken
+	// transfer, so the barrier is fresh while it is ahead of the cycle:
+	// always after a taken side exit, whose branch's own barrier lies past
+	// its issue, and after a fallthrough only behind a stitched seam.
+	ex.stable = target == b.start && bOff > b.cycle
+	if len(b.written) > 0 {
+		w0 := len(b.writes)
+		for _, r := range b.written {
+			b.writes = append(b.writes, regWrite{reg: r, off: b.avail[r]})
+			if b.avail[r] > bOff {
+				ex.stable = false
+			}
+		}
+		ex.writes = b.writes[w0:]
+	}
+	b.exits = append(b.exits, ex)
+	return int32(g)
+}
+
+// keep copies the trace built in the scratch slices out into memory of its
+// own.
+func (b *traceBuilder) keep() *traceSched {
+	t := &traceSched{
+		uops:      slices.Clone(b.uops),
+		exits:     slices.Clone(b.exits),
+		guardPass: b.guardPass,
+	}
+	jumps := slices.Clone(b.jumps)
+	writes := make([]regWrite, 0, len(b.writes))
+	for i := range t.exits {
+		ex := &t.exits[i]
+		if ex.jumps != nil {
+			ex.jumps = jumps[:len(ex.jumps):len(ex.jumps)]
+		}
+		if ex.writes != nil {
+			w0 := len(writes)
+			writes = append(writes, ex.writes...)
+			ex.writes = writes[w0:len(writes):len(writes)]
+		}
+	}
+	touched := b.touched
+	touched[0] &^= 1 // r0 is never scoreboarded
+	t.checkRegs = touched.slice()
+	return t
+}
+
+// segmentUop returns the micro-op of the straight-line instruction d at pc.
+func segmentUop(pc int, d *decoded) uop {
+	u := uop{op: d.op, dst: d.dst, s1: d.src1, s2: d.src2, aux: int32(pc), imm: d.imm}
+	if d.op == isa.OpFli {
+		u.imm = int64(math.Float64bits(d.fimm))
+	}
+	if u.dst == isa.RZero {
+		// Only integer-file destinations can name r0 in a validated
+		// program: honor the hardwired zero by diverting the write to the
+		// sink slot.
+		u.dst = regSink
+	}
+	return u
 }
 
 // traceExecU runs a trace's micro-op stream against live register and memory
@@ -543,7 +631,8 @@ func (e *Engine) traceExecU(uops []uop) (int, error) {
 		case uopEnd:
 			return int(u.aux), nil
 		default:
-			// Unreachable: buildUops admits only the opcodes above.
+			// Unreachable: segmentUop passes on only non-control opcodes,
+			// every one of which has a case above.
 			return 0, fmt.Errorf("sim: trace micro-op with unimplemented opcode %v", u.op)
 		}
 	}

@@ -30,15 +30,14 @@
 // For blocks whose instructions all issue to conflict-free units
 // (multiplicity ≥ issue width and issue latency 1 — every unit of every
 // ideal machine), entry state cannot perturb the schedule once the entry
-// registers are quiescent: the analyzer then computes an exact clean-entry
-// schedule (Block.Sched) for the block's straight-line prefix, which
-// verify.CheckTiming's self-check and Format read. What the simulator
-// replays are superblock traces (Traces, ProfiledTraces in trace.go):
-// chains of conflict-free blocks stitched across jumps and conditional
-// branches, with an exact timing advance per exit. The predecoder attaches
-// them to their leaders so the fast path and the walk can bulk-advance the
-// timing state instead of walking the scoreboard instruction by instruction
-// (see sim's replay path).
+// registers are quiescent: the analyzer then computes the block's exact
+// clean-entry span (Block.ExactSpan), which verify.CheckTiming checks
+// against the block's own lower bound. The simulator carries the same
+// clean-entry argument across blocks: its predecoder builds superblock
+// traces with an exact timing advance per exit, which the fast path and the
+// walk replay instead of walking the scoreboard instruction by instruction
+// (sim's replay.go). From this package it takes only the execution Profile
+// that selects which conditional branches a trace continues past.
 package statictime
 
 import (
@@ -47,53 +46,6 @@ import (
 	"ilp/internal/isa"
 	"ilp/internal/machine"
 )
-
-// RegWrite is one final scoreboard write of an exact schedule: register Reg
-// becomes ready Off minor cycles after the schedule's entry slot.
-type RegWrite struct {
-	Reg isa.Reg
-	Off int64
-}
-
-// Schedule is the exact clean-entry issue schedule of a block's
-// straight-line prefix [Start, End): instruction Start+j issues exactly
-// Offsets[j] minor cycles after the entry slot s, provided the entry is
-// clean — every register in CheckRegs has scoreboard time ≤ s. The engine
-// establishes s = barrier after a taken branch, where the precondition is
-// one compare per register; everything else here is entry-independent
-// because every instruction in the prefix issues to a conflict-free unit.
-type Schedule struct {
-	// Start and End delimit the prefix: [Start, End) contains no control
-	// transfer and no halt (End stops short of the block terminator when
-	// the block has one).
-	Start, End int
-	// Offsets[j] is the issue offset of instruction Start+j from the entry
-	// slot. Offsets are nondecreasing (in-order issue).
-	Offsets []int64
-	// CycleAdv is the final issue-cycle advance: the engine's `cycle` after
-	// the prefix equals s + CycleAdv (== Offsets[len-1]).
-	CycleAdv int64
-	// InCycle is the number of prefix instructions sharing the final issue
-	// cycle, and Groups the number of issue groups the prefix opens
-	// (including the group the first instruction starts at s).
-	InCycle, Groups int64
-	// WidthStalls, DataStalls and WriteStalls are the stall minor cycles
-	// the prefix accrues internally (instructions after the first; the
-	// first instruction's width/branch entry stalls depend on the dynamic
-	// entry state and are accounted by the engine).
-	WidthStalls, DataStalls, WriteStalls int64
-	// MaxComplete is the largest completion offset (issue+latency) in the
-	// prefix: the engine's lastComplete advances to max(lastComplete,
-	// s+MaxComplete).
-	MaxComplete int64
-	// Writes are the final scoreboard times of every register the prefix
-	// writes, as offsets from s, in ascending register order.
-	Writes []RegWrite
-	// CheckRegs lists every register the prefix reads or writes (r0
-	// excluded, ascending). The schedule is exact iff all of them have
-	// scoreboard time ≤ s at entry.
-	CheckRegs []isa.Reg
-}
 
 // Block is one analyzed basic block [Leader, End).
 type Block struct {
@@ -113,10 +65,6 @@ type Block struct {
 	// realizable best case, ExactSpan ≥ Span must hold (checked by the
 	// verify timing pass as an internal-consistency oracle).
 	ExactSpan int64
-	// Sched is the exact clean-entry schedule of the block's straight-line
-	// prefix, when every prefix instruction is conflict-free; nil
-	// otherwise.
-	Sched *Schedule
 }
 
 // Analysis holds the static timing analysis of one program against one
@@ -177,31 +125,8 @@ func Analyze(p *isa.Program, cfg *machine.Config) (*Analysis, error) {
 
 	a.deltasAndGaps()
 
-	// Leaders: the program entry, every direct transfer target, and every
-	// instruction after a transfer or halt. (p.Blocks is informational and
-	// may be absent; re-deriving keeps the analysis self-contained, and
-	// extra leaders from p.Blocks could only split blocks, which weakens
-	// bounds but never breaks them — so they are folded in too.)
-	leader := make([]bool, n)
-	leader[0], leader[p.Entry] = true, true
-	for _, b := range p.Blocks {
-		if b >= 0 && b < n {
-			leader[b] = true
-		}
-	}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		info := in.Op.Info()
-		if info.Branch || in.Op == isa.OpHalt {
-			if i+1 < n {
-				leader[i+1] = true
-			}
-			if info.Branch && in.Op != isa.OpJr {
-				leader[in.Target] = true
-			}
-		}
-	}
-
+	// Blocks run from each leader to the next.
+	leader := p.Leaders()
 	for start := 0; start < n; {
 		end := start + 1
 		for end < n && !leader[end] {
@@ -265,19 +190,11 @@ func (a *Analysis) deltasAndGaps() {
 	}
 }
 
-// analyzeBlock computes one block's bounds and, when possible, its exact
-// schedules.
+// analyzeBlock computes one block's bounds and, when it is conflict-free,
+// its exact clean-entry span.
 func (a *Analysis) analyzeBlock(start, end int, binds *[isa.NumClasses]bool, unitOf *[isa.NumClasses]int) Block {
 	p, cfg := a.Prog, a.Cfg
 	b := Block{Leader: start, End: end, Label: p.Symbols[start], ExactSpan: -1}
-
-	// The straight-line prefix stops at the first transfer or halt — by
-	// block construction that can only be the last instruction.
-	prefixEnd := end
-	last := &p.Instrs[end-1]
-	if last.Op.Info().Branch || last.Op == isa.OpHalt {
-		prefixEnd = end - 1
-	}
 
 	// Dependence height: a forward pass with a per-register availability
 	// scoreboard, mirroring the engine's stall rules relative to the
@@ -339,20 +256,7 @@ func (a *Analysis) analyzeBlock(start, end int, binds *[isa.NumClasses]bool, uni
 	b.ConflictFree = cf
 
 	if cf {
-		full := cleanSchedule(p, cfg, start, end)
-		b.ExactSpan = full.Offsets[len(full.Offsets)-1]
-	}
-	if prefixEnd > start {
-		pcf := true
-		for j := start; j < prefixEnd; j++ {
-			if binds[p.Instrs[j].Op.Class()] {
-				pcf = false
-				break
-			}
-		}
-		if pcf {
-			b.Sched = cleanSchedule(p, cfg, start, prefixEnd)
-		}
+		b.ExactSpan = cleanSpan(p, cfg, start, end)
 	}
 	return b
 }
@@ -376,76 +280,45 @@ func effRegs(in *isa.Instr) (s1, s2, dst isa.Reg) {
 	return s1, s2, dst
 }
 
-// cleanSchedule simulates the engine's issue discipline over [start, end)
-// from a clean entry: the first instruction issues at relative time 0 (the
-// entry slot) and every register starts with scoreboard time ≤ 0. All
-// instructions must be conflict-free (no unit term), which the callers
-// guarantee; there are then no other inputs, so the resulting offsets are
-// exact for any real entry satisfying the CheckRegs precondition.
-func cleanSchedule(p *isa.Program, cfg *machine.Config, start, end int) *Schedule {
+// cleanSpan simulates the engine's issue discipline over [start, end) from a
+// clean entry — the first instruction issues at relative time 0 (the entry
+// slot) and every register starts with scoreboard time ≤ 0 — and returns the
+// last instruction's issue offset. All instructions must be conflict-free
+// (no unit term), which the caller guarantees; there are then no other
+// inputs, so the span is exact for any real entry whose registers are
+// quiescent.
+func cleanSpan(p *isa.Program, cfg *machine.Config, start, end int) int64 {
 	width := int64(cfg.IssueWidth)
-	s := &Schedule{Start: start, End: end, Offsets: make([]int64, end-start)}
-
 	var avail [isa.NumRegs]int64
-	var touched [isa.NumRegs]bool
-	var cycle, inCycle, maxComplete int64
+	var cycle, inCycle, issue int64
 	for j := start; j < end; j++ {
 		in := &p.Instrs[j]
 		lat := int64(cfg.Latency[in.Op.Class()])
 		s1, s2, dst := effRegs(in)
-		touched[s1], touched[s2] = true, true
-
-		var issue int64
 		if j == start {
-			// Entry slot: the engine issues the first instruction exactly
-			// at the barrier s once the precondition holds; its width and
-			// branch stalls depend on dynamic state and are accounted
-			// there.
-			issue = 0
-			inCycle = 1
-			s.Groups = 1
+			// Entry slot: the first instruction issues exactly at the
+			// barrier once the registers are quiescent.
+			issue, inCycle = 0, 1
 		} else {
 			var over int64
 			if inCycle >= width {
 				over = 1
 			}
-			slot := cycle + over
-			s.WidthStalls += over
-			issue = max(slot, avail[s1], avail[s2])
-			s.DataStalls += issue - slot
+			issue = max(cycle+over, avail[s1], avail[s2])
 			if dst != isa.NoReg {
-				m := max(issue, avail[dst]-lat)
-				s.WriteStalls += m - issue
-				issue = m
+				issue = max(issue, avail[dst]-lat)
 			}
 			if issue > cycle {
-				cycle = issue
-				inCycle = 1
-				s.Groups++
+				cycle, inCycle = issue, 1
 			} else {
 				inCycle++
 			}
 		}
-		complete := issue + lat
 		if dst != isa.NoReg {
-			avail[dst] = complete
-			touched[dst] = true
-		}
-		maxComplete = max(maxComplete, complete)
-		s.Offsets[j-start] = issue
-	}
-	s.CycleAdv = s.Offsets[len(s.Offsets)-1]
-	s.InCycle = inCycle
-	s.MaxComplete = maxComplete
-	for r := 1; r < isa.NumRegs; r++ { // r0 is never scoreboarded
-		if touched[r] {
-			s.CheckRegs = append(s.CheckRegs, isa.Reg(r))
-		}
-		if avail[r] > 0 {
-			s.Writes = append(s.Writes, RegWrite{Reg: isa.Reg(r), Off: avail[r]})
+			avail[dst] = issue + lat
 		}
 	}
-	return s
+	return issue
 }
 
 // BlockOf returns the index into Blocks of the block containing instruction

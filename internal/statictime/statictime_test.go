@@ -1,5 +1,5 @@
 // Tests for the static timing analyzer: hand-computed bounds on small
-// blocks, structural checks of block partitioning and schedules, and the
+// blocks, structural checks of block partitioning and exact spans, and the
 // central soundness property — every simulated cycle count falls inside
 // [LowerBound, UpperBound] — cross-checked against the dynamic engine.
 package statictime_test
@@ -94,15 +94,6 @@ func TestDepHeightChain(t *testing.T) {
 	if !b.ConflictFree || b.ExactSpan != 3 {
 		t.Errorf("conflictFree/exactSpan = %v/%d, want true/3", b.ConflictFree, b.ExactSpan)
 	}
-	if b.Sched == nil {
-		t.Fatal("no prefix schedule on an ideal machine")
-	}
-	want := []int64{0, 1, 2, 3}
-	for j, off := range b.Sched.Offsets {
-		if off != want[j] {
-			t.Errorf("offset[%d] = %d, want %d", j, off, want[j])
-		}
-	}
 }
 
 func TestWidthBound(t *testing.T) {
@@ -123,11 +114,8 @@ func TestUnitBound(t *testing.T) {
 	if b.UnitBound != 7 {
 		t.Errorf("unitBound = %d, want 7", b.UnitBound)
 	}
-	if b.ConflictFree {
-		t.Error("block marked conflict-free on a multiplicity-1 machine")
-	}
-	if b.Sched != nil {
-		t.Error("got a replay schedule on a conflicted machine")
+	if b.ConflictFree || b.ExactSpan != -1 {
+		t.Errorf("conflictFree/exactSpan = %v/%d on a multiplicity-1 machine, want false/-1", b.ConflictFree, b.ExactSpan)
 	}
 }
 
@@ -180,34 +168,6 @@ func TestScheduleConsistency(t *testing.T) {
 				b := &a.Blocks[bi]
 				if b.ConflictFree && b.ExactSpan < b.Span {
 					t.Errorf("%s block %d: exact span %d below lower bound %d", cfg.Name, bi, b.ExactSpan, b.Span)
-				}
-				s := b.Sched
-				if s == nil {
-					continue
-				}
-				if s.Start != b.Leader || s.End > b.End || s.End <= s.Start {
-					t.Errorf("%s block %d: schedule range [%d,%d) outside block [%d,%d)", cfg.Name, bi, s.Start, s.End, b.Leader, b.End)
-				}
-				for j := 1; j < len(s.Offsets); j++ {
-					if s.Offsets[j] < s.Offsets[j-1] {
-						t.Errorf("%s block %d: offsets regress at %d", cfg.Name, bi, j)
-					}
-				}
-				if s.CycleAdv != s.Offsets[len(s.Offsets)-1] {
-					t.Errorf("%s block %d: CycleAdv %d != last offset %d", cfg.Name, bi, s.CycleAdv, s.Offsets[len(s.Offsets)-1])
-				}
-				if s.MaxComplete <= s.CycleAdv {
-					t.Errorf("%s block %d: MaxComplete %d not past last issue %d", cfg.Name, bi, s.MaxComplete, s.CycleAdv)
-				}
-				for j := 1; j < len(s.CheckRegs); j++ {
-					if s.CheckRegs[j] <= s.CheckRegs[j-1] {
-						t.Errorf("%s block %d: CheckRegs not ascending", cfg.Name, bi)
-					}
-				}
-				for j := 1; j < len(s.Writes); j++ {
-					if s.Writes[j].Reg <= s.Writes[j-1].Reg {
-						t.Errorf("%s block %d: Writes not ascending", cfg.Name, bi)
-					}
 				}
 			}
 		}

@@ -27,8 +27,7 @@ func CheckTiming(a *statictime.Analysis, minorCycles int64, counts, exits []int6
 
 	// Internal consistency: a conflict-free block's exact clean-entry span
 	// is a realizable execution, so it can never undercut the block's own
-	// span lower bound; schedules must be well-formed (in-order offsets,
-	// consistent final advance).
+	// span lower bound.
 	for bi := range a.Blocks {
 		b := &a.Blocks[bi]
 		if b.ConflictFree && b.ExactSpan < b.Span {
@@ -38,20 +37,6 @@ func CheckTiming(a *statictime.Analysis, minorCycles int64, counts, exits []int6
 				Msg: fmt.Sprintf("block [%d,%d): exact clean-entry span %d undercuts its own lower bound %d",
 					b.Leader, b.End, b.ExactSpan, b.Span),
 			})
-		}
-		if s := b.Sched; s != nil {
-			bad := s.CycleAdv != s.Offsets[len(s.Offsets)-1]
-			for j := 1; !bad && j < len(s.Offsets); j++ {
-				bad = s.Offsets[j] < s.Offsets[j-1]
-			}
-			if bad {
-				ds = append(ds, Diagnostic{
-					Code: CodeTimingInternal, Severity: SevError, Pass: pass,
-					Func: a.Prog.Symbols[b.Leader], Index: b.Leader,
-					Msg: fmt.Sprintf("block [%d,%d): malformed replay schedule (offsets %v, adv %d)",
-						b.Leader, b.End, s.Offsets, s.CycleAdv),
-				})
-			}
 		}
 	}
 

@@ -125,31 +125,6 @@ func TestTimingInternalInconsistency(t *testing.T) {
 	}
 }
 
-func TestTimingMalformedSchedule(t *testing.T) {
-	a, r := timingFixture(t, machine.Base())
-	corrupted := false
-	for bi := range a.Blocks {
-		if s := a.Blocks[bi].Sched; s != nil && len(s.Offsets) >= 2 {
-			s.Offsets[len(s.Offsets)-1] = -1 // offsets must be nondecreasing from 0
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
-		t.Skip("no schedule to corrupt")
-	}
-	ds := verify.CheckTiming(a, r.MinorCycles, r.InstrCounts, r.TakenExits, "sim")
-	found := false
-	for _, d := range ds {
-		if d.Code == verify.CodeTimingInternal {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("malformed schedule not flagged as V403")
-	}
-}
-
 // TestAllOpcodesClassified is the V108 exhaustiveness check. CodeBadClass
 // guards the opcode table itself (an opcode whose Info().Class falls outside
 // the fourteen classes), so no *program* can trigger it while the table is
