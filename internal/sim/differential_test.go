@@ -359,6 +359,12 @@ func flipProfile(p *isa.Program, prof *statictime.Profile, flip uint64) *statict
 	return out
 }
 
+// fuzzMemWords sizes every FuzzRandomCFG run's memory: a random CFG's data
+// segment takes 64 words and it uses no stack, while zeroing the default
+// 16 MB arena for each of an input's hundred-odd runs would take most of
+// the fuzzer's time.
+const fuzzMemWords = 1 << 12
+
 // FuzzRandomCFG checks the engine against the preserved seed engine on the
 // random control-flow graph of seed, on every fuzz machine. Cycles, stalls,
 // class counts and printed output must be bit-identical for the engine's
@@ -391,7 +397,7 @@ func FuzzRandomCFG(f *testing.F) {
 		if err != nil {
 			t.Fatalf("predecode: %v", err)
 		}
-		own, err := ProfileRun(context.Background(), base, 0, 0)
+		own, err := ProfileRun(context.Background(), base, fuzzMemWords, 0)
 		if err != nil {
 			t.Fatalf("profile run: %v", err)
 		}
@@ -399,7 +405,7 @@ func FuzzRandomCFG(f *testing.F) {
 		var path *Path
 		if !raceEnabled {
 			rec := walkCfgs[uint64(seed)%uint64(len(walkCfgs))]
-			want, err := refRun(p, Options{Machine: rec})
+			want, err := refRun(p, Options{Machine: rec, MemWords: fuzzMemWords})
 			if err != nil {
 				t.Fatalf("reference engine: %v", err)
 			}
@@ -407,11 +413,11 @@ func FuzzRandomCFG(f *testing.F) {
 			if err != nil {
 				t.Fatalf("profiled predecode: %v", err)
 			}
-			path = record(t, p, Options{Machine: rec, Code: spec}, want)
+			path = record(t, p, Options{Machine: rec, MemWords: fuzzMemWords, Code: spec}, want)
 		}
 		for _, cfg := range cfgs {
 			t.Run(cfg.Name, func(t *testing.T) {
-				opts := Options{Machine: cfg}
+				opts := Options{Machine: cfg, MemWords: fuzzMemWords}
 				var refEv events
 				want, err := refRun(p, refEv.hooked(p, opts))
 				if err != nil {
