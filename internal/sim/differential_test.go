@@ -359,32 +359,122 @@ func flipProfile(p *isa.Program, prof *statictime.Profile, flip uint64) *statict
 	return out
 }
 
-// fuzzMemWords sizes every FuzzRandomCFG run's memory: a random CFG's data
+// fuzzMemWords sizes every random-CFG run's memory: a random CFG's data
 // segment takes 64 words and it uses no stack, while zeroing the default
 // 16 MB arena for each of an input's hundred-odd runs would take most of
-// the fuzzer's time.
+// the tests' time.
 const fuzzMemWords = 1 << 12
 
-// FuzzRandomCFG checks the engine against the preserved seed engine on the
-// random control-flow graph of seed, on every fuzz machine. Cycles, stalls,
-// class counts and printed output must be bit-identical for the engine's
-// own Code, a shared Code, and a Code specialized under a profile whose
-// likely-taken marks are the program's own with those flip selects
-// inverted. A hooked run must report the reference's event stream; counted
-// runs must count alike, hooked or replaying, and satisfy the static bounds
-// oracle. On the cache-free machines, a path recorded on one of them with
-// the specialized Code must walk each to the reference's result, on plain
-// and specialized Code; the race detector skips the walks, which are
-// single-goroutine. The seed corpus is seeds 0–15 (0–3 under -short) with
-// their own profiles, plus a few wrong ones.
-func FuzzRandomCFG(f *testing.F) {
-	seeds := 16
+// randomCFGSeeds is how many fixed seeds the random-CFG tests run: 16, or 4
+// under -short.
+func randomCFGSeeds() int {
 	if testing.Short() {
-		seeds = 4
+		return 4
 	}
-	for seed := range seeds {
-		f.Add(int64(seed), uint64(0))
+	return 16
+}
+
+// randomCFG returns the random control-flow graph of seed and the profile
+// its specialized Codes are built under: the program's own, with the
+// likely-taken marks of the conditional branches flip selects inverted.
+func randomCFG(t *testing.T, seed int64, flip uint64) (*isa.Program, *statictime.Profile) {
+	t.Helper()
+	p := randomCFGProgram(rand.New(rand.NewSource(seed)))
+	base, err := Predecode(p, machine.Base())
+	if err != nil {
+		t.Fatalf("predecode: %v", err)
 	}
+	own, err := ProfileRun(context.Background(), base, fuzzMemWords, 0)
+	if err != nil {
+		t.Fatalf("profile run: %v", err)
+	}
+	return p, flipProfile(p, own, flip)
+}
+
+// checkRandomCFG checks the engine against the preserved seed engine on p
+// and cfg: cycles, stalls, class counts and printed output must be
+// bit-identical for the engine's own Code, a shared Code, and a Code
+// specialized under prof. A hooked run must report the reference's event
+// stream; counted runs must count alike, hooked or replaying, and satisfy
+// the static bounds oracle. It returns the reference result and the
+// specialized Code, for walks.
+func checkRandomCFG(t *testing.T, e *Engine, p *isa.Program, prof *statictime.Profile, cfg *machine.Config) (*Result, *Code) {
+	t.Helper()
+	opts := Options{Machine: cfg, MemWords: fuzzMemWords}
+	var refEv events
+	want, err := refRun(p, refEv.hooked(p, opts))
+	if err != nil {
+		t.Fatalf("reference engine: %v", err)
+	}
+
+	got := runChecked(t, e, "fast", p, opts)
+	compareResults(t, "fast", want, got)
+
+	code, err := Predecode(p, cfg)
+	if err != nil {
+		t.Fatalf("predecode: %v", err)
+	}
+	copts := opts
+	copts.Code = code
+	got = runChecked(t, e, "shared-code", p, copts)
+	compareResults(t, "shared-code", want, got)
+
+	spec, err := PredecodeProfiled(p, cfg, prof)
+	if err != nil {
+		t.Fatalf("profiled predecode: %v", err)
+	}
+	sopts := opts
+	sopts.Code = spec
+	got = runChecked(t, e, "specialized", p, sopts)
+	compareResults(t, "specialized", want, got)
+
+	var ev events
+	got = runChecked(t, e, "hooked", p, ev.hooked(p, copts))
+	compareResults(t, "hooked", want, got)
+	compareEvents(t, "hooked", &refEv, &ev)
+
+	// Counted runs: CountInstrs must not perturb timing, runs that replay
+	// traces, specialized or not, and a hooked run, which executes every
+	// instruction, must count alike, and the static bounds oracle must
+	// hold for the measured cycle count.
+	copts.CountInstrs = true
+	fastC := runChecked(t, e, "counted-fast", p, copts)
+	compareResults(t, "counted-fast", want, fastC)
+	hookC := runChecked(t, e, "counted-hooked", p, ev.hooked(p, copts))
+	compareResults(t, "counted-hooked", want, hookC)
+	compareEvents(t, "counted-hooked", &refEv, &ev)
+	compareCounts(t, "counted", fastC, hookC)
+	sopts.CountInstrs = true
+	compareCounts(t, "counted-specialized", hookC, runChecked(t, e, "counted-specialized", p, sopts))
+	checkStaticBounds(t, p, cfg, fastC)
+	return want, spec
+}
+
+// TestDifferentialRandomCFG runs checkRandomCFG on the random control-flow
+// graphs of the fixed seeds, under their own profiles, on every fuzz
+// machine.
+func TestDifferentialRandomCFG(t *testing.T) {
+	cfgs := fuzzMachines()
+	e := NewEngine() // one dedicated engine, re-armed by every run's Reset
+	for seed := range randomCFGSeeds() {
+		p, prof := randomCFG(t, int64(seed), 0)
+		for _, cfg := range cfgs {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.Name), func(t *testing.T) {
+				checkRandomCFG(t, e, p, prof, cfg)
+			})
+		}
+	}
+}
+
+// FuzzRandomCFG runs checkRandomCFG on the random control-flow graph of
+// seed, under its own profile with the marks flip selects inverted, on
+// every fuzz machine. On the cache-free machines, a path recorded on one of
+// them with the specialized Code must also walk each to the reference's
+// result (walkRandomCFG); the race detector skips the walks, which are
+// single-goroutine. TestDifferentialRandomCFG and TestWalkRandomCFG run the
+// fixed seeds under their own profiles, so the seed corpus holds only
+// wrong profiles.
+func FuzzRandomCFG(f *testing.F) {
 	f.Add(int64(1), ^uint64(0))
 	f.Add(int64(2), uint64(0x5555555555555555))
 	f.Add(int64(3), uint64(0b1001))
@@ -392,84 +482,16 @@ func FuzzRandomCFG(f *testing.F) {
 	walkCfgs := cacheFree(cfgs)
 	e := NewEngine() // one dedicated engine, re-armed by every run's Reset
 	f.Fuzz(func(t *testing.T, seed int64, flip uint64) {
-		p := randomCFGProgram(rand.New(rand.NewSource(seed)))
-		base, err := Predecode(p, machine.Base())
-		if err != nil {
-			t.Fatalf("predecode: %v", err)
-		}
-		own, err := ProfileRun(context.Background(), base, fuzzMemWords, 0)
-		if err != nil {
-			t.Fatalf("profile run: %v", err)
-		}
-		prof := flipProfile(p, own, flip)
+		p, prof := randomCFG(t, seed, flip)
 		var path *Path
 		if !raceEnabled {
-			rec := walkCfgs[uint64(seed)%uint64(len(walkCfgs))]
-			want, err := refRun(p, Options{Machine: rec, MemWords: fuzzMemWords})
-			if err != nil {
-				t.Fatalf("reference engine: %v", err)
-			}
-			spec, err := PredecodeProfiled(p, rec, prof)
-			if err != nil {
-				t.Fatalf("profiled predecode: %v", err)
-			}
-			path = record(t, p, Options{Machine: rec, MemWords: fuzzMemWords, Code: spec}, want)
+			path = recordRandomCFG(t, p, prof, walkCfgs[uint64(seed)%uint64(len(walkCfgs))])
 		}
 		for _, cfg := range cfgs {
 			t.Run(cfg.Name, func(t *testing.T) {
-				opts := Options{Machine: cfg, MemWords: fuzzMemWords}
-				var refEv events
-				want, err := refRun(p, refEv.hooked(p, opts))
-				if err != nil {
-					t.Fatalf("reference engine: %v", err)
-				}
-
-				got := runChecked(t, e, "fast", p, opts)
-				compareResults(t, "fast", want, got)
-
-				code, err := Predecode(p, cfg)
-				if err != nil {
-					t.Fatalf("predecode: %v", err)
-				}
-				copts := opts
-				copts.Code = code
-				got = runChecked(t, e, "shared-code", p, copts)
-				compareResults(t, "shared-code", want, got)
-
-				spec, err := PredecodeProfiled(p, cfg, prof)
-				if err != nil {
-					t.Fatalf("profiled predecode: %v", err)
-				}
-				sopts := opts
-				sopts.Code = spec
-				got = runChecked(t, e, "specialized", p, sopts)
-				compareResults(t, "specialized", want, got)
-
-				var ev events
-				got = runChecked(t, e, "hooked", p, ev.hooked(p, copts))
-				compareResults(t, "hooked", want, got)
-				compareEvents(t, "hooked", &refEv, &ev)
-
-				// Counted runs: CountInstrs must not perturb timing, runs
-				// that replay traces, specialized or not, and a hooked run,
-				// which executes every instruction, must count alike, and
-				// the static bounds oracle must hold for the measured cycle
-				// count.
-				copts.CountInstrs = true
-				fastC := runChecked(t, e, "counted-fast", p, copts)
-				compareResults(t, "counted-fast", want, fastC)
-				hookC := runChecked(t, e, "counted-hooked", p, ev.hooked(p, copts))
-				compareResults(t, "counted-hooked", want, hookC)
-				compareEvents(t, "counted-hooked", &refEv, &ev)
-				compareCounts(t, "counted", fastC, hookC)
-				sopts.CountInstrs = true
-				compareCounts(t, "counted-specialized", hookC, runChecked(t, e, "counted-specialized", p, sopts))
-				checkStaticBounds(t, p, cfg, fastC)
-
+				want, spec := checkRandomCFG(t, e, p, prof, cfg)
 				if path != nil && !hasCache(cfg) {
-					walkChecked(t, e, "walk", p, path, opts, want)
-					sopts.CountInstrs = false
-					walkChecked(t, e, "walk specialized", p, path, sopts, want)
+					walkRandomCFG(t, e, p, path, cfg, spec, want)
 				}
 			})
 		}

@@ -22,6 +22,7 @@ import (
 	"ilp/internal/compiler"
 	"ilp/internal/isa"
 	"ilp/internal/machine"
+	"ilp/internal/statictime"
 )
 
 // cacheFree filters a machine list down to the machines a walk can time.
@@ -151,6 +152,58 @@ func TestWalkMatchesReference(t *testing.T) {
 				walkChecked(t, e, "walk specialized "+cfg.Name, progs[i], path, opts, wants[i])
 			}
 		})
+	}
+}
+
+// recordRandomCFG records the path of the random control-flow graph p on
+// the cache-free machine rec, with the Code specialized under prof.
+func recordRandomCFG(t *testing.T, p *isa.Program, prof *statictime.Profile, rec *machine.Config) *Path {
+	t.Helper()
+	want, err := refRun(p, Options{Machine: rec, MemWords: fuzzMemWords})
+	if err != nil {
+		t.Fatalf("reference engine: %v", err)
+	}
+	spec, err := PredecodeProfiled(p, rec, prof)
+	if err != nil {
+		t.Fatalf("profiled predecode: %v", err)
+	}
+	return record(t, p, Options{Machine: rec, MemWords: fuzzMemWords, Code: spec}, want)
+}
+
+// walkRandomCFG walks p on the cache-free machine cfg from path, on plain
+// Code and on spec, and checks both walks against the reference result
+// want.
+func walkRandomCFG(t *testing.T, e *Engine, p *isa.Program, path *Path, cfg *machine.Config, spec *Code, want *Result) {
+	t.Helper()
+	opts := Options{Machine: cfg, MemWords: fuzzMemWords}
+	walkChecked(t, e, "walk", p, path, opts, want)
+	opts.Code = spec
+	walkChecked(t, e, "walk specialized", p, path, opts, want)
+}
+
+// TestWalkRandomCFG records each random control-flow graph of
+// TestDifferentialRandomCFG on one cache-free machine and walks it on every
+// cache-free fuzz machine, units that bind included.
+func TestWalkRandomCFG(t *testing.T) {
+	skipUnderRace(t)
+	cfgs := cacheFree(fuzzMachines())
+	e := NewEngine()
+	for seed := range randomCFGSeeds() {
+		p, prof := randomCFG(t, int64(seed), 0)
+		path := recordRandomCFG(t, p, prof, cfgs[seed%len(cfgs)])
+		for _, cfg := range cfgs {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.Name), func(t *testing.T) {
+				want, err := refRun(p, Options{Machine: cfg, MemWords: fuzzMemWords})
+				if err != nil {
+					t.Fatalf("reference engine: %v", err)
+				}
+				spec, err := PredecodeProfiled(p, cfg, prof)
+				if err != nil {
+					t.Fatalf("profiled predecode: %v", err)
+				}
+				walkRandomCFG(t, e, p, path, cfg, spec, want)
+			})
+		}
 	}
 }
 
