@@ -70,7 +70,7 @@ chaos:
 # Run the static verifier over the whole suite at every level and print
 # every diagnostic, warnings included.
 lint:
-	$(GO) run ./cmd/ilplint -all-levels all
+	$(GO) run ./cmd/tlc -verify -all-levels all
 
 # Coverage over every package, with the per-package and total percentages
 # printed; the profile is left in /tmp for `go tool cover -html` inspection.

@@ -1,14 +1,21 @@
 // Command ilpsim compiles one benchmark (or a TL source file) for a chosen
 // machine description, simulates it, and reports cycles, instruction mix,
-// stall breakdown, and the program's output.
+// stall breakdown, and the program's output. It does everything to a
+// compiled program that runs it; tlc does the rest.
 //
 // Usage:
 //
-//	ilpsim [-machine name] [-level 0..4] [-unroll N] [-careful]
-//	       [-width N] [-pipe M] [-temps N] [-print] <benchmark | file.tl>
+//	ilpsim [-machine name] [-level 0..4] [-unroll N] [-careful] [-temps N]
+//	       [-print] [-S] [-pipeline N] [-bounds] <benchmark | file.tl | file.s>
 //
 // Machines: base, multititan, cray1, superscalar:N, superpipelined:M,
-// supersuper:N:M, conflicts:N, underpipelined.
+// supersuper:N:M, conflicts:N, underpipelined. A benchmark compiles at its
+// default unroll factor unless -unroll is given.
+//
+// -bounds adds the static timing analysis's [lower, upper] bounds on the
+// run's minor cycles, the slack of the measured cycles over the lower
+// bound, and the verify timing oracle's verdict on the pair; a V4xx
+// diagnostic exits 1.
 package main
 
 import (
@@ -19,10 +26,12 @@ import (
 	"strings"
 
 	"ilp/internal/benchmarks"
+	"ilp/internal/cli"
 	"ilp/internal/compiler"
 	"ilp/internal/isa"
-	"ilp/internal/machine"
 	"ilp/internal/sim"
+	"ilp/internal/statictime"
+	"ilp/internal/verify"
 )
 
 func main() {
@@ -35,14 +44,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	machineName := fs.String("machine", "base", "machine description (base, multititan, cray1, superscalar:N, superpipelined:M, supersuper:N:M, conflicts:N, underpipelined)")
-	level := fs.Int("level", 4, "optimization level 0..4 (Figure 4-8's axis)")
-	unroll := fs.Int("unroll", 0, "loop unroll factor (0 = benchmark default)")
-	careful := fs.Bool("careful", false, "careful unrolling (reassociation + memory disambiguation)")
+	flags := cli.AddFlags(fs)
 	temps := fs.Int("temps", 0, "temporary registers per file (0 = default 16)")
 	printOut := fs.Bool("print", false, "show program output values")
 	disasm := fs.Bool("S", false, "dump disassembly instead of simulating")
 	pipeline := fs.Int("pipeline", 0, "render an issue timeline for the first N dynamic instructions")
+	bounds := fs.Bool("bounds", false, "also check the static timing bounds against the measured cycles")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -56,55 +63,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	switch {
-	case *level < int(compiler.O0) || *level > int(compiler.O4):
-		return fail(fmt.Errorf("-level %d is outside 0..4", *level))
-	case *unroll < 0:
-		return fail(fmt.Errorf("-unroll %d is negative", *unroll))
 	case *temps < 0:
 		return fail(fmt.Errorf("-temps %d is negative", *temps))
 	case *pipeline < 0:
 		return fail(fmt.Errorf("-pipeline %d is negative", *pipeline))
 	}
-	m, err := machine.ByName(*machineName)
+	p, err := flags.Resolve(fs.Arg(0))
 	if err != nil {
 		return fail(err)
 	}
+	m := p.Options.Machine
 	if *temps > 0 {
 		m.IntTemps, m.FPTemps = *temps, *temps
 	}
-	target := fs.Arg(0)
-
-	var src string
-	isAsm := strings.HasSuffix(target, ".s")
-	unrollFactor := *unroll
-	if b, err := benchmarks.ByName(target); err == nil {
-		src = b.Source
-		if unrollFactor == 0 {
-			unrollFactor = b.DefaultUnroll
-		}
-	} else {
-		data, ferr := os.ReadFile(target)
-		if ferr != nil {
-			return fail(fmt.Errorf("%q is neither a benchmark (%s) nor a readable file: %v",
-				target, strings.Join(benchmarks.Names(), " "), ferr))
-		}
-		src = string(data)
-	}
 
 	var prog *isa.Program
-	if isAsm {
+	if strings.HasSuffix(p.Name, ".s") {
 		// Raw assembly: assemble directly, no compiler involved.
-		prog, err = isa.Assemble(src)
+		prog, err = isa.Assemble(p.Source)
 		if err != nil {
 			return fail(err)
 		}
 	} else {
-		c, cerr := compiler.Compile(src, compiler.Options{
-			Machine: m,
-			Level:   compiler.Level(*level),
-			Unroll:  unrollFactor,
-			Careful: *careful,
-		})
+		c, cerr := compiler.Compile(p.Source, p.Options)
 		if cerr != nil {
 			return fail(cerr)
 		}
@@ -115,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := sim.Options{Machine: m}
+	opts := sim.Options{Machine: m, CountInstrs: *bounds}
 	type slot struct {
 		idx             int
 		text            string
@@ -151,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "machine:       %s (issue width %d, degree %d)\n", m.Name, m.IssueWidth, m.Degree)
-	fmt.Fprintf(stdout, "options:       level=%s unroll=%d careful=%v\n", compiler.Level(*level), unrollFactor, *careful)
+	fmt.Fprintf(stdout, "options:       level=%s unroll=%d careful=%v\n", p.Options.Level, p.Options.Unroll, p.Options.Careful)
 	fmt.Fprintf(stdout, "instructions:  %d (static %d)\n", res.Instructions, len(prog.Instrs))
 	fmt.Fprintf(stdout, "minor cycles:  %d\n", res.MinorCycles)
 	fmt.Fprintf(stdout, "base cycles:   %.1f\n", res.BaseCycles)
@@ -163,6 +144,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if n > 0 {
 			fmt.Fprintf(stdout, "  %-10s %9d (%5.1f%%)\n", isa.Class(cl), n, 100*float64(n)/float64(res.Instructions))
 		}
+	}
+	if *bounds {
+		a, err := statictime.Analyze(prog, m)
+		if err != nil {
+			return fail(err)
+		}
+		lo := a.LowerBound(res.InstrCounts, res.TakenExits)
+		fmt.Fprintf(stdout, "static bounds: [%d, %d]\n", lo, a.UpperBound(res.InstrCounts))
+		fmt.Fprintf(stdout, "slack:         %.3f (simulated / lower bound)\n",
+			float64(res.MinorCycles)/float64(lo))
+		if ds := verify.CheckTiming(a, res.MinorCycles, res.InstrCounts, res.TakenExits, "ilpsim"); len(ds) > 0 {
+			for _, d := range ds {
+				fmt.Fprintln(stderr, "ilpsim:", d)
+			}
+			return 1
+		}
+		fmt.Fprintln(stdout, "timing oracle: ok")
 	}
 	if *printOut {
 		fmt.Fprintf(stdout, "output (%d values):\n", len(res.Output))

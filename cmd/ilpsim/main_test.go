@@ -53,3 +53,20 @@ func TestFlagValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestBoundsOracle: -bounds adds the static bounds and the timing oracle's
+// verdict to the report, on a machine of each kind.
+func TestBoundsOracle(t *testing.T) {
+	for _, m := range []string{"base", "cray1", "conflicts:4", "sp:4"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-machine", m, "-bounds", "whet"}, &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", m, code, errb.String())
+		}
+		if !strings.Contains(out.String(), "timing oracle: ok") {
+			t.Errorf("%s: oracle verdict missing:\n%s", m, out.String())
+		}
+		if !strings.Contains(out.String(), "static bounds: [") {
+			t.Errorf("%s: bounds line missing", m)
+		}
+	}
+}

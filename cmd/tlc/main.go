@@ -1,106 +1,186 @@
 // Command tlc is the TL compiler driver: it parses, checks, optimizes and
-// lowers a TL source file, dumping whichever intermediate representation is
-// requested — tokens, AST summary, IR, or final scheduled assembly — or
-// runs the program through the reference interpreter.
+// lowers a TL source file or one of the paper's benchmarks for a machine
+// description, and does everything to the compiled program that needs no
+// simulation. By default it dumps the final scheduled assembly (-dump ir
+// for the IR, -dump none for a one-line summary). Instead of a dump, -verify
+// prints every static verifier diagnostic, -run runs the program through
+// the reference interpreter, and -analyze prints the static timing
+// analysis; -verify takes precedence over -run, and -run over -analyze.
 //
 // Usage:
 //
-//	tlc [-level 0..4] [-unroll N] [-careful] [-verify] [-analyze] [-dump ir|asm] [-run] file.tl
+//	tlc [-machine name] [-level 0..4] [-unroll N] [-careful]
+//	    [-dump ir|asm|none] [-run] [-analyze] <file.tl|benchmark>
+//	tlc -verify [-all-levels] [flags] <file.tl|benchmark|all>
+//
+// Machines: base, multititan, cray1, superscalar:N, superpipelined:M,
+// supersuper:N:M, conflicts:N, underpipelined. A benchmark compiles at its
+// default unroll factor unless -unroll is given.
+//
+// -verify compiles with the verifier on after every pass and prints every
+// diagnostic, warnings included, with its pass provenance and location; the
+// target "all" checks the whole suite, and -all-levels checks O0..O4. The
+// analysis prints one row per basic block with its dependence-height,
+// issue-width and functional-unit lower bounds, conflict-freedom, and the
+// exact clean-entry span when one is proven.
+//
+// Exit status is 2 on a usage error, 1 on a bad flag value, a failed
+// compile or an error-severity diagnostic, and 0 otherwise.
+//
+// Example diagnostic:
+//
+//	yacc: V302 error: @41 `addi r11, r10, 1`: scheduled before its producer `li r10, 7` [pass sched]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ilp/internal/benchmarks"
+	"ilp/internal/cli"
 	"ilp/internal/compiler"
 	"ilp/internal/lang/interp"
 	"ilp/internal/lang/parser"
 	"ilp/internal/lang/sem"
-	"ilp/internal/machine"
 	"ilp/internal/statictime"
+	"ilp/internal/verify"
 )
 
 func main() {
-	level := flag.Int("level", 4, "optimization level 0..4")
-	unroll := flag.Int("unroll", 0, "loop unroll factor")
-	careful := flag.Bool("careful", false, "careful unrolling")
-	verifyFlag := flag.Bool("verify", false, "run the static verifier after every compiler pass")
-	analyze := flag.Bool("analyze", false, "print the static timing analysis (per-block cycle bounds) instead of a dump")
-	dump := flag.String("dump", "asm", "what to dump: ir, asm, none")
-	run := flag.Bool("run", false, "run with the reference interpreter and print output")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tlc [flags] <file.tl|benchmark>")
-		os.Exit(2)
+// run is tlc with its arguments and output streams passed in, returning the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tlc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	flags := cli.AddFlags(fs)
+	verifyFlag := fs.Bool("verify", false, "print every static verifier diagnostic, warnings included, instead of a dump")
+	allLevels := fs.Bool("all-levels", false, "with -verify, check every optimization level 0..4")
+	analyze := fs.Bool("analyze", false, "print the static timing analysis (per-block cycle bounds) instead of a dump")
+	dump := fs.String("dump", "asm", "what to dump: ir, asm, none")
+	interpret := fs.Bool("run", false, "run with the reference interpreter and print output")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	target := flag.Arg(0)
-	var src string
-	if b, err := benchmarks.ByName(target); err == nil {
-		src = b.Source
-	} else {
-		data, ferr := os.ReadFile(target)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "tlc:", ferr)
-			os.Exit(1)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: tlc [flags] <file.tl|benchmark>, or tlc -verify [flags] <file.tl|benchmark|all>")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tlc:", err)
+		return 1
+	}
+	target := fs.Arg(0)
+
+	if *verifyFlag {
+		targets := []string{target}
+		if target == "all" {
+			targets = benchmarks.Names()
 		}
-		src = string(data)
+		levels := []compiler.Level{compiler.O0, compiler.O1, compiler.O2, compiler.O3, compiler.O4}
+		failed := false
+		for _, t := range targets {
+			p, err := flags.Resolve(t)
+			if err != nil {
+				return fail(err)
+			}
+			if !*allLevels {
+				failed = lint(stdout, stderr, p.Name, p) || failed
+				continue
+			}
+			for _, lvl := range levels {
+				p.Options.Level = lvl
+				failed = lint(stdout, stderr, fmt.Sprintf("%s[O%d]", p.Name, int(lvl)), p) || failed
+			}
+		}
+		if failed {
+			return 1
+		}
+		return 0
 	}
 
-	if *run {
-		p, err := parser.Parse(src)
+	p, err := flags.Resolve(target)
+	if err != nil {
+		return fail(err)
+	}
+	if *interpret {
+		ast, err := parser.Parse(p.Source)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlc:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		info, err := sem.Analyze(p)
+		info, err := sem.Analyze(ast)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlc:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		out, err := interp.Run(info)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tlc:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		for _, v := range out {
-			fmt.Println(v)
+			fmt.Fprintln(stdout, v)
 		}
-		return
+		return 0
 	}
 
-	c, err := compiler.Compile(src, compiler.Options{
-		Machine: machine.Base(),
-		Level:   compiler.Level(*level),
-		Unroll:  *unroll,
-		Careful: *careful,
-		Verify:  *verifyFlag,
-	})
+	c, err := compiler.Compile(p.Source, p.Options)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tlc:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *analyze {
-		a, aerr := statictime.Analyze(c.Prog, machine.Base())
-		if aerr != nil {
-			fmt.Fprintln(os.Stderr, "tlc:", aerr)
-			os.Exit(1)
+		a, err := statictime.Analyze(c.Prog, p.Options.Machine)
+		if err != nil {
+			return fail(err)
 		}
-		fmt.Print(a.Format())
-		return
+		fmt.Fprint(stdout, a.Format())
+		return 0
 	}
 	switch *dump {
 	case "ir":
-		fmt.Print(c.IR.String())
+		fmt.Fprint(stdout, c.IR.String())
 	case "asm":
-		fmt.Print(c.Prog.Disassemble())
+		fmt.Fprint(stdout, c.Prog.Disassemble())
 	case "none":
-		fmt.Printf("%d instructions, %d functions, %d loops unrolled\n",
+		fmt.Fprintf(stdout, "%d instructions, %d functions, %d loops unrolled\n",
 			len(c.Prog.Instrs), len(c.IR.Funcs), c.UnrolledLoops)
 	default:
-		fmt.Fprintf(os.Stderr, "tlc: unknown dump kind %q\n", *dump)
-		os.Exit(2)
+		return fail(fmt.Errorf("unknown dump kind %q", *dump))
+	}
+	return 0
+}
+
+// lint compiles p with in-pipeline verification on and prints every
+// diagnostic, each prefixed with where. It reports whether an
+// error-severity diagnostic was found or the compile failed.
+func lint(stdout, stderr io.Writer, where string, p *cli.Program) bool {
+	opts := p.Options
+	opts.Verify = true
+	c, err := compiler.Compile(p.Source, opts)
+	if err != nil {
+		// A verification failure carries the full diagnostic list; print it
+		// with provenance. Anything else (parse, type errors) prints as-is
+		// with its own line:col locations.
+		var verr *verify.Error
+		if errors.As(err, &verr) {
+			report(stdout, where, verr.Diags)
+			return true
+		}
+		fmt.Fprintf(stderr, "%s: %v\n", where, err)
+		return true
+	}
+	// Clean compile: re-run the checker standalone so warnings (which do not
+	// abort compilation) are still reported.
+	diags := verify.Check(c.Prog, verify.Options{Machine: opts.Machine, Mem: c.Mem})
+	report(stdout, where, diags)
+	return len(verify.Errors(diags)) > 0
+}
+
+func report(w io.Writer, where string, diags []verify.Diagnostic) {
+	for _, d := range diags {
+		fmt.Fprintf(w, "%s: %s\n", where, d)
 	}
 }

@@ -29,7 +29,6 @@ func runFig41(ctx context.Context, r *Runner) (*Result, error) {
 	}
 	maxDeg := r.Cfg.maxDegree()
 
-	type point struct{ bench, kind string }
 	var jobs []job
 	var meta []struct {
 		kind string
@@ -89,7 +88,6 @@ func runFig41(ctx context.Context, r *Runner) (*Result, error) {
 	b.WriteString("\nPaper shape: superscalar >= superpipelined at equal degree (startup transient),\n" +
 		"difference < ~10% and shrinking with degree; both curves flatten near the available\n" +
 		"parallelism (~2) because most benchmarks have little instruction-level parallelism.\n")
-	_ = point{}
 	return &Result{ID: "fig4-1", Title: "Supersymmetry", Text: b.String(),
 		Series: []metrics.Series{ss, sp}}, nil
 }

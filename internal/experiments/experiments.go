@@ -659,26 +659,21 @@ func (r *Runner) finish(ctx context.Context, m *machine.Config, res *sim.Result,
 	return &sim.Result{Machine: m.Name, Degraded: true, BaseCycles: math.NaN()}, nil
 }
 
-// measure is the sim-cache miss path, run by the singleflight leader for
-// its sim key on the engine e of the worker slot it holds across all
-// attempts: measureAttempt under the transient-failure retry policy.
-func (r *Runner) measure(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey, skey string) (*sim.Result, error) {
-	var (
-		res *sim.Result
-		err error
-	)
+// retry runs try under the transient-failure retry policy: a transient
+// failure is retried, after a backoff keyed by key, until an attempt
+// succeeds, fails permanently or exhausts Config.Retries.
+func retry[T any](ctx context.Context, r *Runner, key string, try func(attempt int) (T, error)) (T, error) {
 	for attempt := 0; ; attempt++ {
-		res, err = r.measureAttempt(ctx, e, bench, copts, m, ckey, skey, attempt)
+		v, err := try(attempt)
 		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
-			break
+			return v, err
 		}
 		r.noteRetry()
-		if werr := r.sleepBackoff(ctx, skey, attempt); werr != nil {
-			res, err = nil, werr
-			break
+		if werr := r.sleepBackoff(ctx, key, attempt); werr != nil {
+			var zero T
+			return zero, werr
 		}
 	}
-	return res, err
 }
 
 // measureAttempt is one try at a measurement cell: compile (cached),
@@ -924,30 +919,13 @@ func (r *Runner) compile(ctx context.Context, e *sim.Engine, bench string, copts
 	if err := m.Validate(); err != nil {
 		return compiled{}, r.compileFailure(ctx, bench, m, err)
 	}
+	// The compile-cache miss path: compileAttempt under the
+	// transient-failure retry policy.
 	return once(ctx, r, r.compiles, ckey, &r.stats.CompileHits, &r.stats.Compiles, func() (compiled, error) {
-		return r.doCompile(ctx, e, bench, copts, m, ckey)
+		return retry(ctx, r, ckey, func(attempt int) (compiled, error) {
+			return r.compileAttempt(ctx, e, bench, copts, m, ckey, attempt)
+		})
 	})
-}
-
-// doCompile is the compile-cache miss path: it runs compileAttempt under
-// the same transient-failure retry policy as measure.
-func (r *Runner) doCompile(ctx context.Context, e *sim.Engine, bench string, copts compiler.Options, m *machine.Config, ckey string) (compiled, error) {
-	var (
-		c   compiled
-		err error
-	)
-	for attempt := 0; ; attempt++ {
-		c, err = r.compileAttempt(ctx, e, bench, copts, m, ckey, attempt)
-		if err == nil || !ilperr.IsTransient(err) || attempt >= r.Cfg.retries() {
-			break
-		}
-		r.noteRetry()
-		if werr := r.sleepBackoff(ctx, ckey, attempt); werr != nil {
-			c, err = compiled{}, werr
-			break
-		}
-	}
-	return c, err
 }
 
 // compileAttempt is one try at a compilation, carrying the panic isolation
@@ -1190,7 +1168,12 @@ func (r *Runner) lead(ctx context.Context, jobs []job, cells []sweepCell, led []
 	err := r.runCells(ctx, ledJobs, func(ctx context.Context, e *sim.Engine, k int) error {
 		i := order[k]
 		j, c := jobs[i], cells[i]
-		res, err := r.measure(ctx, e, j.bench, j.copts, j.m, c.ckey, c.skey)
+		// The sim-cache miss path: the cell's leader runs measureAttempt
+		// under the transient-failure retry policy, on the engine e of the
+		// worker slot it holds across all attempts.
+		res, err := retry(ctx, r, c.skey, func(attempt int) (*sim.Result, error) {
+			return r.measureAttempt(ctx, e, j.bench, j.copts, j.m, c.ckey, c.skey, attempt)
+		})
 		r.publish(ctx, c.skey, c.se, res, err)
 		results[i], err = r.finish(ctx, j.m, c.se.val, c.se.err)
 		notify(ctx, j.bench, j.m, c.fp, results[i], err, false)

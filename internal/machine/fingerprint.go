@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"slices"
 
 	"ilp/internal/cache"
 )
@@ -64,6 +65,28 @@ func (c *Config) hashSchedule(h hash.Hash) {
 	hashInt(h, int64(c.IntHomes))
 	hashInt(h, int64(c.FPTemps))
 	hashInt(h, int64(c.FPHomes))
+}
+
+// SameSchedule reports whether c and d agree on every field hashSchedule
+// writes, that is, whether their schedule fingerprints are equal. Unlike
+// comparing fingerprints it allocates nothing, so a simulation can check
+// every run's machine against the one its predecoded program was built for.
+func (c *Config) SameSchedule(d *Config) bool {
+	if c.IssueWidth != d.IssueWidth || c.Degree != d.Degree || c.Latency != d.Latency ||
+		len(c.Units) != len(d.Units) ||
+		c.BranchRedirect != d.BranchRedirect || c.TakenBranchEndsGroup != d.TakenBranchEndsGroup ||
+		c.IntTemps != d.IntTemps || c.IntHomes != d.IntHomes ||
+		c.FPTemps != d.FPTemps || c.FPHomes != d.FPHomes {
+		return false
+	}
+	for i := range c.Units {
+		u, v := &c.Units[i], &d.Units[i]
+		if u.Name != v.Name || !slices.Equal(u.Classes, v.Classes) ||
+			u.Multiplicity != v.Multiplicity || u.IssueLatency != v.IssueLatency {
+			return false
+		}
+	}
+	return true
 }
 
 func hashInt(h hash.Hash, v int64) {

@@ -102,8 +102,44 @@ func TestRunCtxLiveContextCompletes(t *testing.T) {
 	// Instruction limit below the poll interval and above it.
 	for _, limit := range []int64{100, cancelCheckInterval + 100} {
 		_, err = RunCtx(ctx, endlessLoop(), Options{Machine: machine.Base(), MaxInstructions: limit})
-		if err == nil || errors.Is(err, context.Canceled) {
+		if !errors.Is(err, ErrInstructionLimit) {
 			t.Fatalf("limit %d: want instruction-limit error, got %v", limit, err)
 		}
+	}
+}
+
+// TestProfileBudget: a profiling pre-run's budget is its instruction
+// limit, which ends it normally, so a loop that never halts profiles
+// without error up to the budget; a program that faults first returns the
+// fault.
+func TestProfileBudget(t *testing.T) {
+	b := isa.NewBuilder()
+	b.Label("loop")
+	b.Imm(isa.OpAddi, isa.R(10), isa.R(10), 1)
+	b.Jump("loop")
+	code, err := Predecode(b.MustFinish(), machine.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1000
+	prof, err := ProfileRun(context.Background(), code, 0, budget)
+	if err != nil {
+		t.Fatalf("budgeted pre-run of an endless loop: %v", err)
+	}
+	// The open run at the stop counts its whole block: at most one more.
+	if n := prof.Count[0]; n < budget/2 || n > budget/2+1 {
+		t.Errorf("loop body profiled %d times, want %d or one more", n, budget/2)
+	}
+
+	b = isa.NewBuilder()
+	b.Li(isa.R(10), -1)
+	b.Load(isa.OpLw, isa.R(11), isa.R(10), 0)
+	b.Halt()
+	code, err = Predecode(b.MustFinish(), machine.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ProfileRun(context.Background(), code, 0, budget); err == nil || errors.Is(err, ErrInstructionLimit) {
+		t.Fatalf("pre-run of a faulting program: error %v, want the fault", err)
 	}
 }

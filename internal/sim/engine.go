@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -68,20 +69,15 @@ type Engine struct {
 	dataLen          int
 	dirtyLo, dirtyHi int
 
-	// Timing state.
+	// Timing state. The issue state (the current minor cycle, the
+	// instructions issued in it, the barrier after a group break) lives in
+	// the timing loops' locals.
 	ready        [256]int64 // minor cycle a register's value becomes available
 	unitFree     []int64    // per unit copy (flat; decoded holds offsets): next free minor cycle
-	cycle        int64      // current issue minor cycle
-	inCycle      int        // instructions already issued this minor cycle
-	barrier      int64      // earliest next issue after a group break
-	barrierIsBr  bool       // the barrier came from a taken branch
 	lastComplete int64
 
 	icache *cache.Cache
 	dcache *cache.Cache
-
-	pc     int
-	halted bool
 
 	instrs int64
 	groups int64
@@ -232,18 +228,12 @@ func (e *Engine) arm(p *isa.Program, opts Options) error {
 		e.dec, e.scheds = e.hookDec, nil
 	}
 
-	e.cycle, e.inCycle = 0, 0
-	e.barrier, e.barrierIsBr = 0, false
 	e.lastComplete = 0
-	e.pc = p.Entry
-	e.halted = false
 	e.instrs, e.groups = 0, 0
 	e.replays, e.mispaths = 0, 0
 	e.output = e.output[:0]
 	e.stalls = StallBreakdown{}
-	// The program entry opens the first contiguous execution run. Counted
-	// here (not at the top of the timing loop) so a run advanced in several
-	// runFast slices — a caller resuming past a stopAt — counts it once.
+	// The program entry opens the first contiguous execution run.
 	e.enter[p.Entry]++
 	return nil
 }
@@ -286,7 +276,7 @@ func (e *Engine) RunIntoCtx(ctx context.Context, p *isa.Program, opts Options, r
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstructions
 	}
-	if err := e.runFast(ctx, maxInstrs, maxInstrs); err != nil {
+	if err := e.runFast(ctx, maxInstrs); err != nil {
 		return err
 	}
 	e.fillResult(res, e.output)
@@ -303,32 +293,41 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 	return min(instrs+cancelCheckInterval, maxInstrs)
 }
 
+// ErrInstructionLimit is wrapped by the error of a run that reached its
+// instruction limit (Options.MaxInstructions) before halting.
+var ErrInstructionLimit = errors.New("sim: instruction limit exceeded")
+
+// limitError is the error of a run stopped at its instruction limit.
+type limitError struct{ max int64 }
+
+func (l limitError) Error() string {
+	return fmt.Sprintf("sim: instruction limit %d exceeded (infinite loop?)", l.max)
+}
+
+func (limitError) Unwrap() error { return ErrInstructionLimit }
+
 // poll is the timing loops' check point, which runFast and walk reach once
 // instrs has retired past their checkAt, at a control transfer or a trace
-// exit: it publishes a recording's progress to following walks, fails a run
-// over the instruction limit, stops one that has reached stopAt, and fails
-// one whose context is done. Otherwise it returns the next check point. It
-// is kept out of line: the loops reach it at most every
-// cancelCheckInterval instructions.
+// exit: it publishes a recording's progress to following walks, stops a run
+// that has reached the instruction limit, and fails one whose context is
+// done. Otherwise it returns the next check point. It is kept out of line:
+// the loops reach it at most every cancelCheckInterval instructions.
 //
 //go:noinline
-func (e *Engine) poll(ctx context.Context, instrs, maxInstrs, stopAt int64) (checkAt int64, stop bool, err error) {
+func (e *Engine) poll(ctx context.Context, instrs, maxInstrs int64) (checkAt int64, err error) {
 	if e.rec != nil {
 		e.rec.publish()
 	}
 	if instrs >= maxInstrs {
-		return 0, false, fmt.Errorf("sim: instruction limit %d exceeded (infinite loop?)", maxInstrs)
-	}
-	if instrs >= stopAt {
-		return 0, true, nil
+		return 0, limitError{maxInstrs}
 	}
 	done := ctx.Done()
 	select {
 	case <-done:
-		return 0, false, ctxErr(ctx)
+		return 0, ctxErr(ctx)
 	default:
 	}
-	return min(nextCheck(done, instrs, maxInstrs), stopAt), false, nil
+	return nextCheck(done, instrs, maxInstrs), nil
 }
 
 // runFast is the engine's one executing loop: every run, caches and hooks
@@ -352,9 +351,10 @@ func (e *Engine) poll(ctx context.Context, instrs, maxInstrs, stopAt int64) (che
 // from the loop entirely at predecode.
 //
 // All hot state lives in locals for the duration of the loop and is written
-// back once at the halt or yield exit; error exits abandon the run, so only
-// dirty-memory tracking — updated on the engine at every store — must stay
-// accurate there.
+// back once at the halt; error exits abandon the run, so only what is
+// updated on the engine must stay accurate there: dirty-memory tracking, at
+// every store, and the block counters, which Profile folds after a run
+// that reached its budget.
 //
 // With e.rec set (RecordIntoCtx), the loop also records the run's control
 // path: a conditional branch's outcome or a jr's target at each control
@@ -363,14 +363,7 @@ func (e *Engine) poll(ctx context.Context, instrs, maxInstrs, stopAt int64) (che
 // stable spin's iterations — and publishes it to following walks at each
 // poll. Every recorder check sits at a control transfer, a trace exit or a
 // poll, never on the straight-line path.
-//
-// stopAt makes the loop resumable: once instrs reaches it (checked at the
-// same control-transfer points as the instruction limit), the loop writes
-// all state back and returns with halted still false, and a later call picks
-// up exactly where it left off. Whole runs pass stopAt == maxInstrs;
-// Profile passes its instruction budget, so a budgeted pre-run yields
-// its state instead of failing at a limit.
-func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
+func (e *Engine) runFast(ctx context.Context, maxInstrs int64) error {
 	width := int64(e.cfg.IssueWidth)
 	takenEnds := e.cfg.TakenBranchEndsGroup
 	redirect := int64(e.cfg.BranchRedirect)
@@ -388,18 +381,20 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 	}
 	rec := e.rec
 
-	cycle, barrier := e.cycle, e.barrier
-	inCycle := int64(e.inCycle)
-	barrierIsBr := e.barrierIsBr
+	// cycle is the current issue minor cycle and inCycle the instructions
+	// already issued in it; barrier is the earliest next issue after a
+	// group break, and barrierIsBr whether a taken branch set it.
+	var cycle, inCycle, barrier int64
+	barrierIsBr := false
 	lastComplete := e.lastComplete
 	instrs, groups := e.instrs, e.groups
 	stalls := e.stalls
-	pc := e.pc
+	pc := e.prog.Entry
 
 	// Cancellation polling shares the instruction-limit comparison the
 	// loop performs at control transfers: checkAt is the next instruction
 	// count at which anything needs attention (see poll).
-	checkAt := min(nextCheck(ctx.Done(), instrs, maxInstrs), stopAt)
+	checkAt := nextCheck(ctx.Done(), instrs, maxInstrs)
 
 	// skipCheck elides the trace-entry register scan across consecutive
 	// iterations of a proven-stable loop trace (see the trace replay below);
@@ -682,8 +677,6 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 		case isa.OpHalt:
 			instrs++
 			exit[idx]++
-			e.halted = true
-			pc = idx
 			goto out
 		case opHooked:
 			// A hooked run's instruction (see arm): report it, then
@@ -818,12 +811,8 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				if exitIdx < 0 {
 					skipCheck = true
 					if instrs >= checkAt {
-						var stop bool
-						if checkAt, stop, err = e.poll(ctx, instrs, maxInstrs, stopAt); err != nil {
+						if checkAt, err = e.poll(ctx, instrs, maxInstrs); err != nil {
 							return err
-						}
-						if stop {
-							goto out
 						}
 					}
 					continue
@@ -898,41 +887,26 @@ func (e *Engine) runFast(ctx context.Context, maxInstrs, stopAt int64) error {
 				stableIdx = exitIdx
 			}
 			if instrs >= checkAt {
-				var stop bool
-				if checkAt, stop, err = e.poll(ctx, instrs, maxInstrs, stopAt); err != nil {
+				if checkAt, err = e.poll(ctx, instrs, maxInstrs); err != nil {
 					return err
-				}
-				if stop {
-					goto out
 				}
 			}
 		}
 		skipCheck = false
 		if instrs >= checkAt {
-			var stop bool
 			var err error
-			if checkAt, stop, err = e.poll(ctx, instrs, maxInstrs, stopAt); err != nil {
+			if checkAt, err = e.poll(ctx, instrs, maxInstrs); err != nil {
 				return err
-			}
-			if stop {
-				goto out
 			}
 		}
 	}
 
 out:
-	// Halt or yield: write every local back so the result (or the next
-	// runFast slice) sees the exact state.
-	e.pc = pc
-	e.cycle, e.barrier = cycle, barrier
-	e.inCycle = int(inCycle)
-	e.barrierIsBr = barrierIsBr
+	// Halt: write back what the result reads.
 	e.lastComplete = lastComplete
 	e.instrs, e.groups = instrs, groups
 	e.stalls = stalls
-	if e.halted {
-		e.foldCounts()
-	}
+	e.foldCounts()
 	return nil
 }
 

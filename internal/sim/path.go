@@ -321,13 +321,12 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 	var pos int64 // next branch outcome
 	var tpos int  // next jr target
 
-	cycle, barrier := e.cycle, e.barrier
-	inCycle := int64(e.inCycle)
-	barrierIsBr := e.barrierIsBr
+	var cycle, inCycle, barrier int64
+	barrierIsBr := false
 	lastComplete := e.lastComplete
 	instrs, groups := e.instrs, e.groups
 	stalls := e.stalls
-	pc := e.pc
+	pc := e.prog.Entry
 
 	checkAt := nextCheck(ctx.Done(), instrs, maxInstrs)
 	skipCheck := false
@@ -427,8 +426,6 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 		case isa.OpHalt:
 			instrs++
 			exit[idx]++
-			e.halted = true
-			pc = idx
 			goto out
 		case opOutOfRange:
 			return fmt.Errorf("sim: pc %d out of range", idx)
@@ -515,7 +512,7 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 					skipCheck = true
 					if instrs >= checkAt {
 						var err error
-						if checkAt, _, err = e.poll(ctx, instrs, maxInstrs, maxInstrs); err != nil {
+						if checkAt, err = e.poll(ctx, instrs, maxInstrs); err != nil {
 							return err
 						}
 					}
@@ -582,7 +579,7 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 			}
 			if instrs >= checkAt {
 				var err error
-				if checkAt, _, err = e.poll(ctx, instrs, maxInstrs, maxInstrs); err != nil {
+				if checkAt, err = e.poll(ctx, instrs, maxInstrs); err != nil {
 					return err
 				}
 			}
@@ -590,17 +587,13 @@ func (e *Engine) walk(ctx context.Context, path *Path, v *pathView, maxInstrs in
 		skipCheck = false
 		if instrs >= checkAt {
 			var err error
-			if checkAt, _, err = e.poll(ctx, instrs, maxInstrs, maxInstrs); err != nil {
+			if checkAt, err = e.poll(ctx, instrs, maxInstrs); err != nil {
 				return err
 			}
 		}
 	}
 
 out:
-	e.pc = pc
-	e.cycle, e.barrier = cycle, barrier
-	e.inCycle = int(inCycle)
-	e.barrierIsBr = barrierIsBr
 	e.lastComplete = lastComplete
 	e.instrs, e.groups = instrs, groups
 	e.stalls = stalls

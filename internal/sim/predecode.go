@@ -84,14 +84,16 @@ const opHooked = isa.Opcode(isa.NumOpcodes + 1)
 // runner predecodes once per (program, machine-schedule) pair and shares the
 // artifact read-only across all sweep workers.
 type Code struct {
-	prog    *isa.Program
-	cfg     *machine.Config
-	schedFP string
-	dec     []decoded
+	prog *isa.Program
+	// cfg is the Code's own copy of the machine it was predecoded for, so
+	// that a later change to the caller's machine cannot reach it: a run's
+	// machine must have the same schedule (see matches).
+	cfg *machine.Config
+	dec []decoded
 	// scheds are the superblock trace schedules built from dec (see
 	// buildScheds), indexed by trace-root pc; nil when the machine
 	// qualifies no trace. Like dec they are immutable static facts, valid
-	// for any machine the schedule fingerprint accepts.
+	// for any machine with the same schedule.
 	scheds []*traceSched
 }
 
@@ -137,9 +139,10 @@ func (c *Code) Specialize(prof *statictime.Profile) *Code {
 }
 
 // Predecode translates a validated program against a machine description
-// into an immutable, shareable Code. Pass it via Options.Code to any run
-// whose machine has the same schedule fingerprint (cache geometry and the
-// machine name may differ — predecode depends only on the schedule).
+// into an immutable, shareable Code, which keeps its own copy of the
+// machine. Pass it via Options.Code to any run whose machine has the same
+// schedule (cache geometry and the machine name may differ — predecode
+// depends only on the schedule).
 func Predecode(p *isa.Program, cfg *machine.Config) (*Code, error) {
 	return PredecodeProfiled(p, cfg, nil)
 }
@@ -165,19 +168,14 @@ func PredecodeProfiled(p *isa.Program, cfg *machine.Config, prof *statictime.Pro
 // newCode translates a validated program against a validated machine
 // description, with its trace schedules built under prof (nil for none).
 func newCode(p *isa.Program, cfg *machine.Config, prof *statictime.Profile) *Code {
+	cfg = cfg.Clone()
 	dec := predecode(p, cfg)
-	return &Code{
-		prog:    p,
-		cfg:     cfg,
-		schedFP: cfg.ScheduleFingerprint(),
-		dec:     dec,
-		scheds:  buildScheds(p, cfg, dec, prof),
-	}
+	return &Code{prog: p, cfg: cfg, dec: dec, scheds: buildScheds(p, cfg, dec, prof)}
 }
 
 // matches reports whether the Code can stand in for predecoding p against
-// cfg: it must come from the same program, and from the same machine
-// schedule (pointer-identical config, or equal schedule fingerprint).
+// cfg: it must come from the same program, and cfg must have the schedule
+// of the machine the Code was predecoded for, field by field, as it is now.
 func (c *Code) matches(p *isa.Program, cfg *machine.Config) error {
 	if c.prog == nil {
 		return fmt.Errorf("sim: Options.Code is empty (use Predecode)")
@@ -185,7 +183,7 @@ func (c *Code) matches(p *isa.Program, cfg *machine.Config) error {
 	if c.prog != p {
 		return fmt.Errorf("sim: Options.Code was predecoded from a different program")
 	}
-	if c.cfg != cfg && c.schedFP != cfg.ScheduleFingerprint() {
+	if !c.cfg.SameSchedule(cfg) {
 		return fmt.Errorf("sim: Options.Code was predecoded for machine %q, whose schedule differs from %q", c.cfg.Name, cfg.Name)
 	}
 	return nil

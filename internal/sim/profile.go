@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-	"math"
+	"errors"
 
 	"ilp/internal/statictime"
 )
@@ -48,9 +48,10 @@ func (e *Engine) Profile(ctx context.Context, code *Code, memWords int, budget i
 	// counters, is the same with or without caches — so a cache machine's
 	// code drops its caches and keeps its trace replays.
 	e.icache, e.dcache = nil, nil
-	// runFast directly, not RunIntoCtx: the budget is a stop point, not an
-	// instruction limit, so hitting it yields state back without error.
-	if err := e.runFast(ctx, math.MaxInt64, budget); err != nil {
+	// runFast directly, not RunIntoCtx, with the budget as the run's
+	// instruction limit: reaching it ends the pre-run normally, and the
+	// block counters hold what it executed.
+	if err := e.runFast(ctx, budget); err != nil && !errors.Is(err, ErrInstructionLimit) {
 		return nil, err
 	}
 	count, taken := e.counts()

@@ -57,10 +57,12 @@ type Options struct {
 	// Code, if set, is a predecoded translation of the program (see
 	// Predecode) to adopt instead of predecoding at Reset. It must have
 	// been built from this exact program and from a machine with the same
-	// schedule fingerprint as Machine (cache geometry and the machine
-	// name may differ). A Code is immutable, so one artifact can back any
-	// number of concurrent runs — the experiments runner predecodes once
-	// per (program, schedule) pair and shares it across sweep workers.
+	// schedule as Machine (cache geometry and the machine name may
+	// differ), compared field by field at every run, so a Machine changed
+	// after predecoding is rejected. A Code is immutable, so one artifact
+	// can back any number of concurrent runs — the experiments runner
+	// predecodes once per (program, schedule) pair and shares it across
+	// sweep workers.
 	Code *Code
 	// OnIssue, if set, is called for every retired instruction, in program
 	// order, with its index in the program, its issue minor cycle and its

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"ilp/internal/cache"
@@ -547,5 +549,29 @@ func TestUnderpipelinedHalvesPerformance(t *testing.T) {
 	}
 	if !under.Output[0].Equal(base.Output[0]) {
 		t.Error("underpipelining changed semantics")
+	}
+}
+
+// TestCodeRejectsChangedMachine: a run compares its machine with the
+// Code's own copy of the one it was predecoded for, so a machine changed in
+// place after predecoding is rejected instead of run on the Code's stale
+// units and latencies.
+func TestCodeRejectsChangedMachine(t *testing.T) {
+	p := randomCFGProgram(rand.New(rand.NewSource(1)))
+	cfg := machine.SuperscalarWithConflicts(4)
+	code, err := Predecode(p, cfg)
+	if err != nil {
+		t.Fatalf("predecode: %v", err)
+	}
+	opts := Options{Machine: cfg, MemWords: fuzzMemWords, Code: code}
+	if _, err := Run(p, opts); err != nil {
+		t.Fatalf("run on the machine as predecoded: %v", err)
+	}
+	for i := range cfg.Units {
+		cfg.Units[i].Multiplicity = 1
+	}
+	cfg.Latency[isa.ClassLoad] = 9
+	if _, err := Run(p, opts); err == nil || !strings.Contains(err.Error(), "schedule differs") {
+		t.Fatalf("run with a Code predecoded before its machine changed: error %v, want a schedule mismatch", err)
 	}
 }

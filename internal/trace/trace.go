@@ -76,10 +76,6 @@ type Options struct {
 // DefaultMaxTrace bounds trace length.
 const DefaultMaxTrace = 2_000_000
 
-// errTraceFull is the cause with which Analyze stops the simulation once the
-// trace is full: nothing past MaxTrace is analyzed.
-var errTraceFull = errors.New("trace: trace full")
-
 // Analyze executes the program (on a base machine; timing of the host
 // simulation is irrelevant) and computes the two limits from its trace.
 func Analyze(p *isa.Program, opts Options) (*Limits, error) {
@@ -110,17 +106,12 @@ func AnalyzeOn(ctx context.Context, e *sim.Engine, p *isa.Program, opts Options)
 	// Output (print) order.
 	var outB, outO int64
 
-	// The hook stops the run once the trace is full. The engine notices at
-	// its next context poll, so the hook ignores the instructions it still
-	// reports until then.
-	ctx, stop := context.WithCancelCause(ctx)
-	defer stop(nil)
+	// The run's instruction limit is the trace's length. The engine stops
+	// at its first poll past the limit (or halts first), so the hook drops
+	// the instructions it still reports until then.
 	hook := func(idx int, in *isa.Instr, addr int64) {
 		if l.Instructions >= maxTrace {
-			if !l.Truncated {
-				l.Truncated = true
-				stop(errTraceFull)
-			}
+			l.Truncated = true
 			return
 		}
 		l.Instructions++
@@ -199,14 +190,17 @@ func AnalyzeOn(ctx context.Context, e *sim.Engine, p *isa.Program, opts Options)
 		}
 	}
 
-	sopts := sim.Options{Machine: machine.Base(), OnTrace: hook}
+	sopts := sim.Options{Machine: machine.Base(), MaxInstructions: maxTrace, OnTrace: hook}
 	var err error
 	if e == nil {
 		_, err = sim.RunCtx(ctx, p, sopts)
 	} else {
 		err = e.RunIntoCtx(ctx, p, sopts, new(sim.Result))
 	}
-	if err != nil && !errors.Is(err, errTraceFull) {
+	if errors.Is(err, sim.ErrInstructionLimit) {
+		l.Truncated, err = true, nil
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return l, nil

@@ -138,13 +138,25 @@ func TestPerfectRenaming(t *testing.T) {
 	}
 }
 
+// TestTruncation: a trace longer than MaxTrace is cut at MaxTrace
+// instructions and marked truncated, wherever it fills: inside a loop body,
+// exactly at a taken branch (where the run stops at its instruction limit
+// before reporting another instruction), or in the straight-line tail after
+// the last taken branch (where the run halts before its next poll).
+// loopProgram runs 502 instructions, with a taken branch at every
+// instruction 1+5k up to 496.
 func TestTruncation(t *testing.T) {
-	l, err := Analyze(loopProgram(), Options{MaxTrace: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Truncated || l.Instructions != 50 {
-		t.Errorf("truncation: %+v", l)
+	for _, tc := range []struct {
+		maxTrace  int64
+		truncated bool
+	}{{50, true}, {51, true}, {500, true}, {501, true}, {502, false}} {
+		l, err := Analyze(loopProgram(), Options{MaxTrace: tc.maxTrace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Truncated != tc.truncated || l.Instructions != tc.maxTrace {
+			t.Errorf("MaxTrace %d: %+v, want %d instructions, truncated %v", tc.maxTrace, l, tc.maxTrace, tc.truncated)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@
 // Diagnostics carry a stable code, a severity, and the name of the pass
 // that introduced the violation, so a failing compilation pinpoints the
 // guilty pass. compiler.Options.Verify runs these checks after every pass;
-// cmd/ilplint exposes them as a standalone linter.
+// tlc -verify prints every diagnostic, warnings included.
 package verify
 
 import (
