@@ -298,10 +298,10 @@ func nextCheck(done <-chan struct{}, instrs, maxInstrs int64) int64 {
 var ErrInstructionLimit = errors.New("sim: instruction limit exceeded")
 
 // limitError is the error of a run stopped at its instruction limit.
-type limitError struct{ max int64 }
+type limitError struct{ limit int64 }
 
 func (l limitError) Error() string {
-	return fmt.Sprintf("sim: instruction limit %d exceeded (infinite loop?)", l.max)
+	return fmt.Sprintf("sim: instruction limit %d exceeded (infinite loop?)", l.limit)
 }
 
 func (limitError) Unwrap() error { return ErrInstructionLimit }
