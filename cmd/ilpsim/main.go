@@ -68,24 +68,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *pipeline < 0:
 		return fail(fmt.Errorf("-pipeline %d is negative", *pipeline))
 	}
-	p, err := flags.Resolve(fs.Arg(0))
+	target := fs.Arg(0)
+	src, copts, err := flags.Resolve(target)
 	if err != nil {
 		return fail(err)
 	}
-	m := p.Options.Machine
+	m := copts.Machine
 	if *temps > 0 {
 		m.IntTemps, m.FPTemps = *temps, *temps
 	}
 
 	var prog *isa.Program
-	if strings.HasSuffix(p.Name, ".s") {
+	if strings.HasSuffix(target, ".s") {
 		// Raw assembly: assemble directly, no compiler involved.
-		prog, err = isa.Assemble(p.Source)
+		prog, err = isa.Assemble(src)
 		if err != nil {
 			return fail(err)
 		}
 	} else {
-		c, cerr := compiler.Compile(p.Source, p.Options)
+		c, cerr := compiler.Compile(src, copts)
 		if cerr != nil {
 			return fail(cerr)
 		}
@@ -132,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "machine:       %s (issue width %d, degree %d)\n", m.Name, m.IssueWidth, m.Degree)
-	fmt.Fprintf(stdout, "options:       level=%s unroll=%d careful=%v\n", p.Options.Level, p.Options.Unroll, p.Options.Careful)
+	fmt.Fprintf(stdout, "options:       level=%s unroll=%d careful=%v\n", copts.Level, copts.Unroll, copts.Careful)
 	fmt.Fprintf(stdout, "instructions:  %d (static %d)\n", res.Instructions, len(prog.Instrs))
 	fmt.Fprintf(stdout, "minor cycles:  %d\n", res.MinorCycles)
 	fmt.Fprintf(stdout, "base cycles:   %.1f\n", res.BaseCycles)

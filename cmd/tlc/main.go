@@ -82,20 +82,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if target == "all" {
 			targets = benchmarks.Names()
 		}
-		levels := []compiler.Level{compiler.O0, compiler.O1, compiler.O2, compiler.O3, compiler.O4}
 		failed := false
 		for _, t := range targets {
-			p, err := flags.Resolve(t)
+			src, opts, err := flags.Resolve(t)
 			if err != nil {
 				return fail(err)
 			}
 			if !*allLevels {
-				failed = lint(stdout, stderr, p.Name, p) || failed
+				failed = lint(stdout, stderr, t, src, opts) || failed
 				continue
 			}
-			for _, lvl := range levels {
-				p.Options.Level = lvl
-				failed = lint(stdout, stderr, fmt.Sprintf("%s[O%d]", p.Name, int(lvl)), p) || failed
+			for lvl := compiler.O0; lvl <= compiler.O4; lvl++ {
+				opts.Level = lvl
+				failed = lint(stdout, stderr, fmt.Sprintf("%s[O%d]", t, int(lvl)), src, opts) || failed
 			}
 		}
 		if failed {
@@ -104,12 +103,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	p, err := flags.Resolve(target)
+	src, opts, err := flags.Resolve(target)
 	if err != nil {
 		return fail(err)
 	}
 	if *interpret {
-		ast, err := parser.Parse(p.Source)
+		ast, err := parser.Parse(src)
 		if err != nil {
 			return fail(err)
 		}
@@ -127,12 +126,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	c, err := compiler.Compile(p.Source, p.Options)
+	c, err := compiler.Compile(src, opts)
 	if err != nil {
 		return fail(err)
 	}
 	if *analyze {
-		a, err := statictime.Analyze(c.Prog, p.Options.Machine)
+		a, err := statictime.Analyze(c.Prog, opts.Machine)
 		if err != nil {
 			return fail(err)
 		}
@@ -153,13 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// lint compiles p with in-pipeline verification on and prints every
+// lint compiles src with in-pipeline verification on and prints every
 // diagnostic, each prefixed with where. It reports whether an
 // error-severity diagnostic was found or the compile failed.
-func lint(stdout, stderr io.Writer, where string, p *cli.Program) bool {
-	opts := p.Options
+func lint(stdout, stderr io.Writer, where, src string, opts compiler.Options) bool {
 	opts.Verify = true
-	c, err := compiler.Compile(p.Source, opts)
+	c, err := compiler.Compile(src, opts)
 	if err != nil {
 		// A verification failure carries the full diagnostic list; print it
 		// with provenance. Anything else (parse, type errors) prints as-is

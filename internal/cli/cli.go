@@ -34,43 +34,32 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Program is a resolved target: its name (the benchmark's, or the file
-// path), its source text, and the options to compile it with. Options
-// carries a machine of its own, which the caller may modify.
-type Program struct {
-	Name    string
-	Source  string
-	Options compiler.Options
-}
-
 // Resolve validates the flags and reads target, a benchmark name or a file
-// path. A bad flag value or an unreadable target is a one-line error.
-func (f *Flags) Resolve(target string) (*Program, error) {
+// path, returning its source text and the options to compile it with. The
+// options carry a machine of their own, which the caller may modify. A bad
+// flag value or an unreadable target is a one-line error.
+func (f *Flags) Resolve(target string) (src string, opts compiler.Options, err error) {
 	switch {
 	case f.level < int(compiler.O0) || f.level > int(compiler.O4):
-		return nil, fmt.Errorf("-level %d is outside 0..4", f.level)
+		return "", opts, fmt.Errorf("-level %d is outside 0..4", f.level)
 	case f.unroll < 0:
-		return nil, fmt.Errorf("-unroll %d is negative", f.unroll)
+		return "", opts, fmt.Errorf("-unroll %d is negative", f.unroll)
 	}
 	m, err := machine.ByName(f.machine)
 	if err != nil {
-		return nil, err
+		return "", opts, err
 	}
-	p := &Program{Name: target, Options: compiler.Options{
-		Machine: m, Level: compiler.Level(f.level), Unroll: f.unroll, Careful: f.careful,
-	}}
+	opts = compiler.Options{Machine: m, Level: compiler.Level(f.level), Unroll: f.unroll, Careful: f.careful}
 	if b, err := benchmarks.ByName(target); err == nil {
-		p.Source = b.Source
-		if p.Options.Unroll == 0 {
-			p.Options.Unroll = b.DefaultUnroll
+		if opts.Unroll == 0 {
+			opts.Unroll = b.DefaultUnroll
 		}
-		return p, nil
+		return b.Source, opts, nil
 	}
 	data, err := os.ReadFile(target)
 	if err != nil {
-		return nil, fmt.Errorf("%q is neither a benchmark (%s) nor a readable file: %v",
+		return "", opts, fmt.Errorf("%q is neither a benchmark (%s) nor a readable file: %v",
 			target, strings.Join(benchmarks.Names(), " "), err)
 	}
-	p.Source = string(data)
-	return p, nil
+	return string(data), opts, nil
 }

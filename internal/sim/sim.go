@@ -51,8 +51,8 @@ type Options struct {
 	// MemWords is the memory size in 8-byte words. Defaults to
 	// DefaultMemWords.
 	MemWords int
-	// MaxInstructions aborts runaway programs. Defaults to
-	// DefaultMaxInstructions.
+	// MaxInstructions aborts runaway programs, with an error that wraps
+	// ErrInstructionLimit. Defaults to DefaultMaxInstructions.
 	MaxInstructions int64
 	// Code, if set, is a predecoded translation of the program (see
 	// Predecode) to adopt instead of predecoding at Reset. It must have
