@@ -2,9 +2,9 @@
 # commit. CI-equivalent for this repo; see README "Verification".
 GO ?= go
 
-.PHONY: check fmt vet build test race race-concurrency fuzz-smoke chaos lint cover bench bench-smoke bench-gate bench-quick ilpd-smoke fabric-smoke
+.PHONY: check fmt vet build test race race-concurrency fuzz-smoke allocs chaos lint cover bench bench-smoke bench-gate bench-quick ilpd-smoke fabric-smoke
 
-check: fmt vet lint build race race-concurrency fuzz-smoke chaos bench-smoke
+check: fmt vet lint build race race-concurrency fuzz-smoke allocs chaos bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,13 +31,14 @@ race:
 # a cancelled sweep's cells), walks following a path while it is recorded,
 # the path cache (a joiner following an open recording, a cancelled
 # recording led again, a failed recording's joiners executing on their
-# own, concurrent sweeps sharing path entries), and one lowered program scheduled from
-# several goroutines with the front cache shared across them, additionally
-# run at -cpu 4 so the goroutines are genuinely concurrent even on a
-# single-core host.
+# own, concurrent sweeps sharing path entries), Codes predecoded
+# from several goroutines that draw trace builders from one pool, and one
+# lowered program scheduled from several goroutines with the front cache
+# shared across them, additionally run at -cpu 4 so the goroutines are
+# genuinely concurrent even on a single-core host.
 race-concurrency:
 	$(GO) test -race -count=1 ./internal/experiments/ ./internal/sim/
-	$(GO) test -race -count=1 -cpu 4 -run 'TestBatchParallel|TestCondTrace|TestWalkFollowsOpenPath|TestWalkOpenPath' ./internal/sim/
+	$(GO) test -race -count=1 -cpu 4 -run 'TestBatchParallel|TestCondTrace|TestWalkFollowsOpenPath|TestWalkOpenPath|TestBuildSchedsConcurrent' ./internal/sim/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestBatched|TestWarm|TestLeadersFirst|TestLiveCellsBoundedByWorkers|TestJoinerReleadsCancelledCell|TestPath' ./internal/experiments/
 	$(GO) test -race -count=1 -cpu 4 -run 'TestLower|TestFront' ./internal/compiler/ ./internal/experiments/
 
@@ -51,6 +52,14 @@ fuzz-smoke:
 	$(GO) test -short -run 'TestRandomPrograms' ./internal/compiler/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzRandomCFG' -fuzztime 10s ./internal/sim/
+
+# Allocation pins: the scheduler, the predecoder, trace specialization and
+# the machine fingerprints allocate a fixed number of objects per call,
+# however many regions, traces or cells they serve. The pins skip under the
+# race detector (its sync.Pool drops some Puts on purpose), so they run here
+# without it.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./internal/compiler/sched/ ./internal/sim/ ./internal/machine/
 
 # Chaos suite: the deterministic fault-injection harness under the race
 # detector, at full schedule counts — 300 randomized runner schedules

@@ -104,3 +104,24 @@ func TestAnalyzeTable(t *testing.T) {
 		}
 	}
 }
+
+// TestDumpAsmDeterministic: from O3 up, loop-invariant code motion adds a
+// preheader block per loop, so the loops must come in a fixed order for
+// the blocks, and with them the assembly's labels, to be numbered the same
+// way on every compile.
+func TestDumpAsmDeterministic(t *testing.T) {
+	for _, level := range []string{"3", "4"} {
+		var first string
+		for i := 0; i < 5; i++ {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-level", level, "-dump", "asm", "yacc"}, &stdout, &stderr); code != 0 {
+				t.Fatalf("O%s: exit %d: %s", level, code, stderr.String())
+			}
+			if i == 0 {
+				first = stdout.String()
+			} else if stdout.String() != first {
+				t.Fatalf("O%s: compile %d printed different assembly from the first", level, i+1)
+			}
+		}
+	}
+}

@@ -21,76 +21,83 @@ package sched
 
 import (
 	"math"
-	"sort"
-	"strconv"
 
 	"ilp/internal/ir"
 	"ilp/internal/isa"
 )
 
-// linear is a symbolic address: a sum of opaque terms plus a constant.
+// maxTerms bounds the linear form before collapsing to an opaque value.
+const maxTerms = 6
+
+// linear is a symbolic address: a sum of opaque terms plus a constant. It
+// is a plain value: its n terms are held inline in ascending order and the
+// unused slots are zero, which no term is, so two linears are equal exactly
+// when their terms and constants are.
 type linear struct {
-	terms []int32 // sorted opaque term ids; nil means pure constant
+	terms [maxTerms]int32
+	n     int32
 	c     int64
 }
 
-// appendKey appends l's canonical key to buf and returns it; keys are map
-// lookups on the hot path, so they are built append-style into a reused
-// buffer instead of allocating a string per call.
-func (l linear) appendKey(buf []byte) []byte {
-	for _, t := range l.terms {
-		buf = strconv.AppendInt(buf, int64(t), 10)
-		buf = append(buf, ',')
-	}
-	buf = append(buf, ':')
-	return strconv.AppendInt(buf, l.c, 10)
+// term returns the linear form of the single opaque term t.
+func term(t int32) linear {
+	return linear{terms: [maxTerms]int32{t}, n: 1}
 }
 
 // sameBase reports whether two linear forms share exactly the same term
 // multiset (so their difference is a compile-time constant).
 func sameBase(a, b linear) bool {
-	if len(a.terms) != len(b.terms) {
-		return false
-	}
-	for i := range a.terms {
-		if a.terms[i] != b.terms[i] {
-			return false
-		}
-	}
-	return true
+	return a.n == b.n && a.terms == b.terms
 }
 
-// maxTerms bounds the linear form before collapsing to an opaque value.
-const maxTerms = 6
+// sum returns a + b for forms holding at most maxTerms terms between them:
+// the two sorted term lists merge into one.
+func sum(a, b linear) linear {
+	out := linear{n: a.n + b.n, c: a.c + b.c}
+	i, j := int32(0), int32(0)
+	for k := int32(0); k < out.n; k++ {
+		if j == b.n || (i < a.n && a.terms[i] <= b.terms[j]) {
+			out.terms[k] = a.terms[i]
+			i++
+		} else {
+			out.terms[k] = b.terms[j]
+			j++
+		}
+	}
+	return out
+}
+
+// exprKey names an opaque expression: its opcode and the operands the
+// expression depends on, each zero where the opcode does not read it.
+// Equal keys get the same term.
+type exprKey struct {
+	op   isa.Opcode
+	imm  int64
+	fimm uint64 // the float immediate's bit pattern
+	x, y linear
+}
+
+// regSet is a set of registers: bit r%64 of word r/64 stands for r.
+type regSet [isa.NumRegs / 64]uint64
+
+func (s *regSet) add(r isa.Reg)      { s[r/64] |= 1 << (r % 64) }
+func (s *regSet) has(r isa.Reg) bool { return s[r/64]&(1<<(r%64)) != 0 }
 
 // addrAnalysis tracks symbolic register values through a region so memory
-// addresses can be compared.
+// addresses can be compared. Its tables are reused from region to region
+// (see reset).
 type addrAnalysis struct {
-	vals     map[isa.Reg]linear
-	memo     map[string]int32  // expression key -> opaque term
-	terms1   map[int32][]int32 // single-term slice cache (terms are immutable)
-	kbuf     []byte            // scratch for building expression keys
+	vals     [isa.NumRegs]linear
+	known    regSet // the registers vals holds a value for
+	memo     map[exprKey]int32
 	nextTerm int32
 }
 
-func newAddrAnalysis() *addrAnalysis {
-	return &addrAnalysis{
-		vals:   map[isa.Reg]linear{},
-		memo:   map[string]int32{},
-		terms1: map[int32][]int32{},
-	}
-}
-
-// termLinear returns the canonical single-term linear for t. Term slices are
-// never mutated downstream (mergeTerms copies), so one shared slice per term
-// is safe and saves an allocation per opaque value.
-func (a *addrAnalysis) termLinear(t int32) linear {
-	s, ok := a.terms1[t]
-	if !ok {
-		s = []int32{t}
-		a.terms1[t] = s
-	}
-	return linear{terms: s}
+// reset forgets every value and term, ready for a new region.
+func (a *addrAnalysis) reset() {
+	a.known = regSet{}
+	clear(a.memo)
+	a.nextTerm = 0
 }
 
 // valueOf returns the symbolic value of a register (registers not yet
@@ -99,32 +106,30 @@ func (a *addrAnalysis) valueOf(r isa.Reg) linear {
 	if r == isa.RZero {
 		return linear{}
 	}
-	if v, ok := a.vals[r]; ok {
-		return v
+	if !a.known.has(r) {
+		a.set(r, term(-int32(r)-1))
 	}
-	v := a.termLinear(-int32(r) - 1)
-	a.vals[r] = v
-	return v
+	return a.vals[r]
 }
 
-// opaque returns a canonical fresh term for the expression key (a scratch
-// byte slice; the string copy happens only when a new term is interned).
-func (a *addrAnalysis) opaque(key []byte) linear {
-	t, ok := a.memo[string(key)]
+func (a *addrAnalysis) set(r isa.Reg, v linear) {
+	a.vals[r] = v
+	a.known.add(r)
+}
+
+// opaque returns the canonical term of the expression k, interning a fresh
+// one the first time k is seen in the region.
+func (a *addrAnalysis) opaque(k exprKey) linear {
+	t, ok := a.memo[k]
 	if !ok {
+		if a.memo == nil {
+			a.memo = make(map[exprKey]int32)
+		}
 		a.nextTerm++
 		t = a.nextTerm
-		a.memo[string(key)] = t
+		a.memo[k] = t
 	}
-	return a.termLinear(t)
-}
-
-func mergeTerms(x, y []int32) []int32 {
-	out := make([]int32, 0, len(x)+len(y))
-	out = append(out, x...)
-	out = append(out, y...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return term(t)
 }
 
 // step updates the analysis for one instruction and returns the symbolic
@@ -132,8 +137,8 @@ func mergeTerms(x, y []int32) []int32 {
 func (a *addrAnalysis) step(in *isa.Instr) (addr linear, isMem bool) {
 	info := in.Op.Info()
 	if info.Load || (info.Store && in.Op != isa.OpPrinti && in.Op != isa.OpPrintf) {
-		base := a.valueOf(in.Src1)
-		addr = linear{terms: base.terms, c: base.c + in.Imm}
+		addr = a.valueOf(in.Src1)
+		addr.c += in.Imm
 		isMem = true
 	}
 
@@ -148,71 +153,45 @@ func (a *addrAnalysis) step(in *isa.Instr) (addr linear, isMem bool) {
 	case isa.OpMov:
 		v = a.valueOf(in.Src1)
 	case isa.OpAddi:
-		s := a.valueOf(in.Src1)
-		v = linear{terms: s.terms, c: s.c + in.Imm}
+		v = a.valueOf(in.Src1)
+		v.c += in.Imm
 	case isa.OpAdd:
 		s1, s2 := a.valueOf(in.Src1), a.valueOf(in.Src2)
-		if len(s1.terms)+len(s2.terms) <= maxTerms {
-			v = linear{terms: mergeTerms(s1.terms, s2.terms), c: s1.c + s2.c}
+		if s1.n+s2.n <= maxTerms {
+			v = sum(s1, s2)
 		} else {
-			buf := append(a.kbuf[:0], "add:"...)
-			buf = s1.appendKey(buf)
-			buf = append(buf, '+')
-			buf = s2.appendKey(buf)
-			a.kbuf = buf
-			v = a.opaque(buf)
+			v = a.opaque(exprKey{op: in.Op, x: s1, y: s2})
 		}
 	case isa.OpSub:
 		s1, s2 := a.valueOf(in.Src1), a.valueOf(in.Src2)
-		if len(s2.terms) == 0 {
-			v = linear{terms: s1.terms, c: s1.c - s2.c}
+		if s2.n == 0 {
+			v = s1
+			v.c -= s2.c
 		} else {
-			buf := append(a.kbuf[:0], "sub:"...)
-			buf = s1.appendKey(buf)
-			buf = append(buf, '-')
-			buf = s2.appendKey(buf)
-			a.kbuf = buf
-			v = a.opaque(buf)
+			v = a.opaque(exprKey{op: in.Op, x: s1, y: s2})
 		}
-	case isa.OpSlli, isa.OpMul, isa.OpSll:
+	case isa.OpSlli:
 		// Memoized opaque: identical shift/multiply expressions get the
 		// same term, so scaled indices still compare equal.
-		s1 := a.valueOf(in.Src1)
-		buf := append(a.kbuf[:0], in.Op.String()...)
-		buf = append(buf, ':')
-		buf = s1.appendKey(buf)
-		buf = append(buf, ':')
-		if in.Op == isa.OpSlli {
-			buf = append(buf, '#')
-			buf = strconv.AppendInt(buf, in.Imm, 10)
-		} else {
-			buf = a.valueOf(in.Src2).appendKey(buf)
-		}
-		a.kbuf = buf
-		v = a.opaque(buf)
+		v = a.opaque(exprKey{op: in.Op, imm: in.Imm, x: a.valueOf(in.Src1)})
+	case isa.OpMul, isa.OpSll:
+		v = a.opaque(exprKey{op: in.Op, x: a.valueOf(in.Src1), y: a.valueOf(in.Src2)})
 	default:
 		// Any other producer: a fresh opaque value per destination
 		// definition site is unnecessary — memoizing on operands keeps
 		// equal expressions equal, which is strictly more precise and
 		// still sound within a straight-line region. The float immediate
-		// keys on its bit pattern (injective, unlike decimal formatting).
-		buf := append(a.kbuf[:0], in.Op.String()...)
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, in.Imm, 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, math.Float64bits(in.FImm), 16)
+		// keys on its bit pattern, so NaN payloads stay distinct.
+		k := exprKey{op: in.Op, imm: in.Imm, fimm: math.Float64bits(in.FImm)}
 		if info.NSrc >= 1 {
-			buf = append(buf, ':')
-			buf = a.valueOf(in.Src1).appendKey(buf)
+			k.x = a.valueOf(in.Src1)
 		}
 		if info.NSrc >= 2 {
-			buf = append(buf, ':')
-			buf = a.valueOf(in.Src2).appendKey(buf)
+			k.y = a.valueOf(in.Src2)
 		}
-		a.kbuf = buf
-		v = a.opaque(buf)
+		v = a.opaque(k)
 	}
-	a.vals[in.Dst] = v
+	a.set(in.Dst, v)
 	return addr, isMem
 }
 
@@ -226,7 +205,7 @@ type memAccess struct {
 
 // depends reports whether access j (later) must stay ordered after access i
 // (earlier).
-func depends(i, j memAccess, careful bool) bool {
+func depends(i, j *memAccess, careful bool) bool {
 	a, b := i.ref, j.ref
 	// Output stays in program order; it never conflicts with data memory.
 	if a.Kind == ir.MemOut || b.Kind == ir.MemOut {

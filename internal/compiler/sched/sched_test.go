@@ -139,7 +139,7 @@ func TestMemdepCarefulDisambiguates(t *testing.T) {
 	// A[+1] differs by a constant offset from the same base: free to move.
 	// (The list scheduler moves it if profitable; at minimum the
 	// dependence must not exist — check via the analysis directly.)
-	aa := newAddrAnalysis()
+	var aa addrAnalysis
 	var accs []memAccess
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
@@ -158,10 +158,10 @@ func TestMemdepCarefulDisambiguates(t *testing.T) {
 			sameAcc = accs[i]
 		}
 	}
-	if depends(stAcc, offAcc, true) {
+	if depends(&stAcc, &offAcc, true) {
 		t.Error("careful: store A[+100] vs load A[+101] should be independent")
 	}
-	if !depends(stAcc, sameAcc, true) {
+	if !depends(&stAcc, &sameAcc, true) {
 		t.Error("careful: store A[+100] vs load A[+100] must stay dependent")
 	}
 }
@@ -171,13 +171,13 @@ func TestMemdepSpillSlots(t *testing.T) {
 	l0 := memAccess{ref: ir.MemRef{Kind: ir.MemSpill, Slot: 0}}
 	l1 := memAccess{ref: ir.MemRef{Kind: ir.MemSpill, Slot: 1}}
 	scalar := memAccess{ref: ir.MemRef{Kind: ir.MemScalar, Sym: &ast.Symbol{Name: "x"}}, isStore: true}
-	if !depends(s0, l0, false) {
+	if !depends(&s0, &l0, false) {
 		t.Error("same spill slot store->load must be ordered")
 	}
-	if depends(s0, l1, false) {
+	if depends(&s0, &l1, false) {
 		t.Error("distinct spill slots must be independent")
 	}
-	if depends(scalar, l1, false) || depends(s0, scalar, false) {
+	if depends(&scalar, &l1, false) || depends(&s0, &scalar, false) {
 		t.Error("spill slots never alias program memory")
 	}
 }
@@ -186,16 +186,16 @@ func TestMemdepOutputOrder(t *testing.T) {
 	p1 := memAccess{ref: ir.MemRef{Kind: ir.MemOut}, isStore: true}
 	p2 := memAccess{ref: ir.MemRef{Kind: ir.MemOut}, isStore: true}
 	load := memAccess{ref: ir.MemRef{Kind: ir.MemArray, Sym: &ast.Symbol{Name: "A"}}}
-	if !depends(p1, p2, true) {
+	if !depends(&p1, &p2, true) {
 		t.Error("prints must stay ordered")
 	}
-	if depends(p1, load, true) || depends(load, p1, false) {
+	if depends(&p1, &load, true) || depends(&load, &p1, false) {
 		t.Error("prints are independent of data memory")
 	}
 }
 
 func TestAddrAnalysisLinearForms(t *testing.T) {
-	aa := newAddrAnalysis()
+	var aa addrAnalysis
 	// r11 = r10 + 1; loads a[r10] and a[r11] share a base.
 	step := func(in isa.Instr) (linear, bool) { return aa.step(&in) }
 	step(isa.Instr{Op: isa.OpAddi, Dst: isa.R(11), Src1: isa.R(10), Src2: isa.NoReg, Imm: 1})
@@ -226,6 +226,35 @@ func TestAddrAnalysisLinearForms(t *testing.T) {
 	}
 }
 
+// TestAddrAnalysisSumAtMaxTerms: a sum of exactly maxTerms terms stays a
+// linear form, whichever order its parts were added in, and one more term
+// collapses it to a single opaque term.
+func TestAddrAnalysisSumAtMaxTerms(t *testing.T) {
+	var aa addrAnalysis
+	step := func(in isa.Instr) (linear, bool) { return aa.step(&in) }
+	add := func(d, s1, s2 int) {
+		step(isa.Instr{Op: isa.OpAdd, Dst: isa.R(d), Src1: isa.R(s1), Src2: isa.R(s2)})
+	}
+	add(11, 1, 2)
+	add(12, 11, 3) // three terms
+	add(13, 4, 5)
+	add(14, 13, 6) // three more
+	add(15, 12, 14)
+	add(16, 14, 12)
+	add(17, 15, 1) // seven terms
+	load := func(base int, off int64) linear {
+		a, _ := step(isa.Instr{Op: isa.OpLw, Dst: isa.R(20), Src1: isa.R(base), Src2: isa.NoReg, Imm: off})
+		return a
+	}
+	a, b, c := load(15, 0), load(16, 1), load(17, 0)
+	if a.n != maxTerms || !sameBase(a, b) {
+		t.Errorf("six-term sums added in either order: %v and %v, want one base of %d terms", a, b, maxTerms)
+	}
+	if c.n != 1 {
+		t.Errorf("seven-term sum %v, want one opaque term", c)
+	}
+}
+
 func TestScheduleSemanticsPreservedAcrossMachines(t *testing.T) {
 	// The scheduler permutes within regions; the region boundaries at
 	// branches/leaders guarantee targets stay valid. Validate on a
@@ -250,7 +279,8 @@ func TestScheduleSemanticsPreservedAcrossMachines(t *testing.T) {
 
 // TestSchedulePreservesDependencesProperty generates random straight-line
 // regions and checks that list scheduling preserves every register and
-// memory dependence, on several machine descriptions.
+// memory dependence, on several machine descriptions, and that each
+// region's dependence graph matches the reference analysis.
 func TestSchedulePreservesDependencesProperty(t *testing.T) {
 	arrX := &ast.Symbol{Name: "X", Kind: ast.SymArray, Type: ast.Int, Dims: []int{64}}
 	arrY := &ast.Symbol{Name: "Y", Kind: ast.SymArray, Type: ast.Int, Dims: []int{64}}
@@ -262,6 +292,7 @@ func TestSchedulePreservesDependencesProperty(t *testing.T) {
 		return int(seedState>>33) % m
 	}
 
+	var g Graph
 	for trial := 0; trial < 50; trial++ {
 		n := 5 + rnd(20)
 		instrs := make([]isa.Instr, 0, n+1)
@@ -299,6 +330,13 @@ func TestSchedulePreservesDependencesProperty(t *testing.T) {
 		mem = append(mem, ir.MemRef{})
 
 		for _, careful := range []bool{false, true} {
+			// The region before the halt builds the same graph as the
+			// reference analysis, under every machine's latencies.
+			for _, m := range machines {
+				if err := diffReference(&g, instrs[:n], mem[:n], careful, &m.Latency); err != nil {
+					t.Fatalf("trial %d (careful=%v) on %s: %v", trial, careful, m.Name, err)
+				}
+			}
 			m := machines[trial%len(machines)]
 			// Record original order via value identity: tag with Imm in
 			// a shadow copy index.
@@ -395,7 +433,7 @@ func checkSequence(t *testing.T, trial int, sched []isa.Instr, schedMem []ir.Mem
 		schedIndex[i] = pos[k][occ[k]]
 		occ[k]++
 	}
-	aaO := newAddrAnalysis()
+	var aaO addrAnalysis
 	accO := make([]memAccess, len(orig))
 	for i := range orig {
 		addr, isMem := aaO.step(&orig[i])
@@ -406,7 +444,7 @@ func checkSequence(t *testing.T, trial int, sched []isa.Instr, schedMem []ir.Mem
 			if accO[i].ref.Kind == ir.MemNone || accO[j].ref.Kind == ir.MemNone {
 				continue
 			}
-			if depends(accO[i], accO[j], careful) {
+			if depends(&accO[i], &accO[j], careful) {
 				// Occurrence matching can swap identical instructions,
 				// which is harmless; only enforce order for distinct ones.
 				if orig[i].String() == orig[j].String() {

@@ -251,11 +251,14 @@ type Loop struct {
 }
 
 // NaturalLoops finds all natural loops (merging loops that share a header)
-// and computes nesting depths.
+// and computes nesting depths. The loops come in the order their first back
+// edge is found walking f.Blocks, so passes that number new blocks per loop
+// number them the same way on every run.
 func (f *Func) NaturalLoops() []*Loop {
 	idom := f.Dominators()
 	preds := f.Preds()
 	byHeader := map[*Block]*Loop{}
+	var loops []*Loop // in the order their first back edge is found
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
 			if Dominates(idom, s, b) {
@@ -264,6 +267,7 @@ func (f *Func) NaturalLoops() []*Loop {
 				if l == nil {
 					l = &Loop{Header: s, Blocks: map[*Block]bool{s: true}}
 					byHeader[s] = l
+					loops = append(loops, l)
 				}
 				// Walk predecessors from the tail to collect the body.
 				var stack []*Block
@@ -283,10 +287,6 @@ func (f *Func) NaturalLoops() []*Loop {
 				}
 			}
 		}
-	}
-	var loops []*Loop
-	for _, l := range byHeader {
-		loops = append(loops, l)
 	}
 	// Depth: number of loops containing each header.
 	for _, l := range loops {

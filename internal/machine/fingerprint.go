@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"slices"
 
 	"ilp/internal/cache"
@@ -17,12 +16,12 @@ import (
 // program (including the result's reported machine name, which is why Name
 // is hashed too). It is the simulation-cache key in package experiments.
 func (c *Config) Fingerprint() string {
-	h := sha256.New()
-	c.hashSchedule(h)
-	hashString(h, c.Name)
-	hashCache(h, c.ICache)
-	hashCache(h, c.DCache)
-	return "m:" + hex.EncodeToString(h.Sum(nil)[:16])
+	var buf [fingerprintBuf]byte
+	b := c.appendSchedule(buf[:0])
+	b = appendString(b, c.Name)
+	b = appendCache(b, c.ICache)
+	b = appendCache(b, c.DCache)
+	return fingerprint('m', b)
 }
 
 // ScheduleFingerprint returns a canonical hash of only the parts of the
@@ -32,42 +31,56 @@ func (c *Config) Fingerprint() string {
 // variants that differ only in caches (or only in name) share a schedule
 // fingerprint and therefore, in package experiments, a single compilation.
 func (c *Config) ScheduleFingerprint() string {
-	h := sha256.New()
-	c.hashSchedule(h)
-	return "s:" + hex.EncodeToString(h.Sum(nil)[:16])
+	var buf [fingerprintBuf]byte
+	return fingerprint('s', c.appendSchedule(buf[:0]))
 }
 
-// hashSchedule writes every schedule-relevant field to h in a fixed order,
-// length-prefixing the variable-size parts so field boundaries cannot alias.
-func (c *Config) hashSchedule(h hash.Hash) {
-	hashInt(h, int64(c.IssueWidth))
-	hashInt(h, int64(c.Degree))
+// fingerprintBuf is the stack buffer the fingerprints encode into, room for
+// every preset's description; a larger one spills to the heap.
+const fingerprintBuf = 1024
+
+// fingerprint returns kind, a colon and the hex of the first 16 bytes of
+// b's SHA-256: the fingerprint's only allocation is its string.
+func fingerprint(kind byte, b []byte) string {
+	sum := sha256.Sum256(b)
+	var out [2 + 2*16]byte
+	out[0], out[1] = kind, ':'
+	hex.Encode(out[2:], sum[:16])
+	return string(out[:])
+}
+
+// appendSchedule appends every schedule-relevant field to b in a fixed
+// order, length-prefixing the variable-size parts so field boundaries
+// cannot alias.
+func (c *Config) appendSchedule(b []byte) []byte {
+	b = appendInt(b, int64(c.IssueWidth))
+	b = appendInt(b, int64(c.Degree))
 	for _, lat := range c.Latency {
-		hashInt(h, int64(lat))
+		b = appendInt(b, int64(lat))
 	}
-	hashInt(h, int64(len(c.Units)))
+	b = appendInt(b, int64(len(c.Units)))
 	for _, u := range c.Units {
-		hashString(h, u.Name)
-		hashInt(h, int64(len(u.Classes)))
+		b = appendString(b, u.Name)
+		b = appendInt(b, int64(len(u.Classes)))
 		for _, cl := range u.Classes {
-			hashInt(h, int64(cl))
+			b = appendInt(b, int64(cl))
 		}
-		hashInt(h, int64(u.Multiplicity))
-		hashInt(h, int64(u.IssueLatency))
+		b = appendInt(b, int64(u.Multiplicity))
+		b = appendInt(b, int64(u.IssueLatency))
 	}
-	hashInt(h, int64(c.BranchRedirect))
+	b = appendInt(b, int64(c.BranchRedirect))
 	if c.TakenBranchEndsGroup {
-		hashInt(h, 1)
+		b = appendInt(b, 1)
 	} else {
-		hashInt(h, 0)
+		b = appendInt(b, 0)
 	}
-	hashInt(h, int64(c.IntTemps))
-	hashInt(h, int64(c.IntHomes))
-	hashInt(h, int64(c.FPTemps))
-	hashInt(h, int64(c.FPHomes))
+	b = appendInt(b, int64(c.IntTemps))
+	b = appendInt(b, int64(c.IntHomes))
+	b = appendInt(b, int64(c.FPTemps))
+	return appendInt(b, int64(c.FPHomes))
 }
 
-// SameSchedule reports whether c and d agree on every field hashSchedule
+// SameSchedule reports whether c and d agree on every field appendSchedule
 // writes, that is, whether their schedule fingerprints are equal. Unlike
 // comparing fingerprints it allocates nothing, so a simulation can check
 // every run's machine against the one its predecoded program was built for.
@@ -89,25 +102,21 @@ func (c *Config) SameSchedule(d *Config) bool {
 	return true
 }
 
-func hashInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+func appendInt(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-func hashString(h hash.Hash, s string) {
-	hashInt(h, int64(len(s)))
-	h.Write([]byte(s))
+func appendString(b []byte, s string) []byte {
+	return append(appendInt(b, int64(len(s))), s...)
 }
 
-func hashCache(h hash.Hash, cc *cache.Config) {
+func appendCache(b []byte, cc *cache.Config) []byte {
 	if cc == nil {
-		hashInt(h, 0)
-		return
+		return appendInt(b, 0)
 	}
-	hashInt(h, 1)
-	hashString(h, cc.Name)
-	hashInt(h, int64(cc.Lines))
-	hashInt(h, int64(cc.LineWords))
-	hashInt(h, int64(cc.MissPenalty))
+	b = appendInt(b, 1)
+	b = appendString(b, cc.Name)
+	b = appendInt(b, int64(cc.Lines))
+	b = appendInt(b, int64(cc.LineWords))
+	return appendInt(b, int64(cc.MissPenalty))
 }

@@ -127,3 +127,36 @@ func TestSameScheduleMatchesFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintValues pins fingerprints computed before they were
+// encoded into a stack buffer: stores key their records by them, so the
+// bytes hashed must never change.
+func TestFingerprintValues(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{Base().Fingerprint(), "m:08c63afdd1763b41dfafdfa5195a5dec"},
+		{MultiTitan().Fingerprint(), "m:3fb20bf66a48dc7f4010bd7409314e84"},
+		{MultiTitan().ScheduleFingerprint(), "s:d4450cbf6a234b65eecb136bb890abf9"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("fingerprint %s, want %s", tc.got, tc.want)
+		}
+	}
+}
+
+// TestFingerprintAllocs: the runner fingerprints every cell of every
+// sweep, warm hits included, so each fingerprint allocates only its string.
+func TestFingerprintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what allocates")
+	}
+	c := MultiTitan()
+	c.ICache = &cache.Config{Name: "icache", Lines: 256, LineWords: 4, MissPenalty: 12}
+	for name, f := range map[string]func() string{
+		"Fingerprint":         c.Fingerprint,
+		"ScheduleFingerprint": c.ScheduleFingerprint,
+	} {
+		if n := testing.AllocsPerRun(10, func() { _ = f() }); n > 1 {
+			t.Errorf("%s: %.0f allocations per call, want at most 1", name, n)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"ilp/internal/isa"
 	"ilp/internal/machine"
@@ -163,47 +164,56 @@ func buildScheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *stati
 	if !cfg.TakenBranchEndsGroup {
 		return nil
 	}
-	b := &traceBuilder{
-		dec:      dec,
-		prof:     prof,
-		width:    int64(cfg.IssueWidth),
-		redirect: int64(cfg.BranchRedirect),
-		seen:     make([]int32, len(dec)-1),
-	}
-	var out []*traceSched
-	// The engine attempts a replay only at taken-transfer targets, all of
-	// them leaders.
-	for pc, leader := range p.Leaders() {
-		if !leader {
-			continue
-		}
-		if t := b.build(pc); t != nil {
-			if out == nil {
-				out = make([]*traceSched, len(dec))
-			}
-			out[pc] = t
-		}
-	}
+	b := builders.Get().(*traceBuilder)
+	out := b.scheds(p, cfg, dec, prof)
+	builders.Put(b)
 	return out
 }
 
-// traceBuilder is buildScheds' state. Each trace is built into the scratch
-// slices, which every leader reuses, and copied out only if kept.
+// scheds is buildScheds on the builder b, fresh or used before.
+func (b *traceBuilder) scheds(p *isa.Program, cfg *machine.Config, dec []decoded, prof *statictime.Profile) []*traceSched {
+	b.begin(cfg, dec, prof)
+	// The engine attempts a replay only at taken-transfer targets, all of
+	// them leaders.
+	for pc, leader := range p.Leaders() {
+		if leader {
+			b.build(pc)
+		}
+	}
+	out := b.copyOut()
+	b.dec, b.prof = nil, nil // a builder waiting in the pool keeps no program
+	return out
+}
+
+// builders keeps trace builders between buildScheds calls, so that every
+// Code reuses their scratch instead of growing its own.
+var builders = sync.Pool{New: func() any { return new(traceBuilder) }}
+
+// traceBuilder is buildScheds' state. The kept traces accumulate in its
+// scratch slices, which every leader and every Code reuse, and copyOut
+// copies them into storage of the Code's own.
 type traceBuilder struct {
 	dec             []decoded
 	prof            *statictime.Profile
 	width, redirect int64
 	// seen[pc] == stamp marks pc as on the trace being built. Each leader
-	// has its own stamp, so the buffer is never cleared.
+	// has its own stamp, so the buffer is cleared once per Code, not per
+	// leader.
 	seen []int32
 
-	uops []uop
-	// exits' writes and jumps point into writes and jumps until the trace
-	// is copied out. Both only grow while a trace is built, so a slice
-	// taken earlier keeps its contents even where append has moved on.
+	// The micro-ops, exits, in-trace jumps, exit writes and check
+	// registers of the kept traces, then those of the trace being built.
+	// An exit's writes and jumps are spans of writes and jumps until
+	// copyOut makes them slices: jumps only grow while a trace is built, so
+	// each exit's jumps are a prefix of its trace's.
+	uops   []uop
 	exits  []traceExit
+	spans  []exitSpan // parallel to exits
 	writes []regWrite
-	jumps  []traceJump // the in-trace jumps so far: each exit's are a prefix
+	jumps  []traceJump
+	checks []isa.Reg
+	kept   []keptTrace
+	end    keptTrace // where the last kept trace ends in each slice
 
 	// The registers the trace being built reads or writes; those it
 	// writes, ascending; and their scoreboard times. Latencies are at least
@@ -214,29 +224,50 @@ type traceBuilder struct {
 	traceState
 }
 
+// exitSpan locates one exit's writes, writes[w0:w1], and its jumps, the
+// first nj of its trace's.
+type exitSpan struct {
+	w0, w1, nj int32
+}
+
+// keptTrace records where one kept trace starts in the builder's slices;
+// it ends where the next one starts.
+type keptTrace struct {
+	pc                                 int32
+	uops, exits, writes, jumps, checks int32
+	guardPass                          uint64
+}
+
+// marks returns the current length of each of b's slices.
+func (b *traceBuilder) marks() keptTrace {
+	return keptTrace{
+		uops: int32(len(b.uops)), exits: int32(len(b.exits)), writes: int32(len(b.writes)),
+		jumps: int32(len(b.jumps)), checks: int32(len(b.checks)),
+	}
+}
+
+// begin readies b, fresh or pooled, to build the traces of dec on cfg
+// under prof. The seen stamps are leader pc + 1, so a stale stamp left by
+// another program would cut a trace short: they are cleared here.
+func (b *traceBuilder) begin(cfg *machine.Config, dec []decoded, prof *statictime.Profile) {
+	b.dec, b.prof = dec, prof
+	b.width, b.redirect = int64(cfg.IssueWidth), int64(cfg.BranchRedirect)
+	n := len(dec) - 1 // drop the sentinel
+	if cap(b.seen) < n {
+		b.seen = make([]int32, n)
+	} else {
+		b.seen = b.seen[:n]
+		clear(b.seen)
+	}
+	b.uops, b.exits, b.spans = b.uops[:0], b.exits[:0], b.spans[:0]
+	b.writes, b.jumps, b.checks, b.kept = b.writes[:0], b.jumps[:0], b.checks[:0], b.kept[:0]
+	b.end = keptTrace{}
+}
+
 // regSet is a set of registers: bit r%64 of word r/64 stands for r.
 type regSet [isa.NumRegs / 64]uint64
 
 func (s *regSet) add(r isa.Reg) { s[r/64] |= 1 << (r % 64) }
-
-// slice returns the registers in s in ascending order, or nil if s is
-// empty.
-func (s *regSet) slice() []isa.Reg {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	if n == 0 {
-		return nil
-	}
-	rs := make([]isa.Reg, 0, n)
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			rs = append(rs, isa.Reg(i*64+bits.TrailingZeros64(w)))
-		}
-	}
-	return rs
-}
 
 // traceState is the symbolic issue state of the trace being built, as
 // offsets from its entry slot.
@@ -255,12 +286,12 @@ type traceState struct {
 // seam raises the barrier to its issue + latency + redirect, as the
 // taken-transfer epilogue would. So one walk yields every exit's exact
 // timing and the micro-ops that move the trace's values (DESIGN.md §6.4
-// states the argument). It returns the trace, or nil when the trace covers
-// fewer than replayMinLen instructions. The walk stops at the first
+// states the argument). It keeps the trace unless it covers fewer than
+// replayMinLen instructions. The walk stops at the first
 // instruction whose unit binds, that transfers control unpredictably (jal,
 // jr) or halts, that is already on the trace, or that would exceed
 // maxTraceLen.
-func (b *traceBuilder) build(start int) *traceSched {
+func (b *traceBuilder) build(start int) {
 	b.reset(start)
 	dec := b.dec
 	n := len(dec) - 1 // drop the sentinel
@@ -308,20 +339,23 @@ func (b *traceBuilder) build(start int) *traceSched {
 		}
 	}
 	if b.n < replayMinLen {
-		return nil
+		return
 	}
 	x := b.addExit(-1, pos, false, b.barrierOff)
 	b.uops = append(b.uops, uop{op: uopEnd, aux: x})
-	return b.keep()
+	b.keep()
 }
 
-// reset clears the scratch state for a trace rooted at start.
+// reset clears the scratch state for a trace rooted at start, dropping
+// whatever a trace too short to keep left past the kept ones.
 func (b *traceBuilder) reset(start int) {
 	for _, r := range b.written {
 		b.avail[r] = 0
 	}
 	b.touched, b.written = regSet{}, b.written[:0]
-	b.uops, b.exits, b.writes, b.jumps = b.uops[:0], b.exits[:0], b.writes[:0], b.jumps[:0]
+	e := b.end
+	b.uops, b.exits, b.spans = b.uops[:e.uops], b.exits[:e.exits], b.spans[:e.exits]
+	b.writes, b.jumps = b.writes[:e.writes], b.jumps[:e.jumps]
 	b.traceState = traceState{start: start}
 }
 
@@ -388,7 +422,7 @@ func (b *traceBuilder) seam(pc int, d *decoded, issue int64) {
 // to target, taken or not, leaving the barrier at offset bOff. It returns
 // the exit's index, which for a guard's exit is the guard's index.
 func (b *traceBuilder) addExit(at, target int, taken bool, bOff int64) int32 {
-	g := len(b.exits)
+	g := len(b.exits) - int(b.end.exits)
 	ex := traceExit{
 		at: int32(at), target: int32(target), taken: taken, n: b.n,
 		cycleAdv: b.cycle, inCycle: b.inCycle, groups: b.groups,
@@ -406,9 +440,6 @@ func (b *traceBuilder) addExit(at, target int, taken bool, bOff int64) int32 {
 		}
 		ex.pathLen++
 	}
-	if len(b.jumps) > 0 {
-		ex.jumps = b.jumps
-	}
 	// A back-edge to the trace's start is stable, so that re-entry needs no
 	// register check, when it re-enters behind a fresh barrier with every
 	// write ready by it. Every in-trace barrier comes from a taken
@@ -416,45 +447,83 @@ func (b *traceBuilder) addExit(at, target int, taken bool, bOff int64) int32 {
 	// always after a taken side exit, whose branch's own barrier lies past
 	// its issue, and after a fallthrough only behind a stitched seam.
 	ex.stable = target == b.start && bOff > b.cycle
-	if len(b.written) > 0 {
-		w0 := len(b.writes)
-		for _, r := range b.written {
-			b.writes = append(b.writes, regWrite{reg: r, off: b.avail[r]})
-			if b.avail[r] > bOff {
-				ex.stable = false
-			}
+	sp := exitSpan{w0: int32(len(b.writes)), nj: int32(len(b.jumps)) - b.end.jumps}
+	for _, r := range b.written {
+		b.writes = append(b.writes, regWrite{reg: r, off: b.avail[r]})
+		if b.avail[r] > bOff {
+			ex.stable = false
 		}
-		ex.writes = b.writes[w0:]
 	}
+	sp.w1 = int32(len(b.writes))
 	b.exits = append(b.exits, ex)
+	b.spans = append(b.spans, sp)
 	return int32(g)
 }
 
-// keep copies the trace built in the scratch slices out into memory of its
-// own.
-func (b *traceBuilder) keep() *traceSched {
-	t := &traceSched{
-		uops:      slices.Clone(b.uops),
-		exits:     slices.Clone(b.exits),
-		guardPass: b.guardPass,
-	}
-	jumps := slices.Clone(b.jumps)
-	writes := make([]regWrite, 0, len(b.writes))
-	for i := range t.exits {
-		ex := &t.exits[i]
-		if ex.jumps != nil {
-			ex.jumps = jumps[:len(ex.jumps):len(ex.jumps)]
-		}
-		if ex.writes != nil {
-			w0 := len(writes)
-			writes = append(writes, ex.writes...)
-			ex.writes = writes[w0:len(writes):len(writes)]
-		}
-	}
+// keep keeps the trace just built: its parts stay where they are in b's
+// slices, followed by its check registers, every register it touches
+// except r0, which is never scoreboarded.
+func (b *traceBuilder) keep() {
+	t := b.end
+	t.pc, t.guardPass = int32(b.start), b.guardPass
+	b.kept = append(b.kept, t)
 	touched := b.touched
-	touched[0] &^= 1 // r0 is never scoreboarded
-	t.checkRegs = touched.slice()
-	return t
+	touched[0] &^= 1
+	for i, w := range touched {
+		for ; w != 0; w &= w - 1 {
+			b.checks = append(b.checks, isa.Reg(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	b.end = b.marks()
+}
+
+// copyOut copies the kept traces into storage of their own, one array per
+// kind of part, exactly as long as its contents, and returns them indexed
+// by pc over len(b.dec), or nil if no trace was kept.
+func (b *traceBuilder) copyOut() []*traceSched {
+	if len(b.kept) == 0 {
+		return nil
+	}
+	// A trace too short to keep may have left parts past the kept ones.
+	e := b.end
+	uops, exits := exact(b.uops[:e.uops]), exact(b.exits[:e.exits])
+	writes, jumps, checks := exact(b.writes[:e.writes]), exact(b.jumps[:e.jumps]), exact(b.checks[:e.checks])
+	ts := make([]traceSched, len(b.kept))
+	out := make([]*traceSched, len(b.dec))
+	for k, kt := range b.kept {
+		end := b.end
+		if k+1 < len(b.kept) {
+			end = b.kept[k+1]
+		}
+		t := &ts[k]
+		t.uops = uops[kt.uops:end.uops:end.uops]
+		t.exits = exits[kt.exits:end.exits:end.exits]
+		for i := range t.exits {
+			ex, sp := &t.exits[i], b.spans[int(kt.exits)+i]
+			if sp.nj > 0 {
+				j1 := kt.jumps + sp.nj
+				ex.jumps = jumps[kt.jumps:j1:j1]
+			}
+			if sp.w1 > sp.w0 {
+				ex.writes = writes[sp.w0:sp.w1:sp.w1]
+			}
+		}
+		if end.checks > kt.checks {
+			t.checkRegs = checks[kt.checks:end.checks:end.checks]
+		}
+		t.guardPass = kt.guardPass
+		out[kt.pc] = t
+	}
+	return out
+}
+
+// exact returns a copy of s in an array of exactly its length. Unlike
+// slices.Clone, it never returns s's own array, which an empty s would, so
+// no Code keeps a pooled builder's scratch alive.
+func exact[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // segmentUop returns the micro-op of the straight-line instruction d at pc.

@@ -7,11 +7,17 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
+	"ilp/internal/benchmarks"
+	"ilp/internal/compiler"
 	"ilp/internal/isa"
 	"ilp/internal/machine"
+	"ilp/internal/statictime"
 )
 
 func TestBuildSchedsTightLoop(t *testing.T) {
@@ -251,4 +257,92 @@ func TestTraceEntryScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTraceBuilderReuse: a builder reused across programs, machines and
+// profiles, as the pool reuses it, builds exactly the traces a fresh one
+// does. Its seen stamps are leader pc + 1, so one left over from another
+// program would cut a trace short. And each trace a builder keeps among the
+// others is the trace a fresh builder builds from its leader alone, so no
+// part of a trace too short to keep leaks into the next.
+func TestTraceBuilderReuse(t *testing.T) {
+	used := new(traceBuilder)
+	for _, cfg := range []*machine.Config{machine.CRAY1(), machine.IdealSuperscalar(4)} {
+		for _, b := range benchmarks.All() {
+			c, err := compiler.Compile(b.Source, compiler.Options{Machine: cfg, Level: compiler.O4, Unroll: b.DefaultUnroll})
+			if err != nil {
+				t.Fatalf("%s: compile: %v", b.Name, err)
+			}
+			code, err := Predecode(c.Prog, cfg)
+			if err != nil {
+				t.Fatalf("%s: predecode: %v", b.Name, err)
+			}
+			own, err := ProfileRun(context.Background(), code, 0, 0)
+			if err != nil {
+				t.Fatalf("%s: profile: %v", b.Name, err)
+			}
+			for _, prof := range []*statictime.Profile{nil, own} {
+				where := fmt.Sprintf("%s on %s (profiled %v)", b.Name, cfg.Name, prof != nil)
+				want := new(traceBuilder).scheds(c.Prog, cfg, code.dec, prof)
+				for pc, w := range want {
+					if w == nil {
+						continue
+					}
+					alone := new(traceBuilder)
+					alone.begin(cfg, code.dec, prof)
+					alone.build(pc)
+					if got := alone.copyOut(); !reflect.DeepEqual(got[pc], w) {
+						t.Errorf("%s: the trace at pc %d differs from the one built alone", where, pc)
+					}
+				}
+				got := used.scheds(c.Prog, cfg, code.dec, prof)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: a reused builder's traces differ from a fresh one's (%d traces fresh)", where, len(want))
+				}
+				if used.dec != nil || used.prof != nil {
+					t.Errorf("%s: the builder still holds the program", where)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildSchedsConcurrent: Codes predecoded from several goroutines at
+// once, each drawing trace builders from the shared pool, carry exactly
+// the traces of Codes predecoded one at a time.
+func TestBuildSchedsConcurrent(t *testing.T) {
+	cfg := machine.CRAY1()
+	var progs []*isa.Program
+	var want [][]*traceSched
+	for _, b := range benchmarks.All() {
+		c, err := compiler.Compile(b.Source, compiler.Options{Machine: cfg, Level: compiler.O4, Unroll: b.DefaultUnroll})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", b.Name, err)
+		}
+		code, err := Predecode(c.Prog, cfg)
+		if err != nil {
+			t.Fatalf("%s: predecode: %v", b.Name, err)
+		}
+		progs, want = append(progs, c.Prog), append(want, code.scheds)
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range progs {
+				i := (k + g) % len(progs) // each goroutine in its own order
+				code, err := Predecode(progs[i], cfg)
+				if err != nil {
+					t.Errorf("goroutine %d, program %d: %v", g, i, err)
+					return
+				}
+				if !reflect.DeepEqual(code.scheds, want[i]) {
+					t.Errorf("goroutine %d, program %d: traces differ from a serial predecode", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

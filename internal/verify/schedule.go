@@ -13,7 +13,7 @@ import (
 // their parallel memory annotations), it re-derives the scheduler's
 // straight-line regions, recomputes every RAW/WAR/WAW and memory-ordering
 // dependence edge on the pre-schedule order using the scheduler's own
-// dependence analysis (sched.Dependences), and verifies that the
+// dependence analysis (sched.Graph), and verifies that the
 // post-schedule code is a per-region permutation that preserves every edge.
 // careful must match the disambiguation mode the scheduler ran with: a
 // schedule that is legal under careful unrolling's memory analysis can
@@ -61,14 +61,16 @@ func CheckSchedule(pre, post []isa.Instr, preMem, postMem []ir.MemRef, blockStar
 		return diags
 	}
 
+	var g sched.Graph // one dependence graph, rebuilt for each region
 	for _, r := range regions {
-		diags = append(diags, checkRegion(pre, post, preMem, postMem, r[0], r[1], careful, pass)...)
+		diags = append(diags, checkRegion(&g, pre, post, preMem, postMem, r[0], r[1], careful, pass)...)
 	}
 	return diags
 }
 
-// checkRegion validates one straight-line region [start, end).
-func checkRegion(pre, post []isa.Instr, preMem, postMem []ir.MemRef, start, end int, careful bool, pass string) []Diagnostic {
+// checkRegion validates one straight-line region [start, end), building its
+// dependence edges in g.
+func checkRegion(g *sched.Graph, pre, post []isa.Instr, preMem, postMem []ir.MemRef, start, end int, careful bool, pass string) []Diagnostic {
 	var diags []Diagnostic
 	add := func(code Code, idx int, instr, msg string) {
 		diags = append(diags, Diagnostic{
@@ -101,7 +103,7 @@ func checkRegion(pre, post []isa.Instr, preMem, postMem []ir.MemRef, start, end 
 		posOf[found] = p
 	}
 
-	for _, e := range sched.Dependences(pre[start:end], preMem[start:end], careful) {
+	for _, e := range g.Dependences(pre[start:end], preMem[start:end], careful) {
 		i, j := e[0], e[1]
 		if posOf[i] > posOf[j] {
 			add(CodeSchedDep, start+posOf[j], post[start+posOf[j]].String(),

@@ -22,7 +22,7 @@
 //
 //   - Schedule legality (schedule.go): the basic-block dependence graph is
 //     recomputed on the pre-schedule order with the scheduler's own
-//     dependence analysis (sched.Dependences) and the post-schedule
+//     dependence analysis (sched.Graph) and the post-schedule
 //     permutation is checked to preserve every RAW/WAR/WAW and memory edge.
 //
 //   - Static timing (timing.go): the cross-check oracle over the static
