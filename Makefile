@@ -55,11 +55,12 @@ fuzz-smoke:
 
 # Allocation pins: the scheduler, the predecoder, trace specialization and
 # the machine fingerprints allocate a fixed number of objects per call,
-# however many regions, traces or cells they serve. The pins skip under the
-# race detector (its sync.Pool drops some Puts on purpose), so they run here
-# without it.
+# however many regions, traces or cells they serve; the CFG analyses a
+# fixed number whatever the number of blocks; and Lower stays under its
+# per-benchmark counts. The pins that touch a sync.Pool skip under the race
+# detector (it drops some Puts on purpose), so they run here without it.
 allocs:
-	$(GO) test -count=1 -run 'Allocs' ./internal/compiler/sched/ ./internal/sim/ ./internal/machine/
+	$(GO) test -count=1 -run 'Allocs' ./internal/compiler/sched/ ./internal/sim/ ./internal/machine/ ./internal/compiler/ ./internal/ir/
 
 # Chaos suite: the deterministic fault-injection harness under the race
 # detector, at full schedule counts — 300 randomized runner schedules

@@ -47,13 +47,15 @@ func runRows(t *testing.T, mode []string, rows []row) {
 
 // TestRun: a benchmark compiles at its default unroll factor (linpack's
 // 4) unless -unroll is given, and an unknown dump kind or a failed
-// compile is a one-line error and exit 1.
+// compile, such as one unrolled past compiler.MaxUnroll, is a one-line
+// error and exit 1.
 func TestRun(t *testing.T) {
 	runRows(t, nil, []row{
 		{[]string{"-dump", "none", "linpack"}, 0, "8 loops unrolled"},
 		{[]string{"-dump", "none", "-unroll", "1", "linpack"}, 0, "0 loops unrolled"},
 		{[]string{"-dump", "bogus", "whet"}, 1, `unknown dump kind "bogus"`},
 		{[]string{"nosuch.tl"}, 1, "neither a benchmark"},
+		{[]string{"-dump", "none", "-unroll", "65", "linpack"}, 1, "unroll factor 65 is above the limit of 64"},
 	})
 }
 

@@ -268,16 +268,14 @@ func (g *emitter) emitFunc(f *ir.Func) error {
 
 	// Body, in reverse postorder with fall-through-friendly layout.
 	order := f.ReversePostorder()
-	nextOf := map[*ir.Block]*ir.Block{}
-	for i, b := range order {
-		if i+1 < len(order) {
-			nextOf[b] = order[i+1]
+	for k, b := range order {
+		var next *ir.Block // laid out right after b
+		if k+1 < len(order) {
+			next = order[k+1]
 		}
-	}
-	for _, b := range order {
 		g.label(f.Name + ".b" + strconv.Itoa(b.ID))
 		for i := range b.Instrs {
-			if err := g.emitInstr(f, &b.Instrs[i], nextOf[b]); err != nil {
+			if err := g.emitInstr(f, &b.Instrs[i], next); err != nil {
 				return err
 			}
 		}

@@ -81,7 +81,7 @@ type Options struct {
 	// configuration for §4.1–4.3); the zero value is O0.
 	Level Level
 	// Unroll duplicates eligible innermost loop bodies by this factor
-	// (0 or 1 disables; negative is an error).
+	// (0 or 1 disables; negative or above MaxUnroll is an error).
 	Unroll int
 	// Careful enables the careful-unrolling pipeline: reassociation of
 	// reduction chains and memory disambiguation in the scheduler
@@ -152,8 +152,14 @@ type Lowered struct {
 	c Compiled
 }
 
+// MaxUnroll is the largest unroll factor Lower accepts. A compile's time
+// and memory grow with the square of the factor (liveness alone keeps a
+// bit per block and virtual register), and the experiments unroll at most
+// 10 times.
+const MaxUnroll = 64
+
 // Lower runs every pass before the scheduler. It rejects a Level outside
-// O0..O4 and a negative Unroll. Of opts.Machine it reads only the register
+// O0..O4 and an Unroll that is negative or above MaxUnroll. Of opts.Machine it reads only the register
 // split (regalloc.PromoteHomes and regalloc.Allocate); opts.NoSchedule is
 // ignored, since it applies at Schedule.
 func Lower(src string, opts Options) (*Lowered, error) {
@@ -162,6 +168,9 @@ func Lower(src string, opts Options) (*Lowered, error) {
 	}
 	if opts.Unroll < 0 {
 		return nil, fmt.Errorf("compiler: unroll factor %d is negative", opts.Unroll)
+	}
+	if opts.Unroll > MaxUnroll {
+		return nil, fmt.Errorf("compiler: unroll factor %d is above the limit of %d", opts.Unroll, MaxUnroll)
 	}
 	cfg := opts.Machine
 	if cfg == nil {
@@ -307,20 +316,22 @@ func verifyIR(irProg *ir.Program, pass string, opts Options) error {
 
 func applyOptimizations(irProg *ir.Program, cfg *machine.Config, opts Options) error {
 	check := func(pass string) error { return verifyIR(irProg, pass, opts) }
+	// One Scratch serves every pass call of the compile.
+	var s opt.Scratch
 	local := func() error {
 		for _, f := range irProg.Funcs {
 			for round := 0; round < 3; round++ {
-				changed := opt.ConstFold(f)
+				changed := s.ConstFold(f)
 				if err := check("opt/constfold"); err != nil {
 					return err
 				}
-				if opt.LocalCSE(f) {
+				if s.LocalCSE(f) {
 					changed = true
 				}
 				if err := check("opt/cse"); err != nil {
 					return err
 				}
-				if opt.DeadCode(f) {
+				if s.DeadCode(f) {
 					changed = true
 				}
 				if err := check("opt/dce"); err != nil {
@@ -340,7 +351,7 @@ func applyOptimizations(irProg *ir.Program, cfg *machine.Config, opts Options) e
 	}
 	if opts.Level >= O3 {
 		for _, f := range irProg.Funcs {
-			opt.LoopInvariant(f)
+			s.LoopInvariant(f)
 		}
 		if err := check("opt/licm"); err != nil {
 			return err
@@ -359,7 +370,7 @@ func applyOptimizations(irProg *ir.Program, cfg *machine.Config, opts Options) e
 			}
 		}
 		for _, f := range irProg.Funcs {
-			opt.Reassociate(f)
+			s.Reassociate(f)
 		}
 		if err := check("opt/reassoc"); err != nil {
 			return err

@@ -172,8 +172,8 @@ func TestLowerConcurrentSchedule(t *testing.T) {
 	}
 }
 
-// TestRejectsBadLevelAndUnroll: a level outside O0..O4 or a negative
-// unroll factor is an error from Lower and from Compile, which goes through
+// TestRejectsBadLevelAndUnroll: a level outside O0..O4 or an unroll factor
+// that is negative or above MaxUnroll is an error from Lower and from Compile, which goes through
 // it, instead of compiling silently as the nearest level or without
 // unrolling.
 func TestRejectsBadLevelAndUnroll(t *testing.T) {
@@ -186,6 +186,7 @@ func TestRejectsBadLevelAndUnroll(t *testing.T) {
 		{Options{Level: Level(-1)}, "level -1 is outside O0..O4"},
 		{Options{Level: O4, Unroll: -1}, "unroll factor -1 is negative"},
 		{Options{Level: O0, Unroll: -4}, "unroll factor -4 is negative"},
+		{Options{Level: O4, Unroll: MaxUnroll + 1}, "unroll factor 65 is above the limit of 64"},
 	} {
 		if _, err := Lower(injectSrc, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Lower(%+v): err = %v, want %q", tc.opts, err, tc.want)
@@ -194,7 +195,7 @@ func TestRejectsBadLevelAndUnroll(t *testing.T) {
 			t.Errorf("Compile(%+v): err = %v, want %q", tc.opts, err, tc.want)
 		}
 	}
-	for _, opts := range []Options{{Level: O0}, {Level: O4, Unroll: 1}} {
+	for _, opts := range []Options{{Level: O0}, {Level: O4, Unroll: 1}, {Level: O4, Unroll: MaxUnroll}} {
 		if _, err := Compile(injectSrc, opts); err != nil {
 			t.Errorf("Compile(%+v): %v", opts, err)
 		}

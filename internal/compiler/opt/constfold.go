@@ -28,10 +28,17 @@ type constVal struct {
 // simplify. Floating-point identities are left alone (they are not exact),
 // but folding of constant float operands is (it performs the same float64
 // arithmetic the machine would).
-func ConstFold(f *ir.Func) bool {
+func ConstFold(f *ir.Func) bool { return new(Scratch).ConstFold(f) }
+
+// ConstFold is the package function ConstFold on s's storage.
+func (s *Scratch) ConstFold(f *ir.Func) bool {
 	changed := false
+	if s.consts == nil {
+		s.consts = map[ir.Reg]constVal{}
+	}
+	consts := s.consts
 	for _, b := range f.Blocks {
-		consts := map[ir.Reg]constVal{}
+		clearMap(consts)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Kind != ir.KOp {

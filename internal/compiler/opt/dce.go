@@ -8,10 +8,13 @@ import (
 // DeadCode removes pure instructions whose results are never used, using
 // global liveness. Iterates to a fixed point (removing an instruction can
 // make its operands' producers dead).
-func DeadCode(f *ir.Func) bool {
+func DeadCode(f *ir.Func) bool { return new(Scratch).DeadCode(f) }
+
+// DeadCode is the package function DeadCode on s's storage.
+func (s *Scratch) DeadCode(f *ir.Func) bool {
 	any := false
 	for {
-		if !dcePass(f) {
+		if !s.dcePass(f) {
 			return any
 		}
 		any = true
@@ -40,14 +43,19 @@ func removable(in *ir.Instr) bool {
 	return false
 }
 
-func dcePass(f *ir.Func) bool {
-	lv := f.ComputeLiveness()
+func (s *Scratch) dcePass(f *ir.Func) bool {
+	lv := &s.lv
+	lv.Compute(f)
 	changed := false
-	var buf [4]ir.Reg
+	var buf [8]ir.Reg
+	// One live set and one deletion mask serve every block.
+	live := ir.RegSet(zeroed(s.live, (f.NumRegs()+63)/64))
+	s.live = live
 	for _, b := range f.Blocks {
-		live := lv.Out(b).Clone()
+		copy(live, lv.Out(b))
 		// Backward scan; mark deletions.
-		del := make([]bool, len(b.Instrs))
+		del := zeroed(s.del, len(b.Instrs))
+		s.del = del
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			d := in.Def()

@@ -17,7 +17,10 @@ import (
 // provably not written in the loop) whose operands are defined outside the
 // loop. Operations that can trap (divide, remainder, float-to-int) are not
 // speculated, since a preheader executes even when the loop body might not.
-func LoopInvariant(f *ir.Func) bool {
+func LoopInvariant(f *ir.Func) bool { return new(Scratch).LoopInvariant(f) }
+
+// LoopInvariant is the package function LoopInvariant on s's storage.
+func (s *Scratch) LoopInvariant(f *ir.Func) bool {
 	loops := f.NaturalLoops()
 	if len(loops) == 0 {
 		return false
@@ -25,9 +28,11 @@ func LoopInvariant(f *ir.Func) bool {
 	// Innermost first so inner invariants can later migrate further out.
 	sort.Slice(loops, func(i, j int) bool { return loops[i].Depth > loops[j].Depth })
 
+	h := &s.h
+	h.init(f)
 	changed := false
 	for _, l := range loops {
-		if hoistLoop(f, l) {
+		if h.hoistLoop(l) {
 			changed = true
 		}
 	}
@@ -37,34 +42,69 @@ func LoopInvariant(f *ir.Func) bool {
 	return changed
 }
 
-func hoistLoop(f *ir.Func, l *ir.Loop) bool {
-	// Def counts across the whole function (non-SSA safety: only hoist
-	// single-definition registers).
-	defCount := map[ir.Reg]int{}
+// hoister is a LoopInvariant call's state, reset for each loop.
+type hoister struct {
+	f    *ir.Func
+	byID []*ir.Block // the function's blocks when the loops were found
+	// defCount counts definitions per register across the whole function
+	// (non-SSA safety: only hoist single-definition registers). Hoisting
+	// moves definitions without adding or removing any, so one count
+	// serves every loop.
+	defCount []int32
+	// What the current loop writes, and what it has hoisted so far.
+	definedInLoop, hoisted    ir.RegSet
+	storedScalar, storedArray map[*ast.Symbol]bool
+	blocks                    []*ir.Block
+	toHoist                   []ir.Instr
+}
+
+// init readies h for f's loops.
+func (h *hoister) init(f *ir.Func) {
+	h.f = f
+	h.byID = zeroed(h.byID, f.NumBlockIDs())
+	h.defCount = zeroed(h.defCount, f.NumRegs())
+	words := (f.NumRegs() + 63) / 64
+	h.definedInLoop = zeroed(h.definedInLoop, words)
+	h.hoisted = zeroed(h.hoisted, words)
+	if h.storedScalar == nil {
+		h.storedScalar = map[*ast.Symbol]bool{}
+		h.storedArray = map[*ast.Symbol]bool{}
+	}
 	for _, b := range f.Blocks {
+		h.byID[b.ID] = b
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
-				defCount[d]++
+				h.defCount[d]++
 			}
 		}
 	}
+}
+
+func (h *hoister) hoistLoop(l *ir.Loop) bool {
+	f := h.f
+	clear(h.definedInLoop)
+	clear(h.hoisted)
+	clearMap(h.storedScalar)
+	clearMap(h.storedArray)
+
+	// The loop's blocks in ID order, so the hoisting order (and thus
+	// cycle counts) is the same on every run.
+	h.blocks = h.blocks[:0]
+	l.Blocks.ForEach(func(id int) { h.blocks = append(h.blocks, h.byID[id]) })
 
 	// What the loop writes.
-	definedInLoop := map[ir.Reg]bool{}
-	storedScalar := map[*ast.Symbol]bool{}
-	storedArray := map[*ast.Symbol]bool{}
 	hasCall := false
-	for b := range l.Blocks {
+	for _, b := range h.blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != ir.NoReg {
-				definedInLoop[d] = true
+				h.definedInLoop.Add(d)
 			}
 			switch in.Kind {
 			case ir.KStoreVar:
-				storedScalar[in.Sym] = true
+				h.storedScalar[in.Sym] = true
 			case ir.KStoreElem:
-				storedArray[in.Sym] = true
+				h.storedArray[in.Sym] = true
 			case ir.KCall:
 				hasCall = true
 			}
@@ -74,34 +114,25 @@ func hoistLoop(f *ir.Func, l *ir.Loop) bool {
 	if hasCall {
 		// Calls may rewrite any pinned home register (promoted globals).
 		for r := range f.Pinned {
-			definedInLoop[r] = true
+			h.definedInLoop.Add(r)
 		}
 	}
-	hoisted := map[ir.Reg]bool{}
 	invariantReg := func(r ir.Reg) bool {
-		return r == ir.NoReg || !definedInLoop[r] || hoisted[r]
+		return r == ir.NoReg || !h.definedInLoop.Has(r) || h.hoisted.Has(r)
 	}
-	var toHoist []ir.Instr
-	var buf [4]ir.Reg
-
-	// Deterministic block order (map iteration would make the hoisting
-	// order — and thus cycle counts — vary run to run).
-	blocks := make([]*ir.Block, 0, len(l.Blocks))
-	for b := range l.Blocks {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].ID < blocks[j].ID })
+	h.toHoist = h.toHoist[:0]
+	var buf [8]ir.Reg
 
 	// Iterate: hoisting one instruction can make another invariant.
 	for again := true; again; {
 		again = false
-		for _, b := range blocks {
+		for _, b := range h.blocks {
 			kept := b.Instrs[:0]
 			for i := range b.Instrs {
 				in := b.Instrs[i]
-				if canHoist(&in, invariantReg, defCount, storedScalar, storedArray, hasCall, &buf) {
-					toHoist = append(toHoist, in)
-					hoisted[in.Def()] = true
+				if canHoist(&in, invariantReg, h.defCount, h.storedScalar, h.storedArray, hasCall, &buf) {
+					h.toHoist = append(h.toHoist, in)
+					h.hoisted.Add(in.Def())
 					again = true
 					continue
 				}
@@ -110,19 +141,20 @@ func hoistLoop(f *ir.Func, l *ir.Loop) bool {
 			b.Instrs = kept
 		}
 	}
-	if len(toHoist) == 0 {
+	if len(h.toHoist) == 0 {
 		return false
 	}
 
 	// Build the preheader and retarget entering edges.
 	ph := f.NewBlock()
-	ph.Instrs = append(ph.Instrs, toHoist...)
+	ph.Instrs = make([]ir.Instr, 0, len(h.toHoist)+1)
+	ph.Instrs = append(ph.Instrs, h.toHoist...)
 	ph.Instrs = append(ph.Instrs, ir.Instr{
 		Kind: ir.KJmp, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg,
 		Targets: [2]*ir.Block{l.Header},
 	})
 	for _, b := range f.Blocks {
-		if b == ph || l.Blocks[b] {
+		if b == ph || l.Blocks.Has(b) {
 			continue
 		}
 		t := b.Terminator()
@@ -138,8 +170,8 @@ func hoistLoop(f *ir.Func, l *ir.Loop) bool {
 	return true
 }
 
-func canHoist(in *ir.Instr, invariantReg func(ir.Reg) bool, defCount map[ir.Reg]int,
-	storedScalar, storedArray map[*ast.Symbol]bool, hasCall bool, buf *[4]ir.Reg) bool {
+func canHoist(in *ir.Instr, invariantReg func(ir.Reg) bool, defCount []int32,
+	storedScalar, storedArray map[*ast.Symbol]bool, hasCall bool, buf *[8]ir.Reg) bool {
 
 	d := in.Def()
 	if d == ir.NoReg || defCount[d] != 1 {

@@ -18,10 +18,16 @@ import (
 // arrays but never locals or parameters. (The pipeline scheduler is a
 // different story — it deliberately mimics the paper's conservative
 // scheduler unless careful unrolling is on.)
-func LocalCSE(f *ir.Func) bool {
+func LocalCSE(f *ir.Func) bool { return new(Scratch).LocalCSE(f) }
+
+// LocalCSE is the package function LocalCSE on s's storage.
+func (s *Scratch) LocalCSE(f *ir.Func) bool {
+	st := &s.vn
+	st.init(f)
 	changed := false
 	for _, b := range f.Blocks {
-		if cseBlock(f, b) {
+		st.reset()
+		if cseBlock(f, b, st) {
 			changed = true
 		}
 	}
@@ -47,52 +53,91 @@ const (
 	vnLoadElem
 )
 
+// vnState is one block's value numbering. A LocalCSE call resets it for
+// each block, so its tables grow to the largest block and are then
+// reused. Value numbers start at 1; 0 means none.
 type vnState struct {
 	next    int
-	regVN   map[ir.Reg]int
-	canon   map[int]ir.Reg // vn -> register currently holding it
+	regVN   []int    // by register: its value number in this block, or 0
+	touched []ir.Reg // registers whose regVN is set
+	canon   []ir.Reg // by value number: register currently holding it, or NoReg
 	exprVN  map[vnKey]int
 	scalarE map[*ast.Symbol]int // store epoch per scalar
 	arrayE  map[*ast.Symbol]int // store epoch per array
 	lastSt  map[*ast.Symbol]int // vn of last value stored to scalar (for forwarding)
 	epoch   int
+	// pendingStore tracks the index of the last store to each scalar
+	// with no intervening readers, for dead-store elimination; dead lists
+	// the stores found dead and del marks them for removal.
+	pendingStore map[*ast.Symbol]int
+	dead         []int
+	del          []bool
+}
+
+// init readies the state for f's registers. Entries left from the last
+// block of an earlier call are cleared by the next reset.
+func (s *vnState) init(f *ir.Func) {
+	if s.exprVN == nil {
+		s.canon = []ir.Reg{ir.NoReg}
+		s.exprVN = map[vnKey]int{}
+		s.scalarE = map[*ast.Symbol]int{}
+		s.arrayE = map[*ast.Symbol]int{}
+		s.lastSt = map[*ast.Symbol]int{}
+		s.pendingStore = map[*ast.Symbol]int{}
+	}
+	if n := f.NumRegs(); len(s.regVN) < n {
+		s.regVN = append(s.regVN, make([]int, n-len(s.regVN))...)
+	}
+}
+
+// reset empties the state for the next block.
+func (s *vnState) reset() {
+	for _, r := range s.touched {
+		s.regVN[r] = 0
+	}
+	s.touched = s.touched[:0]
+	s.canon = s.canon[:1]
+	s.next, s.epoch = 0, 0
+	s.dead = s.dead[:0]
+	clearMap(s.exprVN)
+	clearMap(s.scalarE)
+	clearMap(s.arrayE)
+	clearMap(s.lastSt)
+	clearMap(s.pendingStore)
 }
 
 func (s *vnState) vnOf(r ir.Reg) int {
-	if vn, ok := s.regVN[r]; ok {
+	if vn := s.regVN[r]; vn != 0 {
 		return vn
 	}
 	s.next++
 	s.regVN[r] = s.next
-	s.canon[s.next] = r
+	s.touched = append(s.touched, r)
+	s.canon = append(s.canon, r)
 	return s.next
 }
 
 func (s *vnState) fresh() int {
 	s.next++
+	s.canon = append(s.canon, ir.NoReg)
 	return s.next
 }
 
 // define binds dst to vn, updating canonical registers.
 func (s *vnState) define(dst ir.Reg, vn int) {
-	if old, ok := s.regVN[dst]; ok && s.canon[old] == dst {
-		delete(s.canon, old)
+	old := s.regVN[dst]
+	if old == 0 {
+		s.touched = append(s.touched, dst)
+	} else if s.canon[old] == dst {
+		s.canon[old] = ir.NoReg
 	}
 	s.regVN[dst] = vn
-	if _, ok := s.canon[vn]; !ok {
+	if s.canon[vn] == ir.NoReg {
 		s.canon[vn] = dst
 	}
 }
 
-func cseBlock(f *ir.Func, b *ir.Block) bool {
-	st := &vnState{
-		regVN:   map[ir.Reg]int{},
-		canon:   map[int]ir.Reg{},
-		exprVN:  map[vnKey]int{},
-		scalarE: map[*ast.Symbol]int{},
-		arrayE:  map[*ast.Symbol]int{},
-		lastSt:  map[*ast.Symbol]int{},
-	}
+func cseBlock(f *ir.Func, b *ir.Block, st *vnState) bool {
 	changed := false
 
 	// canonicalize rewrites an operand to the canonical register of its
@@ -102,17 +147,13 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 			return
 		}
 		vn := st.vnOf(r)
-		if c, ok := st.canon[vn]; ok && c != r && f.RegClassOf(c) == f.RegClassOf(r) {
+		if c := st.canon[vn]; c != ir.NoReg && c != r && f.RegClassOf(c) == f.RegClassOf(r) {
 			in.ReplaceUses(r, c)
 			changed = true
 		}
 	}
 
-	// Track the index of the last store to each scalar with no
-	// intervening readers, for dead-store elimination.
-	pendingStore := map[*ast.Symbol]int{}
-	var dead []int
-
+	pendingStore := st.pendingStore
 	clobberCalls := func() {
 		// A call may read or write any global scalar or array — in
 		// memory or in a pinned home register.
@@ -140,7 +181,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		// Copy-propagate all register sources first.
-		var buf [4]ir.Reg
+		var buf [8]ir.Reg
 		for _, u := range in.Uses(buf[:0]) {
 			canonicalize(in, u)
 		}
@@ -164,7 +205,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 			// too.
 			key := exprKey(st, in)
 			if vn, ok := st.exprVN[key]; ok {
-				if c, okc := st.canon[vn]; okc && c != in.Dst {
+				if c := st.canon[vn]; c != ir.NoReg && c != in.Dst {
 					fp := f.RegClassOf(in.Dst) == ir.RFP
 					setMov(in, fp, c)
 					st.define(in.Dst, vn)
@@ -183,7 +224,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 			}
 			// Forward a store still pending in this block.
 			if vn, ok := st.lastSt[sym]; ok {
-				if c, okc := st.canon[vn]; okc {
+				if c := st.canon[vn]; c != ir.NoReg {
 					fp := f.RegClassOf(in.Dst) == ir.RFP
 					*in = ir.Instr{Kind: ir.KOp, Op: isa.OpMov, Dst: in.Dst, Src1: c, Src2: ir.NoReg}
 					if fp {
@@ -200,7 +241,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 			}
 			key := vnKey{kind: vnLoadVar, sym: sym, v1: st.scalarE[sym]}
 			if vn, ok := st.exprVN[key]; ok {
-				if c, okc := st.canon[vn]; okc && c != in.Dst {
+				if c := st.canon[vn]; c != ir.NoReg && c != in.Dst {
 					fp := f.RegClassOf(in.Dst) == ir.RFP
 					setMov(in, fp, c)
 					st.define(in.Dst, vn)
@@ -221,7 +262,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 			// intervening load of this scalar (and, for globals, no
 			// call) is overwritten here.
 			if j, ok := pendingStore[sym]; ok {
-				dead = append(dead, j)
+				st.dead = append(st.dead, j)
 				changed = true
 			}
 			pendingStore[sym] = i
@@ -236,7 +277,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 			}
 			key := vnKey{kind: vnLoadElem, sym: sym, v1: st.vnOf(in.Src1), v2: st.arrayE[sym], imm: in.Imm}
 			if vn, ok := st.exprVN[key]; ok {
-				if c, okc := st.canon[vn]; okc && c != in.Dst {
+				if c := st.canon[vn]; c != ir.NoReg && c != in.Dst {
 					fp := f.RegClassOf(in.Dst) == ir.RFP
 					setMov(in, fp, c)
 					st.define(in.Dst, vn)
@@ -272,9 +313,12 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 	// store IS only dead if a later store overwrites it, which is what
 	// pendingStore tracked. Stores still pending at block end are live
 	// (visible to other blocks). Remove the dead ones now.
-	if len(dead) > 0 {
-		del := map[int]bool{}
-		for _, j := range dead {
+	if len(st.dead) > 0 {
+		if len(st.del) < len(b.Instrs) {
+			st.del = make([]bool, len(b.Instrs))
+		}
+		del := st.del[:len(b.Instrs)]
+		for _, j := range st.dead {
 			del[j] = true
 		}
 		kept := b.Instrs[:0]
@@ -283,6 +327,7 @@ func cseBlock(f *ir.Func, b *ir.Block) bool {
 				kept = append(kept, b.Instrs[i])
 			}
 		}
+		clear(del)
 		b.Instrs = kept
 	}
 	return changed

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"ilp/internal/ir"
 	"ilp/internal/isa"
 )
@@ -19,30 +21,84 @@ import (
 // restructuring did ("this restructuring requires us to use knowledge of
 // operator associativity"); it therefore only runs in careful mode, and the
 // differential tests compare its outputs with a tolerance.
-func Reassociate(f *ir.Func) bool {
-	// Function-wide use and def counts (non-SSA safety).
-	useCount := map[ir.Reg]int{}
-	defCount := map[ir.Reg]int{}
-	var buf [4]ir.Reg
+func Reassociate(f *ir.Func) bool { return new(Scratch).Reassociate(f) }
+
+// Reassociate is the package function Reassociate on s's storage.
+func (s *Scratch) Reassociate(f *ir.Func) bool {
+	// Function-wide use and def counts (non-SSA safety). Registers the
+	// rebalancing creates count zero.
+	r := &s.ra
+	r.f = f
+	r.useCount = zeroed(r.useCount, f.NumRegs())
+	r.defCount = zeroed(r.defCount, f.NumRegs())
+	var buf [8]ir.Reg
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			for _, u := range in.Uses(buf[:0]) {
-				useCount[u]++
+				r.useCount[u]++
 			}
 			if d := in.Def(); d != ir.NoReg {
-				defCount[d]++
+				r.defCount[d]++
 			}
 		}
 	}
 
 	changed := false
 	for _, b := range f.Blocks {
-		if reassocBlock(f, b, useCount, defCount) {
+		if r.block(b) {
 			changed = true
 		}
 	}
 	return changed
+}
+
+// reassoc is a Reassociate call's counts and scratch, reused for every
+// chain of every block.
+type reassoc struct {
+	f                  *ir.Func
+	useCount, defCount []int32 // by register, as of the call's start
+	// defAt is the index of each register's last definition in the
+	// current block, or -1; defined lists the registers it holds, which
+	// the next block (of this call or the next) resets.
+	defAt   []int32
+	defined []ir.Reg
+	inChain []bool
+	leaves  []ir.Reg
+	members []int
+	level   []ir.Reg
+	next    []ir.Reg
+	tree    []ir.Instr
+	out     []ir.Instr
+}
+
+// count returns c's count for r, zero for registers created since.
+func count(c []int32, r ir.Reg) int32 {
+	if r < 0 || int(r) >= len(c) {
+		return 0
+	}
+	return c[r]
+}
+
+// indexBlock records each register's last definition in b and clears
+// the chain marks.
+func (r *reassoc) indexBlock(b *ir.Block) {
+	for _, d := range r.defined {
+		r.defAt[d] = -1
+	}
+	r.defined = r.defined[:0]
+	for len(r.defAt) < r.f.NumRegs() {
+		r.defAt = append(r.defAt, -1)
+	}
+	for i := range b.Instrs {
+		if d := b.Instrs[i].Def(); d != ir.NoReg {
+			if r.defAt[d] < 0 {
+				r.defined = append(r.defined, d)
+			}
+			r.defAt[d] = int32(i)
+		}
+	}
+	r.inChain = zeroed(r.inChain, len(b.Instrs))
 }
 
 // callBetween reports whether a call sits strictly between two indices.
@@ -63,20 +119,15 @@ func associative(op isa.Opcode) bool {
 	return false
 }
 
-func reassocBlock(f *ir.Func, b *ir.Block, useCount, defCount map[ir.Reg]int) bool {
+func (r *reassoc) block(b *ir.Block) bool {
+	f := r.f
 	changed := false
 	// Index of the defining instruction within this block, for chain
 	// discovery.
-	defAt := map[ir.Reg]int{}
-	for i := range b.Instrs {
-		if d := b.Instrs[i].Def(); d != ir.NoReg {
-			defAt[d] = i
-		}
-	}
-	inChain := make([]bool, len(b.Instrs))
+	r.indexBlock(b)
 
 	for end := len(b.Instrs) - 1; end >= 0; end-- {
-		if inChain[end] {
+		if r.inChain[end] {
 			continue
 		}
 		last := &b.Instrs[end]
@@ -87,17 +138,19 @@ func reassocBlock(f *ir.Func, b *ir.Block, useCount, defCount map[ir.Reg]int) bo
 		// Walk the chain upward: each link is OP(prev, x) or OP(x, prev)
 		// where prev is defined in this block by the same op, used once,
 		// and defined once in the function.
-		var leaves []ir.Reg
-		var members []int
+		leaves, members := r.leaves[:0], r.members[:0]
 		cur := end
 		for {
 			in := &b.Instrs[cur]
 			members = append(members, cur)
-			isLink := func(r ir.Reg) bool {
-				j, here := defAt[r]
-				return here && j < cur && !inChain[j] &&
+			isLink := func(x ir.Reg) bool {
+				if x < 0 || int(x) >= len(r.defAt) {
+					return false
+				}
+				j := int(r.defAt[x])
+				return j >= 0 && j < cur && !r.inChain[j] &&
 					b.Instrs[j].Kind == ir.KOp && b.Instrs[j].Op == op &&
-					useCount[r] == 1 && defCount[r] == 1
+					count(r.useCount, x) == 1 && count(r.defCount, x) == 1
 			}
 			l1, l2 := isLink(in.Src1), isLink(in.Src2)
 			// Follow exactly one link. If both operands are links the
@@ -109,13 +162,14 @@ func reassocBlock(f *ir.Func, b *ir.Block, useCount, defCount map[ir.Reg]int) bo
 					link, other = in.Src2, in.Src1
 				}
 				leaves = append(leaves, other)
-				cur = defAt[link]
+				cur = int(r.defAt[link])
 				continue
 			}
 			// Chain head: both operands are leaves.
 			leaves = append(leaves, in.Src2, in.Src1)
 			break
 		}
+		r.leaves, r.members = leaves, members
 		if len(members) < 3 {
 			continue
 		}
@@ -138,19 +192,18 @@ func reassocBlock(f *ir.Func, b *ir.Block, useCount, defCount map[ir.Reg]int) bo
 		// leaves were collected from the tail inward; order is
 		// irrelevant for an associative/commutative reduction, but
 		// reverse for stable, source-like ordering.
-		for i, j := 0, len(leaves)-1; i < j; i, j = i+1, j-1 {
-			leaves[i], leaves[j] = leaves[j], leaves[i]
-		}
+		slices.Reverse(leaves)
 
 		// Build the balanced tree at the position of the final link.
 		cls := ir.RInt
 		if op == isa.OpFadd || op == isa.OpFmul {
 			cls = ir.RFP
 		}
-		var tree []ir.Instr
-		level := leaves
+		tree := r.tree[:0]
+		level := append(r.level[:0], leaves...)
+		next := r.next
 		for len(level) > 1 {
-			var next []ir.Reg
+			next = next[:0]
 			for i := 0; i+1 < len(level); i += 2 {
 				var dst ir.Reg
 				if len(level) == 2 {
@@ -164,17 +217,19 @@ func reassocBlock(f *ir.Func, b *ir.Block, useCount, defCount map[ir.Reg]int) bo
 			if len(level)%2 == 1 {
 				next = append(next, level[len(level)-1])
 			}
-			level = next
+			level, next = next, level
 		}
+		r.tree, r.level, r.next = tree, level, next
 
 		// Mark chain members for removal and splice the tree in at the
-		// end position.
+		// end position. A chain of n members has n+1 leaves and so
+		// n tree nodes: the block keeps its length.
 		for _, m := range members {
-			inChain[m] = true
+			r.inChain[m] = true
 		}
-		var out []ir.Instr
+		out := r.out[:0]
 		for i := range b.Instrs {
-			if inChain[i] && i != end {
+			if r.inChain[i] && i != end {
 				continue
 			}
 			if i == end {
@@ -183,15 +238,10 @@ func reassocBlock(f *ir.Func, b *ir.Block, useCount, defCount map[ir.Reg]int) bo
 			}
 			out = append(out, b.Instrs[i])
 		}
+		r.out = out
+		b.Instrs = append(b.Instrs[:0], out...)
 		// Rebuild bookkeeping after splicing.
-		b.Instrs = out
-		defAt = map[ir.Reg]int{}
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.NoReg {
-				defAt[d] = i
-			}
-		}
-		inChain = make([]bool, len(b.Instrs))
+		r.indexBlock(b)
 		changed = true
 		end = len(b.Instrs) // restart scan of this block
 	}

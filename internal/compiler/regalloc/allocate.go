@@ -1,8 +1,9 @@
 package regalloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ilp/internal/ir"
 	"ilp/internal/isa"
@@ -40,79 +41,8 @@ const scratchPerClass = 2
 // Allocate returns, every vreg in the (possibly grown) function has an
 // entry in the Assignment.
 func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
-	type interval struct {
-		reg        ir.Reg
-		start, end int
-		crossCall  bool
-	}
-
-	// 1. Linearize and index positions.
-	order := f.ReversePostorder()
-	pos := 0
-	instrPos := map[*ir.Instr]int{}
-	blockRange := map[*ir.Block][2]int{}
-	var callPositions []int
-	for _, b := range order {
-		start := pos
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			instrPos[in] = pos
-			if in.Kind == ir.KCall {
-				callPositions = append(callPositions, pos)
-			}
-			pos += 2
-		}
-		blockRange[b] = [2]int{start, pos}
-	}
-
-	// 2. Liveness -> intervals.
-	lv := f.ComputeLiveness()
-	iv := map[ir.Reg]*interval{}
-	touch := func(r ir.Reg, p int) {
-		if r == ir.NoReg {
-			return
-		}
-		it := iv[r]
-		if it == nil {
-			iv[r] = &interval{reg: r, start: p, end: p}
-			return
-		}
-		if p < it.start {
-			it.start = p
-		}
-		if p > it.end {
-			it.end = p
-		}
-	}
-	var buf [8]ir.Reg
-	for _, b := range order {
-		rng := blockRange[b]
-		lv.In(b).ForEach(func(r ir.Reg) { touch(r, rng[0]) })
-		lv.Out(b).ForEach(func(r ir.Reg) { touch(r, rng[1]) })
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			p := instrPos[in]
-			for _, u := range in.Uses(buf[:0]) {
-				touch(u, p)
-			}
-			if d := in.Def(); d != ir.NoReg {
-				touch(d, p)
-			}
-		}
-	}
-
-	// 3. Mark call-crossing intervals.
-	for _, it := range iv {
-		for _, cp := range callPositions {
-			if it.start < cp && cp < it.end {
-				it.crossCall = true
-				break
-			}
-		}
-	}
-
-	// 4. Pools (minus scratch registers).
-	poolSize := map[ir.RegClass]int{
+	// Pools (minus scratch registers), by class.
+	poolSize := [...]int{
 		ir.RInt: cfg.IntTemps - scratchPerClass,
 		ir.RFP:  cfg.FPTemps - scratchPerClass,
 	}
@@ -126,39 +56,87 @@ func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
 		return TempPhys(cl, poolSize[cl]+i)
 	}
 
-	// 5. Linear scan per class.
-	a := &Assignment{}
-	grow := func() {
-		for len(a.Phys) < f.NumRegs() {
-			a.Phys = append(a.Phys, isa.NoReg)
-			a.Slot = append(a.Slot, -1)
+	// 1. Linearize in reverse postorder: instruction i of a block starting
+	// at position p sits at p+2i, and the block's range is [p, p+2n).
+	// Liveness at the block's ends and every use and def extend each
+	// register's interval, indexed by register.
+	order := f.ReversePostorder()
+	lv := f.ComputeLiveness()
+	nregs := f.NumRegs()
+	ivs := make([]interval, nregs)
+	touch := func(r ir.Reg, p int) {
+		if r == ir.NoReg {
+			return
+		}
+		it := &ivs[r]
+		if !it.used {
+			*it = interval{start: p, end: p, used: true}
+			return
+		}
+		it.start = min(it.start, p)
+		it.end = max(it.end, p)
+	}
+	var callPositions []int
+	var buf [8]ir.Reg
+	pos := 0
+	for _, b := range order {
+		start, end := pos, pos+2*len(b.Instrs)
+		lv.In(b).ForEach(func(r ir.Reg) { touch(r, start) })
+		lv.Out(b).ForEach(func(r ir.Reg) { touch(r, end) })
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Kind == ir.KCall {
+				callPositions = append(callPositions, pos)
+			}
+			for _, u := range in.Uses(buf[:0]) {
+				touch(u, pos)
+			}
+			if d := in.Def(); d != ir.NoReg {
+				touch(d, pos)
+			}
+			pos += 2
 		}
 	}
-	grow()
+
+	// 2. Order the intervals by start, then register, and mark those that
+	// cross a call: a call position strictly inside. The positions are
+	// ascending, so the first one past the start decides.
+	all := make([]ir.Reg, 0, nregs)
+	for r := range ivs {
+		it := &ivs[r]
+		if !it.used {
+			continue
+		}
+		all = append(all, ir.Reg(r))
+		k, _ := slices.BinarySearch(callPositions, it.start+1)
+		it.crossCall = k < len(callPositions) && callPositions[k] < it.end
+	}
+	slices.SortFunc(all, func(a, b ir.Reg) int {
+		if c := cmp.Compare(ivs[a].start, ivs[b].start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+
+	// 3. Linear scan per class.
+	a := &Assignment{Phys: make([]isa.Reg, nregs), Slot: make([]int, nregs)}
+	for v := range a.Phys {
+		a.Phys[v], a.Slot[v] = isa.NoReg, -1
+	}
 	newSlot := func() int {
 		s := a.NumSlots
 		a.NumSlots++
 		return s
 	}
-
-	var all []*interval
-	for _, it := range iv {
-		all = append(all, it)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].start != all[j].start {
-			return all[i].start < all[j].start
-		}
-		return all[i].reg < all[j].reg
-	})
-
-	for _, cl := range []ir.RegClass{ir.RInt, ir.RFP} {
-		free := make([]bool, poolSize[cl])
+	freeAll := make([]bool, max(poolSize[ir.RInt], poolSize[ir.RFP]))
+	physIdx := make([]int, nregs) // pool index of each register holding one
+	var active []ir.Reg
+	for _, cl := range [...]ir.RegClass{ir.RInt, ir.RFP} {
+		free := freeAll[:poolSize[cl]]
 		for i := range free {
 			free[i] = true
 		}
-		physIdx := map[ir.Reg]int{}
-		var active []*interval
+		active = active[:0]
 		// Round-robin cursor: reusing the most-recently-freed register
 		// would introduce artificial WAR/WAW dependencies between
 		// independent computations — exactly the effect the paper warns
@@ -169,24 +147,25 @@ func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
 		cursor := 0
 		expire := func(now int) {
 			kept := active[:0]
-			for _, it := range active {
-				if it.end < now {
-					free[physIdx[it.reg]] = true
+			for _, r := range active {
+				if ivs[r].end < now {
+					free[physIdx[r]] = true
 					continue
 				}
-				kept = append(kept, it)
+				kept = append(kept, r)
 			}
 			active = kept
 		}
-		for _, it := range all {
-			if f.RegClassOf(it.reg) != cl {
+		for _, r := range all {
+			it := &ivs[r]
+			if f.RegClassOf(r) != cl {
 				continue
 			}
-			if _, pinned := f.Pinned[it.reg]; pinned {
+			if _, pinned := f.Pinned[r]; pinned {
 				continue
 			}
 			if it.crossCall {
-				a.Slot[it.reg] = newSlot()
+				a.Slot[r] = newSlot()
 				continue
 			}
 			expire(it.start)
@@ -201,24 +180,23 @@ func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
 			}
 			if found >= 0 {
 				free[found] = false
-				physIdx[it.reg] = found
-				a.Phys[it.reg] = TempPhys(cl, found)
-				active = append(active, it)
+				physIdx[r] = found
+				a.Phys[r] = TempPhys(cl, found)
+				active = append(active, r)
 				continue
 			}
 			// Spill the active interval ending last, or this one.
-			victim := it
+			victim := r
 			for _, act := range active {
-				if act.end > victim.end {
+				if ivs[act].end > ivs[victim].end {
 					victim = act
 				}
 			}
-			if victim != it {
+			if victim != r {
 				// Steal the victim's register.
-				idx := physIdx[victim.reg]
-				a.Phys[victim.reg] = isa.NoReg
-				a.Slot[victim.reg] = newSlot()
-				delete(physIdx, victim.reg)
+				idx := physIdx[victim]
+				a.Phys[victim] = isa.NoReg
+				a.Slot[victim] = newSlot()
 				kept := active[:0]
 				for _, act := range active {
 					if act != victim {
@@ -226,31 +204,110 @@ func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
 					}
 				}
 				active = kept
-				physIdx[it.reg] = idx
-				a.Phys[it.reg] = TempPhys(cl, idx)
-				active = append(active, it)
+				physIdx[r] = idx
+				a.Phys[r] = TempPhys(cl, idx)
+				active = append(active, r)
 			} else {
-				a.Slot[it.reg] = newSlot()
+				a.Slot[r] = newSlot()
 			}
 		}
 	}
 
-	// 6. Insert spill code, rewriting spilled operands through scratch
+	// 4. Insert spill code, rewriting spilled operands through scratch
 	// registers. Calls and returns are left alone: the code generator
 	// reloads spilled arguments directly into argument registers.
-	scratchVreg := map[[2]int]ir.Reg{} // (class, i) -> pinned vreg
+	if a.NumSlots > 0 {
+		insertSpillCode(f, a, scratch)
+	}
+
+	// 5. Finalize: pinned registers and bounds.
+	for len(a.Phys) < f.NumRegs() {
+		a.Phys = append(a.Phys, isa.NoReg)
+		a.Slot = append(a.Slot, -1)
+	}
+	for v, phys := range f.Pinned {
+		a.Phys[v] = phys
+	}
+	for v := 0; v < f.NumRegs(); v++ {
+		if a.Phys[v] == isa.NoReg && a.Slot[v] < 0 {
+			// Never-used register (e.g. optimized away): park it on a
+			// scratch so the code generator never sees NoReg.
+			a.Phys[v] = scratch(f.RegClassOf(ir.Reg(v)), 0)
+		}
+	}
+	return a, nil
+}
+
+// interval is a virtual register's live range in linearized positions.
+type interval struct {
+	start, end int
+	used       bool // the register occurs at all
+	crossCall  bool
+}
+
+// spillsIn returns how many spill instructions insertSpillCode adds
+// around in: a reload per distinct spilled source and a store for a
+// spilled destination.
+func spillsIn(in *ir.Instr, a *Assignment, buf *[8]ir.Reg) int {
+	if in.Kind == ir.KCall || in.Kind == ir.KRet {
+		return 0
+	}
+	n := 0
+	uses := in.Uses(buf[:0])
+	for i, u := range uses {
+		if a.Slot[u] >= 0 && !slices.Contains(uses[:i], u) {
+			n++
+		}
+	}
+	if d := in.Def(); d != ir.NoReg && a.Slot[d] >= 0 {
+		n++
+	}
+	return n
+}
+
+// insertSpillCode rewrites the blocks that touch a spilled register:
+// each spilled source is reloaded into a scratch register before its
+// instruction, and a spilled destination is written through scratch 0
+// and stored after it. The rewritten blocks share one exactly sized
+// array; the others keep their instructions.
+func insertSpillCode(f *ir.Func, a *Assignment, scratch func(ir.RegClass, int) isa.Reg) {
+	var buf [8]ir.Reg
+	total := 0
+	for _, b := range f.Blocks {
+		extra := 0
+		for i := range b.Instrs {
+			extra += spillsIn(&b.Instrs[i], a, &buf)
+		}
+		if extra > 0 {
+			total += len(b.Instrs) + extra
+		}
+	}
+	var scratchVreg [2][scratchPerClass]ir.Reg // (class, i) -> pinned vreg
+	for cl := range scratchVreg {
+		for i := range scratchVreg[cl] {
+			scratchVreg[cl][i] = ir.NoReg
+		}
+	}
 	getScratch := func(cl ir.RegClass, i int) ir.Reg {
-		key := [2]int{int(cl), i}
-		if r, ok := scratchVreg[key]; ok {
+		if r := scratchVreg[cl][i]; r != ir.NoReg {
 			return r
 		}
 		r := f.NewPinnedReg(cl, scratch(cl, i))
-		scratchVreg[key] = r
+		scratchVreg[cl][i] = r
 		return r
 	}
 
+	out := make([]ir.Instr, 0, total)
+	type reload struct{ from, to ir.Reg }
 	for _, b := range f.Blocks {
-		var out []ir.Instr
+		extra := 0
+		for i := range b.Instrs {
+			extra += spillsIn(&b.Instrs[i], a, &buf)
+		}
+		if extra == 0 {
+			continue
+		}
+		first := len(out)
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 			if in.Kind == ir.KCall || in.Kind == ir.KRet {
@@ -259,20 +316,24 @@ func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
 			}
 			// Reload spilled sources.
 			next := 0
-			reloaded := map[ir.Reg]ir.Reg{}
+			var rbuf [4]reload
+			reloaded := rbuf[:0]
+		uses:
 			for _, u := range in.Uses(buf[:0]) {
 				if a.Slot[u] < 0 {
 					continue
 				}
-				if s, done := reloaded[u]; done {
-					in.ReplaceUses(u, s)
-					continue
+				for _, rl := range reloaded {
+					if rl.from == u {
+						in.ReplaceUses(u, rl.to)
+						continue uses
+					}
 				}
 				s := getScratch(f.RegClassOf(u), next)
 				next++
 				out = append(out, ir.Instr{Kind: ir.KLoadSlot, Dst: s, Src1: ir.NoReg, Src2: ir.NoReg, Imm: int64(a.Slot[u])})
 				in.ReplaceUses(u, s)
-				reloaded[u] = s
+				reloaded = append(reloaded, reload{u, s})
 			}
 			// Redirect a spilled destination through scratch 0.
 			d := in.Def()
@@ -285,20 +346,6 @@ func Allocate(f *ir.Func, cfg *machine.Config) (*Assignment, error) {
 			}
 			out = append(out, in)
 		}
-		b.Instrs = out
+		b.Instrs = out[first:len(out):len(out)]
 	}
-
-	// 7. Finalize: pinned registers and bounds.
-	grow()
-	for v, phys := range f.Pinned {
-		a.Phys[v] = phys
-	}
-	for v := 0; v < f.NumRegs(); v++ {
-		if a.Phys[v] == isa.NoReg && a.Slot[v] < 0 {
-			// Never-used register (e.g. optimized away): park it on a
-			// scratch so the code generator never sees NoReg.
-			a.Phys[v] = scratch(f.RegClassOf(ir.Reg(v)), 0)
-		}
-	}
-	return a, nil
 }

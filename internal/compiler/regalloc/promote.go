@@ -70,17 +70,19 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 	if p.Promoted == nil {
 		p.Promoted = map[*ast.Symbol]isa.Reg{}
 	}
-	interferes := buildInterference(p)
-	recursive := findRecursive(p)
+	reach := callReach(p)
+	// Two functions interfere if they can be active at the same time:
+	// one reachable from the other in the call graph.
+	interferes := func(a, b string) bool { return reach[a][b] || reach[b][a] }
 
 	// Gather candidates with static usage weights.
-	var cands []*candidate
-	bySym := map[*ast.Symbol]*candidate{}
+	var cands []candidate
+	bySym := map[*ast.Symbol]int{} // index into cands
 	for _, f := range p.Funcs {
 		depths := f.LoopDepths()
 		for _, b := range f.Blocks {
 			w := int64(1)
-			for d := 0; d < depths[b] && d < 6; d++ {
+			for d := 0; d < depths[b.ID] && d < 6; d++ {
 				w *= loopWeight
 			}
 			for i := range b.Instrs {
@@ -89,29 +91,31 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 					continue
 				}
 				sym := in.Sym
-				c := bySym[sym]
-				if c == nil {
+				k, ok := bySym[sym]
+				if !ok {
 					cl := ir.RInt
 					if sym.Type == ast.Real {
 						cl = ir.RFP
 					}
-					c = &candidate{sym: sym, class: cl}
+					c := candidate{sym: sym, class: cl}
 					if sym.Kind != ast.SymGlobal {
 						c.fn = f
 					}
-					bySym[sym] = c
+					k = len(cands)
+					bySym[sym] = k
 					cands = append(cands, c)
 				}
-				c.weight += w
+				cands[k].weight += w
 			}
 		}
 	}
 
-	// Locals of recursive functions cannot live in home registers (a
-	// second activation would clobber the first).
+	// Locals of recursive functions (those that can reach themselves)
+	// cannot live in home registers: a second activation would clobber
+	// the first.
 	eligible := cands[:0]
 	for _, c := range cands {
-		if c.fn != nil && recursive[c.fn.Name] {
+		if c.fn != nil && reach[c.fn.Name][c.fn.Name] {
 			continue
 		}
 		eligible = append(eligible, c)
@@ -120,14 +124,11 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].weight > cands[j].weight })
 
-	// Greedy assignment into the home pools.
-	type holder struct{ c *candidate }
-	homes := map[ir.RegClass]int{ir.RInt: cfg.IntHomes, ir.RFP: cfg.FPHomes}
-	temps := map[ir.RegClass]int{ir.RInt: cfg.IntTemps, ir.RFP: cfg.FPTemps}
-	assigned := map[ir.RegClass][][]holder{
-		ir.RInt: make([][]holder, cfg.IntHomes),
-		ir.RFP:  make([][]holder, cfg.FPHomes),
-	}
+	// Greedy assignment into the home pools: each candidate takes the
+	// lowest home that no conflicting candidate already holds.
+	homes := [...]int{ir.RInt: cfg.IntHomes, ir.RFP: cfg.FPHomes}
+	temps := [...]int{ir.RInt: cfg.IntTemps, ir.RFP: cfg.FPTemps}
+	home := make([]int, len(cands)) // -1 while unassigned
 	conflict := func(a, b *candidate) bool {
 		if a.fn == nil || b.fn == nil {
 			return true // globals are live everywhere
@@ -137,18 +138,18 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 		}
 		return interferes(a.fn.Name, b.fn.Name)
 	}
-	for _, c := range cands {
-		n := homes[c.class]
-		for h := 0; h < n; h++ {
-			ok := true
-			for _, held := range assigned[c.class][h] {
-				if conflict(c, held.c) {
-					ok = false
-					break
-				}
+	for i := range cands {
+		c := &cands[i]
+		home[i] = -1
+		var held [machine.AvailableRegs]bool // homes taken by a conflicting candidate
+		for j := range cands[:i] {
+			if h := home[j]; h >= 0 && cands[j].class == c.class && !held[h] && conflict(c, &cands[j]) {
+				held[h] = true
 			}
-			if ok {
-				assigned[c.class][h] = append(assigned[c.class][h], holder{c})
+		}
+		for h := 0; h < homes[c.class]; h++ {
+			if !held[h] {
+				home[i] = h
 				p.Promoted[c.sym] = HomePhys(c.class, temps[c.class], h)
 				break
 			}
@@ -157,8 +158,9 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 
 	// Rewrite accesses of promoted symbols to moves through pinned
 	// virtual registers.
+	pinnedOf := map[*ast.Symbol]ir.Reg{} // per function
 	for _, f := range p.Funcs {
-		pinnedOf := map[*ast.Symbol]ir.Reg{}
+		clear(pinnedOf)
 		pin := func(sym *ast.Symbol, cl ir.RegClass) ir.Reg {
 			if r, ok := pinnedOf[sym]; ok {
 				return r
@@ -170,17 +172,13 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
-				var sym *ast.Symbol
-				if in.Kind == ir.KLoadVar || in.Kind == ir.KStoreVar {
-					sym = in.Sym
-				} else {
+				if in.Kind != ir.KLoadVar && in.Kind != ir.KStoreVar {
 					continue
 				}
-				phys, prom := p.Promoted[sym]
-				if !prom {
+				sym := in.Sym
+				if _, prom := p.Promoted[sym]; !prom {
 					continue
 				}
-				_ = phys
 				cl := ir.RInt
 				op := isa.OpMov
 				if sym.Type == ast.Real {
@@ -197,9 +195,9 @@ func PromoteHomes(p *ir.Program, cfg *machine.Config) {
 	}
 }
 
-// buildInterference returns a predicate: can functions a and b be active at
-// the same time (one reachable from the other in the call graph)?
-func buildInterference(p *ir.Program) func(a, b string) bool {
+// callReach returns, per function name, the functions it can call
+// directly or transitively (programs have few functions).
+func callReach(p *ir.Program) map[string]map[string]bool {
 	callees := map[string]map[string]bool{}
 	for _, f := range p.Funcs {
 		set := map[string]bool{}
@@ -212,11 +210,11 @@ func buildInterference(p *ir.Program) func(a, b string) bool {
 		}
 		callees[f.Name] = set
 	}
-	// Transitive closure (programs have few functions).
 	reach := map[string]map[string]bool{}
+	var stack []string
 	for name := range callees {
 		r := map[string]bool{}
-		stack := []string{name}
+		stack = append(stack[:0], name)
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -229,57 +227,5 @@ func buildInterference(p *ir.Program) func(a, b string) bool {
 		}
 		reach[name] = r
 	}
-	return func(a, b string) bool {
-		return reach[a][b] || reach[b][a]
-	}
-}
-
-// findRecursive returns functions on call-graph cycles.
-func findRecursive(p *ir.Program) map[string]bool {
-	inter := buildInterference(p)
-	out := map[string]bool{}
-	for _, f := range p.Funcs {
-		// f is recursive iff f can reach itself.
-		callSelf := false
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Kind == ir.KCall {
-					callee := b.Instrs[i].Sym.Name
-					if callee == f.Name || inter(callee, f.Name) && reaches(p, callee, f.Name) {
-						callSelf = true
-					}
-				}
-			}
-		}
-		out[f.Name] = callSelf
-	}
-	return out
-}
-
-// reaches reports whether from can (transitively) call to.
-func reaches(p *ir.Program, from, to string) bool {
-	seen := map[string]bool{}
-	var walk func(name string) bool
-	walk = func(name string) bool {
-		if seen[name] {
-			return false
-		}
-		seen[name] = true
-		f := p.FuncByName(name)
-		if f == nil {
-			return false
-		}
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Kind == ir.KCall {
-					callee := b.Instrs[i].Sym.Name
-					if callee == to || walk(callee) {
-						return true
-					}
-				}
-			}
-		}
-		return false
-	}
-	return walk(from)
+	return reach
 }

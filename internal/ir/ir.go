@@ -369,6 +369,11 @@ func (f *Func) NumRegs() int { return len(f.regClass) }
 // RegClassOf returns the class of a virtual register.
 func (f *Func) RegClassOf(r Reg) RegClass { return f.regClass[r] }
 
+// NumBlockIDs returns the number of block IDs NewBlock has handed out.
+// Every block of f has an ID below it, and IDs are never reused or
+// renumbered, so it sizes any table indexed by Block.ID.
+func (f *Func) NumBlockIDs() int { return f.nextID }
+
 // NewBlock appends a fresh empty block.
 func (f *Func) NewBlock() *Block {
 	b := &Block{ID: f.nextID}
@@ -380,24 +385,17 @@ func (f *Func) NewBlock() *Block {
 // Entry returns the entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
-// Preds computes predecessor lists (by block) for the current CFG.
-func (f *Func) Preds() map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	return preds
-}
-
 // Validate checks structural invariants: every block ends in exactly one
 // terminator, terminators appear only at block ends, and branch targets are
-// blocks of this function.
+// blocks of this function. Block IDs must be distinct and below
+// NumBlockIDs, which the analyses index by.
 func (f *Func) Validate() error {
-	known := map[*Block]bool{}
+	byID := make([]*Block, f.NumBlockIDs())
 	for _, b := range f.Blocks {
-		known[b] = true
+		if b.ID < 0 || b.ID >= len(byID) || byID[b.ID] != nil {
+			return fmt.Errorf("ir: %s: block ID b%d is duplicated or was not handed out by NewBlock", f.Name, b.ID)
+		}
+		byID[b.ID] = b
 	}
 	var buf []Reg
 	for _, b := range f.Blocks {
@@ -410,7 +408,7 @@ func (f *Func) Validate() error {
 				return fmt.Errorf("ir: %s: block b%d instruction %d: terminator misplaced", f.Name, b.ID, i)
 			}
 			for _, tgt := range in.Targets {
-				if tgt != nil && !known[tgt] {
+				if tgt != nil && (tgt.ID < 0 || tgt.ID >= len(byID) || byID[tgt.ID] != tgt) {
 					return fmt.Errorf("ir: %s: block b%d: branch to foreign block", f.Name, b.ID)
 				}
 			}

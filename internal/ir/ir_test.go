@@ -79,6 +79,27 @@ func TestValidateRejectsMisplacedTerminator(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadBlockIDs: the analyses index tables by Block.ID,
+// so a duplicated ID, an ID NewBlock never handed out, or a branch to a
+// foreign block with an ID in range is invalid IR.
+func TestValidateRejectsBadBlockIDs(t *testing.T) {
+	f := buildDiamond()
+	f.Blocks[2].ID = f.Blocks[1].ID
+	if err := f.Validate(); err == nil {
+		t.Error("expected a duplicate-ID error")
+	}
+	f = buildDiamond()
+	f.Blocks[3].ID = f.NumBlockIDs()
+	if err := f.Validate(); err == nil {
+		t.Error("expected an out-of-range-ID error")
+	}
+	f, g := buildDiamond(), buildDiamond()
+	f.Blocks[1].Instrs[len(f.Blocks[1].Instrs)-1].Targets[0] = g.Blocks[3]
+	if err := f.Validate(); err == nil {
+		t.Error("expected a foreign-block error")
+	}
+}
+
 func TestValidateRejectsEmptyBlock(t *testing.T) {
 	f := buildDiamond()
 	f.Blocks[1].Instrs = nil
@@ -98,8 +119,14 @@ func TestSuccsAndPreds(t *testing.T) {
 		t.Error("ret block should have no successors")
 	}
 	preds := f.Preds()
-	if len(preds[b3]) != 2 {
-		t.Errorf("b3 preds = %d, want 2", len(preds[b3]))
+	if p := preds.Of(b3); len(p) != 2 || p[0] != b1 || p[1] != b2 {
+		t.Errorf("b3 preds = %v, want [b1 b2]", p)
+	}
+	if p := preds.Of(b0); len(p) != 0 {
+		t.Errorf("entry preds = %v, want none", p)
+	}
+	if p := preds.Of(f.NewBlock()); len(p) != 0 {
+		t.Errorf("preds of a block created after the analysis = %v, want none", p)
 	}
 }
 
@@ -152,6 +179,11 @@ func TestLiveness(t *testing.T) {
 	if lv.In(f.Blocks[3]).Has(v0) {
 		t.Error("v0 should be dead at the join")
 	}
+	// A block created after the analysis has empty sets.
+	late := f.NewBlock()
+	if len(lv.In(late)) != 0 || len(lv.Out(late)) != 0 || lv.In(late).Has(v0) {
+		t.Error("a block created after the analysis should have empty live sets")
+	}
 }
 
 func TestLivenessLoop(t *testing.T) {
@@ -166,18 +198,18 @@ func TestLivenessLoop(t *testing.T) {
 
 func TestDominators(t *testing.T) {
 	f := buildDiamond()
-	idom := f.Dominators()
+	dom := f.Dominators()
 	b0, b1, b2, b3 := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
-	if idom[b0] != nil {
+	if dom.Idom(b0) != nil {
 		t.Error("entry has an idom")
 	}
-	if idom[b1] != b0 || idom[b2] != b0 || idom[b3] != b0 {
-		t.Errorf("idoms wrong: b1->%v b2->%v b3->%v", idom[b1], idom[b2], idom[b3])
+	if dom.Idom(b1) != b0 || dom.Idom(b2) != b0 || dom.Idom(b3) != b0 {
+		t.Errorf("idoms wrong: b1->%v b2->%v b3->%v", dom.Idom(b1), dom.Idom(b2), dom.Idom(b3))
 	}
-	if !Dominates(idom, b0, b3) {
+	if !dom.Dominates(b0, b3) {
 		t.Error("entry should dominate join")
 	}
-	if Dominates(idom, b1, b3) {
+	if dom.Dominates(b1, b3) {
 		t.Error("b1 must not dominate join")
 	}
 }
@@ -192,11 +224,14 @@ func TestNaturalLoops(t *testing.T) {
 	if l.Header != f.Blocks[1] {
 		t.Error("wrong header")
 	}
-	if !l.Blocks[f.Blocks[1]] || l.Blocks[f.Blocks[0]] || l.Blocks[f.Blocks[2]] {
+	if !l.Blocks.Has(f.Blocks[1]) || l.Blocks.Has(f.Blocks[0]) || l.Blocks.Has(f.Blocks[2]) {
 		t.Errorf("loop body wrong: %v", l.Blocks)
 	}
+	if l.Blocks.Has(f.NewBlock()) {
+		t.Error("a block created after the analysis is in the loop body")
+	}
 	depths := f.LoopDepths()
-	if depths[f.Blocks[1]] != 1 || depths[f.Blocks[0]] != 0 {
+	if depths[f.Blocks[1].ID] != 1 || depths[f.Blocks[0].ID] != 0 {
 		t.Errorf("depths wrong: %v", depths)
 	}
 }

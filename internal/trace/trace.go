@@ -68,8 +68,8 @@ func (l Limits) OracleParallelism() float64 {
 // Options bounds the analysis.
 type Options struct {
 	// MaxTrace stops the analysis after this many dynamic instructions
-	// (0 = DefaultMaxTrace). Memory use is O(registers + distinct
-	// addresses).
+	// (0 = DefaultMaxTrace). Memory use is O(instructions + pages of
+	// memory stored to).
 	MaxTrace int64
 }
 
@@ -92,102 +92,64 @@ func AnalyzeOn(ctx context.Context, e *sim.Engine, p *isa.Program, opts Options)
 	}
 
 	l := &Limits{}
+	steps := decode(p)
 	// Completion time of the latest writer, per register (perfect
 	// renaming: a new write creates a new name, so we only track the
 	// value consumers read).
-	var regReady [isa.NumRegs]int64
-	var regReadyOracle [isa.NumRegs]int64
+	var regReady [isa.NumRegs]times
 	// Memory: last store completion per address (RAW for loads, output
 	// order for stores).
-	memB := map[int64]int64{}
-	memO := map[int64]int64{}
+	mem := storeTimes{pages: make([]*[pageWords]times, sim.DefaultMemWords/pageWords)}
 	// Control dependence frontier (blocked model only).
 	var branchDone int64
 	// Output (print) order.
-	var outB, outO int64
+	var out times
 
 	// The run's instruction limit is the trace's length. The engine stops
 	// at its first poll past the limit (or halts first), so the hook drops
 	// the instructions it still reports until then.
-	hook := func(idx int, in *isa.Instr, addr int64) {
+	hook := func(idx int, _ *isa.Instr, addr int64) {
 		if l.Instructions >= maxTrace {
 			l.Truncated = true
 			return
 		}
 		l.Instructions++
-		info := in.Op.Info()
+		st := &steps[idx]
 
 		// Earliest start from register RAW.
-		var tB, tO int64
-		u1, u2 := in.Uses()
-		for _, u := range []isa.Reg{u1, u2} {
-			if u == isa.NoReg {
-				continue
-			}
-			if regReady[u] > tB {
-				tB = regReady[u]
-			}
-			if regReadyOracle[u] > tO {
-				tO = regReadyOracle[u]
+		var t times
+		for _, u := range [2]isa.Reg{st.u1, st.u2} {
+			if u != isa.NoReg {
+				t = t.max(regReady[u])
 			}
 		}
-		// Memory dependence by exact address.
+		// Memory dependence by exact address: a load after the last
+		// store, a store in output order after it.
 		if addr >= 0 {
-			if info.Load {
-				if v := memB[addr]; v > tB {
-					tB = v
-				}
-				if v := memO[addr]; v > tO {
-					tO = v
-				}
-			} else { // store: output order after previous store
-				if v := memB[addr]; v > tB {
-					tB = v
-				}
-				if v := memO[addr]; v > tO {
-					tO = v
-				}
-			}
+			t = t.max(mem.at(addr))
 		}
 		// Output stream stays ordered.
-		if in.Op == isa.OpPrinti || in.Op == isa.OpPrintf {
-			if outB > tB {
-				tB = outB
-			}
-			if outO > tO {
-				tO = outO
-			}
+		if st.print {
+			t = t.max(out)
 		}
 		// Control dependence (blocked model).
-		if branchDone > tB {
-			tB = branchDone
-		}
+		t.b = max(t.b, branchDone)
 
-		cB, cO := tB+1, tO+1 // unit latency
-		if d := in.Def(); d != isa.NoReg && d != isa.RZero {
-			regReady[d] = cB
-			regReadyOracle[d] = cO
+		c := times{t.b + 1, t.o + 1} // unit latency
+		if st.def != isa.NoReg {
+			regReady[st.def] = c
 		}
-		if addr >= 0 && info.Store {
-			memB[addr] = cB
-			memO[addr] = cO
+		if addr >= 0 && st.store {
+			mem.set(addr, c)
 		}
-		if in.Op == isa.OpPrinti || in.Op == isa.OpPrintf {
-			outB, outO = cB, cO
+		if st.print {
+			out = c
 		}
-		// Riseman-Foster inhibition: only branches whose outcome is not
-		// statically known block later instructions — conditional
-		// branches and indirect jumps (returns). Direct jumps and calls
-		// are statically predictable.
-		if info.Cond || in.Op == isa.OpJr {
-			branchDone = cB
+		if st.blocks {
+			branchDone = c.b
 		}
-		if cB > l.BlockedCycles {
-			l.BlockedCycles = cB
-		}
-		if cO > l.OracleCycles {
-			l.OracleCycles = cO
-		}
+		l.BlockedCycles = max(l.BlockedCycles, c.b)
+		l.OracleCycles = max(l.OracleCycles, c.o)
 	}
 
 	sopts := sim.Options{Machine: machine.Base(), MaxInstructions: maxTrace, OnTrace: hook}
@@ -204,4 +166,70 @@ func AnalyzeOn(ctx context.Context, e *sim.Engine, p *isa.Program, opts Options)
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return l, nil
+}
+
+// times is a completion time in both models: blocked (control dependence
+// respected) and oracle (perfect prediction).
+type times struct{ b, o int64 }
+
+func (t times) max(u times) times { return times{max(t.b, u.b), max(t.o, u.o)} }
+
+// step is what the analysis needs of one static instruction, decoded once
+// per program rather than once per dynamic instruction.
+type step struct {
+	u1, u2 isa.Reg // registers read, or NoReg
+	def    isa.Reg // register written, or NoReg (never the zero register)
+	store  bool    // writes memory at its address
+	print  bool    // emits output, which stays ordered
+	// blocks: only branches whose outcome is not statically known block
+	// later instructions (the Riseman-Foster inhibition): conditional
+	// branches and indirect jumps (returns). Direct jumps and calls are
+	// statically predictable.
+	blocks bool
+}
+
+func decode(p *isa.Program) []step {
+	steps := make([]step, len(p.Instrs))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		info := in.Op.Info()
+		st := &steps[i]
+		st.u1, st.u2 = in.Uses()
+		st.def = in.Def()
+		if st.def == isa.RZero {
+			st.def = isa.NoReg
+		}
+		st.store = info.Store
+		st.print = in.Op == isa.OpPrinti || in.Op == isa.OpPrintf
+		st.blocks = info.Cond || in.Op == isa.OpJr
+	}
+	return steps
+}
+
+// storeTimes keeps the completion time of the last store to each memory
+// word, in pages of pageWords words allocated on a store's first touch; a
+// word never stored to reads as zero. Addresses are word indices below the
+// run's MemWords.
+type storeTimes struct {
+	pages []*[pageWords]times
+}
+
+const pageWords = 1 << 12
+
+func (m *storeTimes) at(addr int64) times {
+	if pg := int(addr / pageWords); pg < len(m.pages) && m.pages[pg] != nil {
+		return m.pages[pg][addr%pageWords]
+	}
+	return times{}
+}
+
+func (m *storeTimes) set(addr int64, t times) {
+	pg := int(addr / pageWords)
+	if pg >= len(m.pages) {
+		m.pages = append(m.pages, make([]*[pageWords]times, pg+1-len(m.pages))...)
+	}
+	if m.pages[pg] == nil {
+		m.pages[pg] = new([pageWords]times)
+	}
+	m.pages[pg][addr%pageWords] = t
 }
