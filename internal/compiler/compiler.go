@@ -159,9 +159,10 @@ type Lowered struct {
 const MaxUnroll = 64
 
 // Lower runs every pass before the scheduler. It rejects a Level outside
-// O0..O4 and an Unroll that is negative or above MaxUnroll. Of opts.Machine it reads only the register
-// split (regalloc.PromoteHomes and regalloc.Allocate); opts.NoSchedule is
-// ignored, since it applies at Schedule.
+// O0..O4 and an Unroll that is negative or above MaxUnroll. Of
+// opts.Machine it reads only the register split (regalloc.PromoteHomes and
+// regalloc.Allocate); opts.NoSchedule is ignored, since it applies at
+// Schedule.
 func Lower(src string, opts Options) (*Lowered, error) {
 	if opts.Level < O0 || opts.Level > O4 {
 		return nil, fmt.Errorf("compiler: optimization level %d is outside O0..O4", int(opts.Level))

@@ -245,22 +245,26 @@ type interval struct {
 	crossCall  bool
 }
 
-// spillsIn returns how many spill instructions insertSpillCode adds
-// around in: a reload per distinct spilled source and a store for a
-// spilled destination.
-func spillsIn(in *ir.Instr, a *Assignment, buf *[8]ir.Reg) int {
-	if in.Kind == ir.KCall || in.Kind == ir.KRet {
-		return 0
-	}
+// spillsIn returns how many spill instructions insertSpillCode adds to b:
+// before each instruction but calls and returns, a reload per distinct
+// spilled source, and after it a store for a spilled destination.
+func spillsIn(b *ir.Block, a *Assignment) int {
+	var buf [8]ir.Reg
 	n := 0
-	uses := in.Uses(buf[:0])
-	for i, u := range uses {
-		if a.Slot[u] >= 0 && !slices.Contains(uses[:i], u) {
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Kind == ir.KCall || in.Kind == ir.KRet {
+			continue
+		}
+		uses := in.Uses(buf[:0])
+		for k, u := range uses {
+			if a.Slot[u] >= 0 && !slices.Contains(uses[:k], u) {
+				n++
+			}
+		}
+		if d := in.Def(); d != ir.NoReg && a.Slot[d] >= 0 {
 			n++
 		}
-	}
-	if d := in.Def(); d != ir.NoReg && a.Slot[d] >= 0 {
-		n++
 	}
 	return n
 }
@@ -271,14 +275,9 @@ func spillsIn(in *ir.Instr, a *Assignment, buf *[8]ir.Reg) int {
 // and stored after it. The rewritten blocks share one exactly sized
 // array; the others keep their instructions.
 func insertSpillCode(f *ir.Func, a *Assignment, scratch func(ir.RegClass, int) isa.Reg) {
-	var buf [8]ir.Reg
 	total := 0
 	for _, b := range f.Blocks {
-		extra := 0
-		for i := range b.Instrs {
-			extra += spillsIn(&b.Instrs[i], a, &buf)
-		}
-		if extra > 0 {
+		if extra := spillsIn(b, a); extra > 0 {
 			total += len(b.Instrs) + extra
 		}
 	}
@@ -299,12 +298,9 @@ func insertSpillCode(f *ir.Func, a *Assignment, scratch func(ir.RegClass, int) i
 
 	out := make([]ir.Instr, 0, total)
 	type reload struct{ from, to ir.Reg }
+	var buf [8]ir.Reg
 	for _, b := range f.Blocks {
-		extra := 0
-		for i := range b.Instrs {
-			extra += spillsIn(&b.Instrs[i], a, &buf)
-		}
-		if extra == 0 {
+		if spillsIn(b, a) == 0 {
 			continue
 		}
 		first := len(out)

@@ -117,9 +117,6 @@ func (f *Func) RemoveUnreachable() {
 // rather than panicking, so the zero-length set is a valid empty set.
 type RegSet []uint64
 
-// NewRegSet returns an empty set sized for nregs virtual registers.
-func NewRegSet(nregs int) RegSet { return make(RegSet, (nregs+63)/64) }
-
 // Has reports whether r is in the set.
 func (s RegSet) Has(r Reg) bool {
 	w := int(r) >> 6
@@ -135,9 +132,6 @@ func (s RegSet) Remove(r Reg) {
 		s[w] &^= 1 << (uint(r) & 63)
 	}
 }
-
-// Clone returns an independent copy.
-func (s RegSet) Clone() RegSet { return append(RegSet(nil), s...) }
 
 // ForEach calls fn for every register in the set, in ascending order.
 func (s RegSet) ForEach(fn func(Reg)) {
@@ -387,7 +381,8 @@ func (f *Func) NaturalLoops() []*Loop {
 	n := f.NumBlockIDs()
 	var sb [2]*Block
 
-	// Number the headers in the order their first back edge is found.
+	// One loop per header, numbered in the order its first back edge is
+	// found.
 	loopOf := make([]int32, n) // header ID -> loop number + 1
 	nloops := 0
 	for _, b := range f.Blocks {
@@ -406,12 +401,10 @@ func (f *Func) NaturalLoops() []*Loop {
 	all := make([]Loop, nloops)
 	loops := make([]*Loop, nloops)
 	for _, b := range f.Blocks {
-		for _, s := range b.AppendSuccs(sb[:0]) {
-			if k := loopOf[s.ID] - 1; k >= 0 && all[k].Header == nil {
-				all[k] = Loop{Header: s, Blocks: BlockSet(body[int(k)*words : int(k+1)*words : int(k+1)*words])}
-				all[k].Blocks.add(s)
-				loops[k] = &all[k]
-			}
+		if k := int(loopOf[b.ID]) - 1; k >= 0 {
+			all[k] = Loop{Header: b, Blocks: BlockSet(body[k*words : (k+1)*words : (k+1)*words])}
+			all[k].Blocks.add(b)
+			loops[k] = &all[k]
 		}
 	}
 
